@@ -20,7 +20,6 @@ from repro import Adapt, AdaptConfig, Backend, NoisyExecutor, transpile
 from repro.core.adapt import evaluation_seed
 from repro.core.decoy import make_decoy
 from repro.core.search import all_assignments
-from repro.hardware import BatchExecutor
 from repro.testing import print_section, scale
 from repro.workloads import get_benchmark
 
@@ -44,7 +43,7 @@ def test_clifford_fast_path_speedup():
     shots = scale(2048, 4096)
 
     def score(engine):
-        batch = BatchExecutor(backend)
+        batch = NoisyExecutor(backend)
         start = time.perf_counter()
         results = batch.run_assignments(
             decoy.circuit,

@@ -10,8 +10,7 @@ scratch in Python:
   stabilizer fast path);
 * :mod:`repro.hardware` — IBMQ device models, calibration snapshots, the
   compiled-program layer (:class:`~repro.hardware.program.CompiledNoisyProgram`)
-  and the two executor front-ends that share it (sequential facade + batched
-  executor with multi-process fan-out);
+  and the executor that runs single jobs and batches over it;
 * :mod:`repro.noise` — gate/readout noise and the idle-window noise model
   (crosstalk, DD refocusing, DD pulse cost);
 * :mod:`repro.transpiler` — basis decomposition, noise-adaptive layout, SABRE
@@ -54,7 +53,6 @@ from .simulators import (
 )
 from .hardware import (
     Backend,
-    BatchExecutor,
     BatchJob,
     CompiledNoisyProgram,
     NoisyExecutor,
@@ -80,7 +78,6 @@ __all__ = [
     "Adapt",
     "AdaptConfig",
     "Backend",
-    "BatchExecutor",
     "BatchJob",
     "CompiledNoisyProgram",
     "CompiledProgram",

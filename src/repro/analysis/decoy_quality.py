@@ -18,7 +18,6 @@ from ..core.decoy import make_decoy
 from ..core.evaluation import compiled_ideal_distribution
 from ..core.search import all_assignments
 from ..hardware.backend import Backend
-from ..hardware.batch import BatchExecutor
 from ..hardware.execution import NoisyExecutor
 from ..metrics.correlation import spearman_correlation
 from ..metrics.fidelity import fidelity
@@ -44,7 +43,6 @@ def dd_combination_sweep(
     circuit=None,
     max_qubits: int = 8,
     engine: str = "auto",
-    batch_executor: Optional[BatchExecutor] = None,
 ) -> List[Tuple[str, float]]:
     """Fidelity of a circuit for every DD combination over its program qubits.
 
@@ -68,15 +66,9 @@ def dd_combination_sweep(
     target_circuit = circuit if circuit is not None else compiled.physical_circuit
     gst = executor.backend.schedule(target_circuit)
     reference = ideal if ideal is not None else compiled_ideal_distribution(compiled)
-    if batch_executor is None:
-        batch_executor = BatchExecutor(
-            executor.backend,
-            dm_qubit_limit=executor.dm_qubit_limit,
-            trajectories=executor.trajectories,
-        )
     assignments = all_assignments(qubits)
     seeds = [executor.draw_job_seed() for _ in assignments]
-    results = batch_executor.run_assignments(
+    results = executor.run_assignments(
         target_circuit,
         assignments,
         dd_sequence=dd_sequence,
@@ -153,12 +145,9 @@ def decoy_correlation_study(
             encode=encode_decoy_correlation,
             decode=decode_decoy_correlation,
         )
+    # One executor: the benchmark sweep and the decoy sweep each compile
+    # their program once and keep it cached across the 2^N jobs.
     executor = NoisyExecutor(backend, seed=seed)
-    # One shared batch executor: the benchmark sweep and the decoy sweep each
-    # compile their program once and keep it cached across the 2^N jobs.
-    batch_executor = BatchExecutor(
-        backend, dm_qubit_limit=executor.dm_qubit_limit, trajectories=executor.trajectories
-    )
     circuit = get_benchmark(benchmark).build()
     compiled = transpile(circuit, backend)
 
@@ -168,7 +157,6 @@ def decoy_correlation_study(
         dd_sequence=dd_sequence,
         shots=shots,
         max_qubits=max_qubits,
-        batch_executor=batch_executor,
         # The benchmark's own sweep is the measured ground truth of the
         # correlation: keep it on the exact dense engines even for Clifford
         # benchmarks.  The decoy sweep below stays on "auto" — scoring a
@@ -189,7 +177,6 @@ def decoy_correlation_study(
         ideal=decoy_ideal,
         circuit=decoy.circuit,
         max_qubits=max_qubits,
-        batch_executor=batch_executor,
     )
 
     bitstrings = [bits for bits, _ in actual]

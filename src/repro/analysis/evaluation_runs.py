@@ -10,7 +10,7 @@ shot/trajectory budget; the defaults used by the benchmark harness are the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.adapt import AdaptConfig
@@ -22,7 +22,6 @@ from ..core.evaluation import (
 )
 from ..core.policies import standard_policies
 from ..hardware.backend import Backend
-from ..hardware.batch import BatchExecutor, create_worker_pool
 from ..hardware.execution import NoisyExecutor
 from ..transpiler.transpile import transpile
 from ..workloads.suite import get_benchmark
@@ -67,14 +66,6 @@ class EvaluationConfig:
     #: fidelities of Figures 13-15 / Table 5): ``"auto_dense"`` keeps them on
     #: the exact dense engines even for Clifford benchmarks.
     final_engine: str = "auto_dense"
-    #: Route decoy scoring, the Runtime-Best oracle and the final policy
-    #: executions through a shared :class:`BatchExecutor`.
-    use_batch: bool = True
-    #: Worker processes: fans policy decisions out in
-    #: :func:`run_policy_comparison` and benchmarks out in
-    #: :func:`run_machine_evaluation`.  Per-evaluation seeding keeps every
-    #: result identical to the single-process run.
-    n_workers: int = 1
 
 
 def run_policy_comparison(
@@ -96,13 +87,10 @@ def run_policy_comparison(
     config = config or EvaluationConfig()
     circuit = get_benchmark(benchmark).build()
     compiled = transpile(circuit, backend)
+    # One executor, hence one compile cache, serves decoy scoring, the
+    # Runtime-Best oracle and the final policy executions.
     executor = NoisyExecutor(
         backend, seed=config.seed, trajectories=config.trajectories
-    )
-    batch_executor = (
-        BatchExecutor(backend, trajectories=config.trajectories)
-        if config.use_batch
-        else None
     )
     adapt_config = AdaptConfig(
         dd_sequence=config.dd_sequence,
@@ -110,10 +98,6 @@ def run_policy_comparison(
         group_size=config.adapt_group_size,
         decoy_shots=config.decoy_shots,
         engine=config.engine,
-        use_batch=config.use_batch,
-        # Policies are fanned out at the evaluation level; keep decoy scoring
-        # in-process inside each worker to avoid nested pools.
-        n_workers=1,
     )
     policies = standard_policies(
         executor,
@@ -122,7 +106,6 @@ def run_policy_comparison(
         adapt_config=adapt_config,
         include_runtime_best=config.include_runtime_best,
         seed=config.seed,
-        batch_executor=batch_executor,
         # One scoring engine for both ADAPT's decoys and the oracle sweep.
         engine=config.engine,
     )
@@ -139,26 +122,10 @@ def run_policy_comparison(
         dd_sequence=config.dd_sequence,
         shots=config.shots,
         benchmark_name=benchmark,
-        n_workers=config.n_workers,
-        batch_executor=batch_executor,
         seed=config.seed,
         engine=config.final_engine,
         store=store,
     )
-
-
-def _run_comparison_remote(args) -> BenchmarkEvaluation:
-    benchmark, device_name, calibration_cycle, config, store_spec = args
-    backend = Backend.from_name(device_name, cycle=calibration_cycle)
-    store = None
-    if store_spec is not None:
-        from ..store.store import ExperimentStore
-
-        # Each worker opens its own store handle on the shared spec (write
-        # root plus any federated read roots): writes are atomic-rename
-        # safe, so concurrent workers never corrupt it.
-        store = ExperimentStore.from_spec(store_spec)
-    return run_policy_comparison(benchmark, backend, config, store=store)
 
 
 def run_machine_evaluation(
@@ -170,25 +137,12 @@ def run_machine_evaluation(
 ) -> List[BenchmarkEvaluation]:
     """Figure 13/14/15 driver: all benchmarks of one figure on one machine.
 
-    With ``config.n_workers > 1`` the benchmarks are fanned out over worker
-    processes (one full policy comparison per worker); each worker runs its
-    inner evaluation single-process, and per-benchmark seeding makes the
-    result identical to the serial sweep.  A ``store`` is shared across
-    workers by root path — already-stored benchmarks are skipped inside each
-    worker, and new results land in the store as they complete.
+    Benchmarks run one after another; with a ``store`` the already-stored
+    ones are read back instead of executed.  To spread a figure over
+    processes or machines, run it as a sweep (``repro sweep --workers`` or
+    ``--join``) or submit it to ``repro serve``.
     """
     config = config or EvaluationConfig()
-    if config.n_workers > 1 and len(benchmarks) > 1:
-        pool = create_worker_pool(min(config.n_workers, len(benchmarks)))
-        if pool is not None:
-            inner = replace(config, n_workers=1)
-            store_spec = None if store is None else store.spec_string()
-            payloads = [
-                (benchmark, device_name, calibration_cycle, inner, store_spec)
-                for benchmark in benchmarks
-            ]
-            with pool:
-                return list(pool.map(_run_comparison_remote, payloads))
     backend = Backend.from_name(device_name, cycle=calibration_cycle)
     return [
         run_policy_comparison(benchmark, backend, config, store=store)

@@ -458,7 +458,7 @@ def _cmd_ls(args) -> int:
             print(f"  process.{counter:18s} {value}")
         print(
             "  (per-executor compile-cache counters live on"
-            " NoisyExecutor/BatchExecutor.cache_stats())"
+            " NoisyExecutor.cache_stats())"
         )
     return 0
 

@@ -12,17 +12,16 @@ compiled program, ADAPT
 4. returns the selected combination, ready to be applied to the input program.
 
 Decoy scoring is the hot path (up to ``4 * N`` executions of the same decoy
-circuit), so the scorer hands whole neighbourhoods to a
-:class:`~repro.hardware.batch.BatchExecutor`, which compiles the decoy once
-into a :class:`~repro.hardware.program.CompiledNoisyProgram` (Gate Sequence
-Table, event template, memoized idle-window noise) shared across the batch,
-and can fan candidates out over worker processes (``AdaptConfig.n_workers``).
-For Clifford decoys (``decoy_kind="cdc"``) the registry's ``"auto"`` policy
+circuit), so the scorer hands whole neighbourhoods to
+:meth:`~repro.hardware.execution.NoisyExecutor.run_assignments`, which
+compiles the decoy once into a
+:class:`~repro.hardware.program.CompiledNoisyProgram` (Gate Sequence Table,
+event template, memoized idle-window noise) shared across the batch.  For
+Clifford decoys (``decoy_kind="cdc"``) the registry's ``"auto"`` policy
 routes scoring through the stabilizer fast path — the paper's Insight #1
 made executable.  Every decoy evaluation runs under its own seed derived
-from the ADAPT seed and the evaluation index, so selections are bit-identical
-across the batched path, the sequential fallback (``use_batch=False``) and
-any worker count.
+from the ADAPT seed and the evaluation index, so a selection does not depend
+on how the search groups candidates into batches.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .gst import GateSequenceTable
 from .search import LocalizedSearch, SearchResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hardware.batch import BatchExecutor
     from ..hardware.execution import NoisyExecutor
     from ..transpiler.transpile import CompiledProgram
 
@@ -75,11 +73,6 @@ class AdaptConfig:
     #: pick — notably the stabilizer Clifford fast path for CDC decoys — or
     #: any registered engine name to force one.
     engine: str = "auto"
-    #: Score whole neighbourhoods as one shared-program batch (recommended).
-    use_batch: bool = True
-    #: Worker processes for decoy scoring; 1 = in-process.  Results are
-    #: independent of the worker count thanks to per-evaluation seeds.
-    n_workers: int = 1
 
 
 @dataclass
@@ -102,11 +95,11 @@ class AdaptResult:
 
 
 class _DecoyScorer:
-    """Scores DD candidates by decoy fidelity; batch- and worker-aware.
+    """Scores DD candidates by decoy fidelity, one batch per ``score_many``.
 
     Exposes both the plain callable protocol and ``score_many`` (detected by
     the search strategies).  Seeds are assigned by global evaluation index,
-    so the batched, sequential and multi-process paths select identically.
+    so the scores do not depend on how candidates are grouped into batches.
     """
 
     def __init__(
@@ -137,55 +130,16 @@ class _DecoyScorer:
 
     def score_many(self, assignments: Sequence[DDAssignment]) -> List[float]:
         config = self._adapt.config
-        seeds = self._next_seeds(len(assignments))
-        if not config.use_batch:
-            results = [
-                self._adapt.executor.run(
-                    self._circuit,
-                    dd_assignment=assignment,
-                    dd_sequence=config.dd_sequence,
-                    shots=config.decoy_shots,
-                    output_qubits=self._output_qubits,
-                    gst=self._gst,
-                    engine=config.engine,
-                    seed=seed,
-                )
-                for assignment, seed in zip(assignments, seeds)
-            ]
-        elif config.n_workers > 1 and len(assignments) > 1:
-            from ..hardware.batch import BatchJob, run_jobs_in_processes
-
-            jobs = [
-                BatchJob(
-                    dd_assignment=assignment,
-                    dd_sequence=config.dd_sequence,
-                    shots=config.decoy_shots,
-                    seed=seed,
-                    output_qubits=self._output_qubits,
-                    engine=config.engine,
-                )
-                for assignment, seed in zip(assignments, seeds)
-            ]
-            results = run_jobs_in_processes(
-                self._adapt.executor.backend,
-                self._circuit,
-                jobs,
-                config.n_workers,
-                gst=self._gst,
-                executor_options=self._adapt._batch_options(),
-                pool=self._adapt._worker_pool(),
-            )
-        else:
-            results = self._adapt.batch_executor.run_assignments(
-                self._circuit,
-                list(assignments),
-                dd_sequence=config.dd_sequence,
-                shots=config.decoy_shots,
-                output_qubits=self._output_qubits,
-                gst=self._gst,
-                seeds=seeds,
-                engine=config.engine,
-            )
+        results = self._adapt.executor.run_assignments(
+            self._circuit,
+            list(assignments),
+            dd_sequence=config.dd_sequence,
+            shots=config.decoy_shots,
+            output_qubits=self._output_qubits,
+            gst=self._gst,
+            seeds=self._next_seeds(len(assignments)),
+            engine=config.engine,
+        )
         return [fidelity(self._ideal, result.probabilities) for result in results]
 
 
@@ -194,13 +148,11 @@ class Adapt:
 
     Args:
         executor: a :class:`~repro.hardware.execution.NoisyExecutor` (or any
-            object with the same ``run`` signature) used to execute decoys.
-        config: search / decoy / batching options.
+            object with the same ``run_assignments`` signature) used to
+            execute decoys.
+        config: search / decoy options.
         seed: base seed for decoy scoring; every decoy evaluation derives its
             own stream from ``(seed, evaluation index)``.
-        batch_executor: optional shared
-            :class:`~repro.hardware.batch.BatchExecutor`; built on demand
-            from the executor's backend when omitted.
     """
 
     def __init__(
@@ -208,65 +160,12 @@ class Adapt:
         executor: "NoisyExecutor",
         config: Optional[AdaptConfig] = None,
         seed: Optional[int] = None,
-        batch_executor: Optional["BatchExecutor"] = None,
     ) -> None:
         self.executor = executor
         self.config = config or AdaptConfig()
         if seed is None:
             seed = int(np.random.default_rng().integers(0, 2 ** 63))
         self._base_seed = int(seed)
-        self._batch = batch_executor
-        self._pool = None
-
-    def _batch_options(self) -> Dict[str, object]:
-        from ..hardware.execution import DEFAULT_MEMORY_BUDGET_BYTES
-
-        return {
-            "dm_qubit_limit": getattr(self.executor, "dm_qubit_limit", 10),
-            "trajectories": getattr(self.executor, "trajectories", 120),
-            # The memory budget steers engine selection, so the batched path
-            # (and every fan-out worker) must inherit the parent's value.
-            "memory_budget_bytes": getattr(
-                self.executor, "memory_budget_bytes", DEFAULT_MEMORY_BUDGET_BYTES
-            ),
-        }
-
-    @property
-    def batch_executor(self) -> "BatchExecutor":
-        """The shared batch executor (created lazily from the backend)."""
-        if self._batch is None:
-            from ..hardware.batch import BatchExecutor
-
-            self._batch = BatchExecutor(
-                self.executor.backend, **self._batch_options()
-            )
-        return self._batch
-
-    def _worker_pool(self):
-        """Persistent process pool reused across score_many calls."""
-        if self._pool is None:
-            from ..hardware.batch import create_worker_pool
-
-            self._pool = create_worker_pool(self.config.n_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when none was created)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown ordering
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __getstate__(self):
-        # Process pools are not picklable; workers recreate their own.
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        return state
 
     # ------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ program's noise-free output is recorded (absolute and relative to No-DD).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -18,10 +18,9 @@ from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity, geometric_mean
 from ..simulators.statevector import StatevectorSimulator
 from .adapt import evaluation_seed
-from .policies import Policy, PolicyDecision
+from .policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hardware.batch import BatchExecutor
     from ..hardware.execution import NoisyExecutor
     from ..store.store import ExperimentStore
     from ..transpiler.transpile import CompiledProgram
@@ -167,42 +166,6 @@ class BenchmarkEvaluation:
         return row
 
 
-def _decide_one(args) -> PolicyDecision:
-    policy, compiled = args
-    return policy.decide(compiled)
-
-
-def _policy_decisions(
-    policies: Sequence[Policy], compiled: "CompiledProgram", n_workers: int
-) -> List[PolicyDecision]:
-    """Run every policy's selection, optionally fanned out over processes.
-
-    Only the expensive selections (``Policy.expensive``: ADAPT, Runtime-Best)
-    are shipped to workers; trivial decisions run inline.  Decisions are
-    independent of each other, so the fan-out preserves results exactly
-    (policies derive their randomness from their own seeds).  Falls back to
-    the sequential loop when multiprocessing is unavailable.
-    """
-    expensive = [i for i, p in enumerate(policies) if getattr(p, "expensive", False)]
-    if n_workers <= 1 or len(expensive) <= 1:
-        return [policy.decide(compiled) for policy in policies]
-    from ..hardware.batch import create_worker_pool  # avoid circular import
-
-    pool = create_worker_pool(n_workers)
-    if pool is None:  # pragma: no cover - non-POSIX platforms
-        return [policy.decide(compiled) for policy in policies]
-    with pool:
-        payloads = [(policies[i], compiled) for i in expensive]
-        fanned = pool.map(_decide_one, payloads)
-        decisions: List[Optional[PolicyDecision]] = [None] * len(policies)
-        for i, decision in zip(expensive, fanned):
-            decisions[i] = decision
-        for i, policy in enumerate(policies):
-            if decisions[i] is None:
-                decisions[i] = policy.decide(compiled)
-        return decisions  # type: ignore[return-value]
-
-
 def evaluate_policies(
     compiled: "CompiledProgram",
     policies: Sequence[Policy],
@@ -212,8 +175,6 @@ def evaluate_policies(
     ideal: Optional[Dict[str, float]] = None,
     benchmark_name: Optional[str] = None,
     rng: Optional[np.random.Generator] = None,
-    n_workers: int = 1,
-    batch_executor: Optional["BatchExecutor"] = None,
     seed: Optional[int] = None,
     engine: str = "auto_dense",
     store: Optional["ExperimentStore"] = None,
@@ -221,13 +182,14 @@ def evaluate_policies(
 ) -> BenchmarkEvaluation:
     """Run every policy on a compiled benchmark and compare fidelities.
 
+    The final per-policy program executions run as one shared-program batch
+    on ``executor``.
+
     Args:
-        n_workers: fan policy decisions (the expensive ADAPT / Runtime-Best
-            selections) out over this many worker processes.
-        batch_executor: submit the final per-policy program executions as one
-            shared-program batch instead of one ``executor.run`` per policy.
-        seed: with ``batch_executor``, gives each final execution its own
-            deterministic per-policy stream.
+        rng: seeds the final executions, one draw per policy in order, when
+            ``seed`` is omitted (default: the executor's own stream).
+        seed: gives each final execution its own deterministic per-policy
+            stream.
         engine: execution engine for the final per-policy runs.  These are
             the *measured* fidelities of the evaluation, so the default
             ``"auto_dense"`` keeps them on the exact dense engines even for
@@ -249,11 +211,9 @@ def evaluate_policies(
         from ..store.records import decode_evaluation, encode_evaluation
 
         if store_key is None:
-            # The final executions run on batch_executor when given, else on
-            # the sequential executor — and their trajectory budget,
-            # dm_qubit_limit and memory budget determine the result (engine
-            # resolution, MC sampling), so they must be part of the key.
-            runner = batch_executor if batch_executor is not None else executor
+            # The executor's trajectory budget, dm_qubit_limit and memory
+            # budget determine the result (engine resolution, MC sampling),
+            # so they must be part of the key.
             store_key = evaluation_key(
                 compiled,
                 executor.backend,
@@ -263,10 +223,10 @@ def evaluate_policies(
                 seed=seed,
                 engine=engine,
                 extra={
-                    "trajectories": getattr(runner, "trajectories", None),
-                    "dm_qubit_limit": getattr(runner, "dm_qubit_limit", None),
+                    "trajectories": getattr(executor, "trajectories", None),
+                    "dm_qubit_limit": getattr(executor, "dm_qubit_limit", None),
                     "memory_budget_bytes": getattr(
-                        runner, "memory_budget_bytes", None
+                        executor, "memory_budget_bytes", None
                     ),
                 },
             )
@@ -283,50 +243,22 @@ def evaluate_policies(
         baseline_fidelity=0.0,
     )
 
-    decisions = _policy_decisions(policies, compiled, n_workers)
+    decisions = [policy.decide(compiled) for policy in policies]
     baseline_fidelity: Optional[float] = None
-
-    if batch_executor is not None:
-        if seed is not None:
-            seeds = [evaluation_seed(seed, i, domain=2) for i in range(len(decisions))]
-        elif rng is not None:
-            # Preserve the legacy contract: a caller-supplied rng still
-            # determines the final executions on the batched path.
-            seeds = [int(rng.integers(0, 2 ** 63)) for _ in decisions]
-        else:
-            # Mirror the unbatched branch, which falls back to the executor's
-            # own stream — a seeded NoisyExecutor stays reproducible even
-            # when the caller omits seed/rng on the batched path.
-            fallback = getattr(executor, "_rng", None)
-            seeds = (
-                [int(fallback.integers(0, 2 ** 63)) for _ in decisions]
-                if fallback is not None
-                else None
-            )
-        results = batch_executor.run_assignments(
-            compiled.physical_circuit,
-            [decision.assignment for decision in decisions],
-            dd_sequence=dd_sequence,
-            shots=shots,
-            output_qubits=compiled.output_qubits,
-            gst=gst,
-            seeds=seeds,
-            engine=engine,
-        )
+    if seed is not None:
+        seeds = [evaluation_seed(seed, i, domain=2) for i in range(len(decisions))]
     else:
-        results = [
-            executor.run(
-                compiled.physical_circuit,
-                dd_assignment=decision.assignment,
-                dd_sequence=dd_sequence,
-                shots=shots,
-                output_qubits=compiled.output_qubits,
-                gst=gst,
-                engine=engine,
-                rng=rng,
-            )
-            for decision in decisions
-        ]
+        seeds = [executor.draw_job_seed(rng) for _ in decisions]
+    results = executor.run_assignments(
+        compiled.physical_circuit,
+        [decision.assignment for decision in decisions],
+        dd_sequence=dd_sequence,
+        shots=shots,
+        output_qubits=compiled.output_qubits,
+        gst=gst,
+        seeds=seeds,
+        engine=engine,
+    )
 
     for decision, result in zip(decisions, results):
         value = fidelity(ideal, result.probabilities)

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .adapt import Adapt, AdaptConfig, evaluation_seed
 from .search import all_assignments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hardware.batch import BatchExecutor
     from ..hardware.execution import NoisyExecutor
     from ..transpiler.transpile import CompiledProgram
 
@@ -57,9 +56,6 @@ class Policy:
     """Base class: a policy maps a compiled program to a DD assignment."""
 
     name = "base"
-    #: True for policies whose decide() runs circuit executions (worth
-    #: fanning out over worker processes); trivial policies stay inline.
-    expensive = False
 
     def decide(self, compiled: "CompiledProgram") -> PolicyDecision:
         raise NotImplementedError
@@ -97,28 +93,17 @@ class AdaptPolicy(Policy):
     """The paper's contribution: decoy-driven localized selection."""
 
     name = "adapt"
-    expensive = True
 
     def __init__(
         self,
         executor: "NoisyExecutor",
         config: Optional[AdaptConfig] = None,
         seed: Optional[int] = None,
-        batch_executor: Optional["BatchExecutor"] = None,
     ) -> None:
-        self._adapt = Adapt(
-            executor, config=config, seed=seed, batch_executor=batch_executor
-        )
+        self._adapt = Adapt(executor, config=config, seed=seed)
 
     def describe(self) -> Dict[str, object]:
-        from dataclasses import asdict
-
         config = asdict(self._adapt.config)
-        # Batching and worker fan-out do not change the selection (the
-        # per-evaluation seed protocol guarantees it), so they stay out of
-        # the key — a laptop run and a 32-worker run share their cache.
-        config.pop("use_batch", None)
-        config.pop("n_workers", None)
         return {"policy": self.name, "seed": self._adapt._base_seed, **config}
 
     def decide(self, compiled: "CompiledProgram") -> PolicyDecision:
@@ -138,7 +123,6 @@ class RuntimeBestPolicy(Policy):
     """Oracle: score combinations on the real program's true output."""
 
     name = "runtime_best"
-    expensive = True
 
     def __init__(
         self,
@@ -149,7 +133,6 @@ class RuntimeBestPolicy(Policy):
         max_exhaustive_qubits: int = 6,
         max_evaluations: int = 64,
         seed: Optional[int] = None,
-        batch_executor: Optional["BatchExecutor"] = None,
         engine: str = "auto",
     ) -> None:
         self.executor = executor
@@ -158,13 +141,11 @@ class RuntimeBestPolicy(Policy):
         self.shots = shots
         self.max_exhaustive_qubits = int(max_exhaustive_qubits)
         self.max_evaluations = int(max_evaluations)
-        self.batch_executor = batch_executor
         self.engine = engine
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
     def describe(self) -> Dict[str, object]:
-        runner = self.batch_executor if self.batch_executor is not None else self.executor
         return {
             "policy": self.name,
             "dd_sequence": self.dd_sequence,
@@ -175,14 +156,19 @@ class RuntimeBestPolicy(Policy):
             "engine": self.engine,
             # Engine resolution and the trajectory engine's sampling depend
             # on these executor knobs, so they are result-determining.
-            "trajectories": getattr(runner, "trajectories", None),
-            "dm_qubit_limit": getattr(runner, "dm_qubit_limit", None),
-            "memory_budget_bytes": getattr(runner, "memory_budget_bytes", None),
+            "trajectories": getattr(self.executor, "trajectories", None),
+            "dm_qubit_limit": getattr(self.executor, "dm_qubit_limit", None),
+            "memory_budget_bytes": getattr(self.executor, "memory_budget_bytes", None),
         }
 
     def _candidate_assignments(self, qubits: Sequence[int]) -> List[DDAssignment]:
         qubits = list(qubits)
-        if len(qubits) <= self.max_exhaustive_qubits:
+        # Sampling needs max_evaluations distinct subsets; with fewer than
+        # that in the whole space, score them all instead of sampling forever.
+        if (
+            len(qubits) <= self.max_exhaustive_qubits
+            or 2 ** len(qubits) < self.max_evaluations
+        ):
             return all_assignments(qubits)
         candidates = [DDAssignment.none(), DDAssignment.all(qubits)]
         seen = {frozenset(), frozenset(qubits)}
@@ -201,39 +187,24 @@ class RuntimeBestPolicy(Policy):
         ideal = self.ideal_distribution(compiled)
         gst = compiled.gst
         candidates = self._candidate_assignments(qubits)
-        if self.batch_executor is not None:
-            # All candidates share the program: submit them as one batch with
-            # per-candidate seeds so the oracle is reproducible.
-            seeds = None
-            if self._seed is not None:
-                seeds = [
-                    evaluation_seed(self._seed, i, domain=1)
-                    for i in range(len(candidates))
-                ]
-            results = self.batch_executor.run_assignments(
-                compiled.physical_circuit,
-                candidates,
-                dd_sequence=self.dd_sequence,
-                shots=self.shots,
-                output_qubits=compiled.output_qubits,
-                gst=gst,
-                seeds=seeds,
-                engine=self.engine,
-            )
-        else:
-            results = [
-                self.executor.run(
-                    compiled.physical_circuit,
-                    dd_assignment=assignment,
-                    dd_sequence=self.dd_sequence,
-                    shots=self.shots,
-                    output_qubits=compiled.output_qubits,
-                    gst=gst,
-                    engine=self.engine,
-                    rng=self._rng,
-                )
-                for assignment in candidates
+        # All candidates share the program: submit them as one batch with
+        # per-candidate seeds so the oracle is reproducible.
+        seeds = None
+        if self._seed is not None:
+            seeds = [
+                evaluation_seed(self._seed, i, domain=1)
+                for i in range(len(candidates))
             ]
+        results = self.executor.run_assignments(
+            compiled.physical_circuit,
+            candidates,
+            dd_sequence=self.dd_sequence,
+            shots=self.shots,
+            output_qubits=compiled.output_qubits,
+            gst=gst,
+            seeds=seeds,
+            engine=self.engine,
+        )
         best_assignment = DDAssignment.none()
         best_score = -1.0
         for assignment, result in zip(candidates, results):
@@ -256,17 +227,16 @@ def standard_policies(
     adapt_config: Optional[AdaptConfig] = None,
     include_runtime_best: bool = True,
     seed: Optional[int] = None,
-    batch_executor: Optional["BatchExecutor"] = None,
     engine: Optional[str] = None,
 ) -> List[Policy]:
     """The evaluation's four policies, in the paper's order.
 
-    ``batch_executor`` is shared by ADAPT's decoy scoring and the
-    Runtime-Best oracle, so all expensive policies reuse one compiled-program
-    cache.  ``engine`` forces one execution engine for *both* scoring
-    policies (ADAPT's decoys and the oracle sweep); the default keeps
-    ``adapt_config``'s engine for ADAPT and ``"auto"`` for the oracle, so the
-    two rank candidates under the registry's per-program policy.
+    ``executor`` is shared by ADAPT's decoy scoring and the Runtime-Best
+    oracle, so both reuse one compiled-program cache.  ``engine`` forces one
+    execution engine for *both* scoring policies (ADAPT's decoys and the
+    oracle sweep); the default keeps ``adapt_config``'s engine for ADAPT and
+    ``"auto"`` for the oracle, so the two rank candidates under the
+    registry's per-program policy.
     """
     config = adapt_config or AdaptConfig(dd_sequence=dd_sequence)
     if engine is not None:
@@ -274,7 +244,7 @@ def standard_policies(
     policies: List[Policy] = [
         NoDDPolicy(),
         AllDDPolicy(),
-        AdaptPolicy(executor, config=config, seed=seed, batch_executor=batch_executor),
+        AdaptPolicy(executor, config=config, seed=seed),
     ]
     if include_runtime_best:
         policies.append(
@@ -283,7 +253,6 @@ def standard_policies(
                 ideal_distribution,
                 dd_sequence=dd_sequence,
                 seed=seed,
-                batch_executor=batch_executor,
                 engine=engine if engine is not None else "auto",
             )
         )

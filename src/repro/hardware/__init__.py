@@ -33,12 +33,10 @@ from .execution import (
     job_sample_rng,
     job_streams,
 )
-from .batch import BatchExecutor, create_worker_pool, run_jobs_in_processes
 from . import topologies
 
 __all__ = [
     "Backend",
-    "BatchExecutor",
     "BatchJob",
     "Calibration",
     "CompiledNoisyProgram",
@@ -54,7 +52,6 @@ __all__ = [
     "cached_gate_matrix",
     "calibration_seed",
     "choose_branch",
-    "create_worker_pool",
     "execute_program_jobs",
     "generate_calibration",
     "get_device",
@@ -63,7 +60,6 @@ __all__ = [
     "job_streams",
     "list_devices",
     "process_cache_stats",
-    "run_jobs_in_processes",
     "synthetic_device",
     "topologies",
 ]

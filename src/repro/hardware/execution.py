@@ -10,13 +10,14 @@ to an IBMQ machine.  It combines:
 
 and produces measurement counts / output probability distributions.
 
-Since the unified-execution refactor the executor is a thin facade: ``run``
-compiles the circuit into a :class:`~repro.hardware.program.CompiledNoisyProgram`
-(through a keyed per-executor compile cache) and executes a batch of one
-through the engine registry of :mod:`repro.simulators.engines` — exactly the
-code path the batched :class:`~repro.hardware.batch.BatchExecutor` uses, which
-makes the sequential-vs-batch equivalence contract of ``docs/architecture.md``
-true by construction.
+It is the one executor.  ADAPT's decoy scoring, the Runtime-Best oracle, the
+final per-policy runs and served requests all execute a set of jobs over one
+compiled program, so :meth:`NoisyExecutor.run_batch` compiles the circuit
+once into a :class:`~repro.hardware.program.CompiledNoisyProgram` (through a
+keyed per-executor compile cache) and runs every job through the engine
+registry of :mod:`repro.simulators.engines`.  :meth:`NoisyExecutor.run` is a
+batch of one, which makes the ``run`` vs ``run_batch`` equivalence contract
+of ``docs/architecture.md`` true by construction.
 
 Engines (see :func:`repro.simulators.engines.select_engine` for the shared
 ``"auto"`` policy):
@@ -36,8 +37,8 @@ cost 2^27 amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,10 +78,9 @@ __all__ = [
     "GATE_NOISE_PRIORITY",
 ]
 
-#: The shared default active-space memory budget (256 MiB).  Both executor
-#: front-ends use the same value because engine selection folds the budget
-#: in (:func:`repro.simulators.engines.select_engine`) and the
-#: sequential-vs-batch equivalence contract requires identical defaults.
+#: The default active-space memory budget (256 MiB).  Engine selection folds
+#: the budget in (:func:`repro.simulators.engines.select_engine`), so it is
+#: result-determining and part of every evaluation store key.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -89,8 +89,8 @@ def job_streams(
 ) -> Tuple[List[np.random.Generator], np.random.Generator]:
     """Derive the RNG streams of one seeded execution job.
 
-    Every execution path draws from streams produced by this function, which
-    is what makes seeded results independent of batching and worker count:
+    Every execution draws from streams produced by this function, which is
+    what makes seeded results independent of how jobs are batched:
     one independent child stream per trajectory (consumed in event order
     within the trajectory) plus one stream for sampling the final
     measurement counts.
@@ -118,7 +118,7 @@ class BatchJob:
 
     ``seed`` drives the deterministic stream protocol of :func:`job_streams`;
     jobs with explicit seeds produce identical results regardless of batch
-    composition or worker count.  ``dd_plan`` overrides ``dd_assignment`` with
+    composition.  ``dd_plan`` overrides ``dd_assignment`` with
     an explicit :class:`~repro.dd.insertion.DDPlan` (e.g. one built with a
     custom ``min_window_ns``).  ``tag`` is carried through untouched for
     caller bookkeeping.
@@ -281,7 +281,6 @@ def execute_program_jobs(
     *,
     trajectories: int,
     dm_qubit_limit: int,
-    job_seed: Callable[[BatchJob], int],
     memory_budget_bytes: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[ExecutionResult]:
@@ -289,11 +288,14 @@ def execute_program_jobs(
 
     This is the ONE execution pipeline: jobs are grouped by resolved engine,
     split into sub-batches bounded by ``memory_budget_bytes`` (when given),
-    seeded via ``job_seed``, run, and finalized (marginalize -> readout error
-    -> sample counts).  Results are returned in job order.
+    run, and finalized (marginalize -> readout error -> sample counts).
+    Every job must carry its seed (:meth:`NoisyExecutor.run_batch` draws the
+    missing ones).  Results are returned in job order.
     """
     if not jobs:
         return []
+    if any(job.seed is None for job in jobs):
+        raise ValueError("execute_program_jobs needs a seed on every job")
     # Fail fast on unresolvable output qubits before any engine work: a bad
     # job must not cost a whole sub-batch of simulation first.  The resolved
     # active-space positions ride along to the engines so sparse engines can
@@ -333,7 +335,7 @@ def execute_program_jobs(
         for start in range(0, len(indices), chunk):
             subset = indices[start : start + chunk]
             sub_jobs = [jobs[j] for j in subset]
-            sub_seeds = [job_seed(job) for job in sub_jobs]
+            sub_seeds = [job.seed for job in sub_jobs]
             sub_outputs = [output_positions[j] for j in subset]
             if engine.needs_streams:
                 pairs = [job_streams(s, trajectories) for s in sub_seeds]
@@ -363,21 +365,53 @@ def execute_program_jobs(
 
 
 # ---------------------------------------------------------------------------
-# Shared compile-cache plumbing
+# The executor
 # ---------------------------------------------------------------------------
 
 
-class ProgramCompilerMixin:
-    """Compile-cache plumbing shared by both executor front-ends.
+class NoisyExecutor:
+    """Simulates scheduled circuits under the backend's noise model.
 
-    Owns the per-executor :class:`~repro.hardware.program.ProgramCache`, the
-    ``stats`` counters, the ``compile`` entry point and the pickling rule
-    (compile caches are machine-local working state, dropped when an executor
-    ships to a worker process).
+    Every execution goes through :meth:`run_batch`: the circuit is compiled
+    once (with a per-executor compile cache keyed by the circuit and
+    schedule, so repeated runs stop rebuilding the GST events) and all jobs
+    run against the shared compiled program.  Cache efficacy is observable
+    end to end: compile-cache hit/miss counters live on :attr:`stats`, and
+    :meth:`cache_stats` folds in the process-level gate/operator caches.
+
+    Args:
+        backend: device model + calibration.
+        seed: entropy for jobs submitted without a seed (see
+            :meth:`draw_job_seed`).
+        dm_qubit_limit: beyond this active-qubit count ``engine="auto"``
+            switches to the trajectory engine (Clifford-only programs take
+            the stabilizer fast path first — see
+            :func:`repro.simulators.engines.select_engine`).
+        trajectories: Monte-Carlo trajectories per job for the trajectory
+            engine.
+        max_cached_programs: capacity of the compile cache.
+        memory_budget_bytes: cap on the stacked batch state; larger batches
+            are transparently split into sub-batches, and the budget also
+            steers auto engine selection (an active space whose preferred
+            engine cannot fit degrades to a cheaper one).
     """
 
-    def _init_program_cache(self, backend: Backend, max_cached_programs: int) -> None:
+    def __init__(
+        self,
+        backend: Backend,
+        seed: Optional[int] = None,
+        dm_qubit_limit: int = 10,
+        trajectories: int = 120,
+        max_cached_programs: int = 16,
+        memory_budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET_BYTES,
+    ) -> None:
         self.backend = backend
+        self.dm_qubit_limit = int(dm_qubit_limit)
+        self.trajectories = int(trajectories)
+        self.memory_budget_bytes = (
+            None if memory_budget_bytes is None else int(memory_budget_bytes)
+        )
+        self._rng = np.random.default_rng(seed)
         self._program_cache = ProgramCache(backend, max_entries=max_cached_programs)
         self.stats: Dict[str, int] = {
             "program_compiles": 0,
@@ -385,6 +419,8 @@ class ProgramCompilerMixin:
             "jobs_run": 0,
             "window_variants": 0,
         }
+
+    # -- compile cache -------------------------------------------------
 
     @property
     def _programs(self) -> Dict[object, CompiledNoisyProgram]:
@@ -424,57 +460,88 @@ class ProgramCompilerMixin:
         return program
 
     def __getstate__(self):
+        # Compile caches are machine-local working state: a pickled executor
+        # starts with an empty one.
         state = self.__dict__.copy()
         state["_program_cache"] = ProgramCache(
             self.backend, max_entries=self._program_cache.max_entries
         )
         return state
 
-
-# ---------------------------------------------------------------------------
-# The sequential facade
-# ---------------------------------------------------------------------------
-
-
-class NoisyExecutor(ProgramCompilerMixin):
-    """Simulates scheduled circuits under the backend's noise model.
-
-    ``run`` compiles (with a per-executor compile cache keyed by the circuit
-    and schedule — repeated runs on the same circuit, the pattern in every
-    analysis driver, stop rebuilding the GST events) and executes a batch of
-    one through the shared engine registry.  Compile cache hit/miss counters
-    are exposed on :attr:`stats` alongside the process-level
-    :func:`~repro.hardware.program.process_cache_stats`.
-    """
-
-    def __init__(
-        self,
-        backend: Backend,
-        seed: Optional[int] = None,
-        dm_qubit_limit: int = 10,
-        trajectories: int = 120,
-        max_cached_programs: int = 16,
-        memory_budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET_BYTES,
-    ) -> None:
-        self.dm_qubit_limit = int(dm_qubit_limit)
-        self.trajectories = int(trajectories)
-        self.memory_budget_bytes = (
-            None if memory_budget_bytes is None else int(memory_budget_bytes)
-        )
-        self._rng = np.random.default_rng(seed)
-        self._init_program_cache(backend, max_cached_programs)
-
-    # ------------------------------------------------------------------
+    # -- execution -----------------------------------------------------
 
     def draw_job_seed(self, rng: Optional[np.random.Generator] = None) -> int:
         """Draw one job seed from ``rng`` (default: the executor's stream).
 
-        This is the unseeded-run convention: callers that pre-draw seeds for
+        This is the unseeded-job convention: callers that pre-draw seeds for
         a batch (e.g. the Figure 8 sweep) get the same reproducibility-by-
         call-sequence guarantee as repeated unseeded ``run()`` calls.
         """
         source = rng if rng is not None else self._rng
         return int(source.integers(0, 2 ** 63))
+
+    def run_batch(
+        self,
+        circuit: QuantumCircuit,
+        jobs: Sequence[BatchJob],
+        gst: Optional[GateSequenceTable] = None,
+    ) -> List[ExecutionResult]:
+        """Execute every job against the shared compiled program.
+
+        Results are returned in job order.  A job without a seed draws one
+        from the executor's stream, in job order.  Jobs are grouped by engine
+        and split into sub-batches bounded by the memory budget; seeded
+        results do not depend on that grouping.
+        """
+        if not jobs:
+            return []
+        program = self.compile(circuit, gst)
+        jobs = [
+            job if job.seed is not None else replace(job, seed=self.draw_job_seed())
+            for job in jobs
+        ]
+        return execute_program_jobs(
+            self.backend,
+            program,
+            jobs,
+            trajectories=self.trajectories,
+            dm_qubit_limit=self.dm_qubit_limit,
+            memory_budget_bytes=self.memory_budget_bytes,
+            stats=self.stats,
+        )
+
+    def run_assignments(
+        self,
+        circuit: QuantumCircuit,
+        assignments: Sequence[DDAssignment],
+        *,
+        dd_sequence: str = "xy4",
+        shots: int = 4096,
+        output_qubits: Optional[Sequence[int]] = None,
+        gst: Optional[GateSequenceTable] = None,
+        seeds: Optional[Sequence[Optional[int]]] = None,
+        engine: str = "auto",
+        include_idle_noise: bool = True,
+    ) -> List[ExecutionResult]:
+        """One job per DD assignment, run as a single batch."""
+        if seeds is None:
+            seeds = [None] * len(assignments)
+        if len(seeds) != len(assignments):
+            raise ValueError("seeds must match assignments one-to-one")
+        outputs = None if output_qubits is None else tuple(int(q) for q in output_qubits)
+        jobs = [
+            BatchJob(
+                dd_assignment=assignment,
+                dd_sequence=dd_sequence,
+                shots=shots,
+                seed=seed,
+                output_qubits=outputs,
+                engine=engine,
+                include_idle_noise=include_idle_noise,
+            )
+            for assignment, seed in zip(assignments, seeds)
+        ]
+        return self.run_batch(circuit, jobs, gst=gst)
 
     def run(
         self,
@@ -490,7 +557,7 @@ class NoisyExecutor(ProgramCompilerMixin):
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> ExecutionResult:
-        """Execute a circuit under noise.
+        """Execute a circuit under noise (a batch of one).
 
         Args:
             circuit: compiled circuit on physical qubits (measurements mark
@@ -502,24 +569,21 @@ class NoisyExecutor(ProgramCompilerMixin):
                 (defaults to the measured qubits in ascending order).
             engine: ``"auto"``, ``"auto_dense"`` or a registered engine name
                 (:func:`repro.simulators.engines.available_engines`).
-                ``"auto"`` (the default on both the sequential and batched
-                paths — the equivalence contract requires identical
-                defaults) takes the Pauli-twirled stabilizer fast path for
+                ``"auto"`` takes the Pauli-twirled stabilizer fast path for
                 Clifford-only programs; measurement contexts that must stay
                 on the exact dense engines pass ``"auto_dense"``, as the
                 analysis drivers do for every reported fidelity.
             include_idle_noise: disable to isolate gate/readout errors.
             seed: per-job seed enabling the deterministic stream protocol of
                 :func:`job_streams`.  A seeded run is reproducible on its own
-                (independent of executor state) and agrees with the batched
-                executor's result for the same seed; it overrides ``rng``.
-                Unseeded runs derive a job seed from ``rng`` (or the
-                executor's own stream), so they stay reproducible within a
-                fixed call sequence.
+                (independent of executor state) and equals the
+                :meth:`run_batch` result of a job with the same seed; it
+                overrides ``rng``.  Unseeded runs derive a job seed from
+                ``rng`` (or the executor's own stream), so they stay
+                reproducible within a fixed call sequence.
         """
         if seed is None:
             seed = self.draw_job_seed(rng)
-        program = self.compile(circuit, gst)
         job = BatchJob(
             dd_assignment=dd_assignment,
             dd_sequence=dd_sequence,
@@ -530,13 +594,4 @@ class NoisyExecutor(ProgramCompilerMixin):
             include_idle_noise=include_idle_noise,
             dd_plan=dd_plan,
         )
-        return execute_program_jobs(
-            self.backend,
-            program,
-            [job],
-            trajectories=self.trajectories,
-            dm_qubit_limit=self.dm_qubit_limit,
-            job_seed=lambda j: j.seed,
-            memory_budget_bytes=self.memory_budget_bytes,
-            stats=self.stats,
-        )[0]
+        return self.run_batch(circuit, [job], gst=gst)[0]

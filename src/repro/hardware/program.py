@@ -6,13 +6,12 @@ output resolution, the time-ordered event template with gate unitaries and
 noise channels pre-resolved into engine-ready tensors, and the memoized
 idle-window *variants* (unprotected, or protected by one DD protocol).
 
-Both the sequential :class:`~repro.hardware.execution.NoisyExecutor` and the
-batched :class:`~repro.hardware.batch.BatchExecutor` compile circuits into
-this representation (through a :class:`ProgramCache`) and hand it to the
-engines registered in :mod:`repro.simulators.engines` — the
-sequential-vs-batch equivalence contract of ``docs/architecture.md`` is
-therefore true by construction: there is exactly one event-building and one
-engine implementation.
+The :class:`~repro.hardware.execution.NoisyExecutor` compiles circuits into
+this representation (through a :class:`ProgramCache`) and hands it to the
+engines registered in :mod:`repro.simulators.engines` — the ``run`` vs
+``run_batch`` equivalence contract of ``docs/architecture.md`` is therefore
+true by construction: there is exactly one event-building and one engine
+implementation.
 """
 
 from __future__ import annotations
@@ -520,7 +519,7 @@ class CompiledNoisyProgram:
 
 
 class ProgramCache:
-    """LRU cache of compiled programs, shared by both executor front-ends.
+    """LRU cache of compiled programs, one per executor.
 
     Entries are keyed by ``(id(circuit), len(circuit), id(gst))`` and verified
     by identity before a hit is returned; the cached program keeps strong

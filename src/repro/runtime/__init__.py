@@ -6,8 +6,8 @@ a sweep (:class:`~repro.runtime.spec.SweepSpec`) into a task DAG
 (:class:`~repro.runtime.spec.TaskSpec` leaves plus an aggregating summary
 node), resolves every task to its content-addressed store key, skips the ones
 the store already holds, feeds the rest *continuously* (settled in
-completion order, no frontier barriers) to the existing worker-pool
-machinery (:func:`repro.hardware.batch.create_worker_pool`) — pooled workers
+completion order, no frontier barriers) to a ``fork`` worker pool
+(:func:`~repro.runtime.orchestrator.create_worker_pool`) — pooled workers
 checkpoint their own results — and, under ``--join``, lets any number of
 processes or machines drain one sweep cooperatively through crash-safe task
 leases (:mod:`repro.runtime.leases`): an interrupted or killed worker costs

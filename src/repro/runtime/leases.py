@@ -15,20 +15,23 @@ owner at a time:
 * **Liveness** — the holder re-stamps every held lease (one pass for all of
   them) on a heartbeat thread.  A lease whose heartbeat is older than its
   TTL belongs to a dead worker.
-* **Expiry / steal** — breaking a stale lease renames it onto a unique
-  tombstone: exactly one stealer's rename succeeds (the loser gets
-  ``FileNotFoundError``), the winner re-validates staleness *from the
-  tombstone* (closing the read-then-rename race against a concurrent
-  steal-and-reclaim), deletes it and retries the normal claim.  A lease is
-  therefore never broken while its holder heartbeats on schedule.  There is
-  no fencing token: a holder that stalls past its TTL (suspended VM, long GC
+* **Expiry / steal** — a stealer that finds a stale lease takes the task's
+  break lock (``<task_key>.lease.break``, the same exclusive-create idiom),
+  re-reads the lease under it, unlinks it only if it is still stale, drops
+  the lock and retries the normal claim.  A rival that stole and re-claimed
+  the name in between is therefore never disturbed: a live lease is never
+  moved off its name, so exactly one stealer wins.  A break lock older than
+  the TTL belongs to a stealer that died mid-break and is removed.  A lease
+  is never broken while its holder heartbeats on schedule.  There is no
+  fencing token: a holder that stalls past its TTL (suspended VM, long GC
   pause) can race its thief and the task may execute twice — harmless by
   design, because records are content-addressed and identical, and the
   store's atomic rename makes the second write a no-op.  Mutual exclusion
   here is a work-efficiency optimization; correctness rests on the store.
 * **Release** — completed (or failed) tasks delete their lease; the store
-  record, not the lease, is the source of truth for "done".  A claimant
-  always probes the store before claiming, so releases never cause re-runs.
+  record, not the lease, is the source of truth for "done".  A holder puts
+  its record before it releases, and a claimant probes the store again
+  after winning a claim, so releases never cause re-runs.
 
 :func:`pack_claims` groups small ready tasks into worker-sized claim units
 (the ``ScheduleItem``/``Scheduler`` packing idiom): one scheduling round
@@ -200,26 +203,44 @@ class LeaseManager:
             return True  # released or already broken — free
         if not self._stale(info):
             return False
-        tombstone = path.with_name(f".steal-{self.worker_id}-{os.urandom(3).hex()}")
+        # Between our staleness read and any removal, a rival may steal and
+        # re-claim the name.  So removal is serialized by a per-task break
+        # lock, and the lock holder re-reads the lease before unlinking it:
+        # a live lease is never moved off its name, not even briefly.
+        lock = path.with_name(f"{path.name}.break")
+        tmp = self._write_tmp(b"")
         try:
-            os.replace(path, tombstone)
+            os.link(tmp, lock)
+        except FileExistsError:
+            self._expire_break_lock(lock)
+            return False  # a rival is breaking it; re-probe next round
+        finally:
+            tmp.unlink(missing_ok=True)
+        try:
+            info = self._read(path)
+            if info is None:
+                # Broken by the previous lock holder, whose claim may land
+                # at any moment: the name is free, but not ours to unlink.
+                return True
+            if not self._stale(info):
+                return False
+            path.unlink(missing_ok=True)
+            return True
+        finally:
+            lock.unlink(missing_ok=True)
+
+    def _expire_break_lock(self, lock: Path) -> None:
+        """Remove a break lock left by a stealer that died holding it.
+
+        The lock is held only across one read and one unlink, so a lock
+        older than the TTL is abandoned; dropping it keeps the task
+        claimable instead of wedging every later steal.
+        """
+        try:
+            if time.time() - lock.stat().st_mtime > self.ttl_s:
+                lock.unlink(missing_ok=True)
         except FileNotFoundError:
-            return True  # another stealer (or a release) got there first
-        # Re-validate from the tombstone, which we now exclusively own:
-        # between our staleness read and the rename, a rival may have stolen
-        # and re-claimed the name — then we just renamed a *live* lease.
-        # Put it back and report the name as taken.
-        stolen = self._read(tombstone)
-        if stolen is not None and not self._stale(stolen):
-            try:
-                os.link(tombstone, path)
-            except FileExistsError:
-                pass  # a third claimant took the name; the live holder's
-                # next heartbeat re-stamps it onto this path anyway
-            tombstone.unlink(missing_ok=True)
-            return False
-        tombstone.unlink(missing_ok=True)
-        return True
+            pass
 
     @staticmethod
     def _read(path: Path) -> Optional[dict]:

@@ -14,7 +14,7 @@ orchestrator:
    prefix in the store — and with federated read roots, possibly someone
    else's finished prefix);
 2. otherwise executes it — inline, or fanned out over a ``fork`` worker pool
-   (:func:`repro.hardware.batch.create_worker_pool`).  Pooled workers
+   (:func:`create_worker_pool`).  Pooled workers
    **checkpoint the result into the store themselves** and return only
    ``(status, key, seconds)`` — result payloads never round-trip through the
    pool pipe.
@@ -45,10 +45,12 @@ bit-identical records — asserted end-to-end by
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -60,6 +62,24 @@ from .spec import SweepSpec, TaskSpec, expand_sweep
 from .tasks import merged_params, run_task
 
 __all__ = ["TaskResult", "SweepReport", "SweepOrchestrator", "partial_summary"]
+
+
+def create_worker_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
+    """A fork-based process pool for task fan-out, or ``None`` if unavailable.
+
+    Restricted to Linux: forking a process with warm BLAS/Accelerate threads
+    is unsafe on macOS, and spawn would not inherit the in-memory backend
+    state cheaply.  Elsewhere the orchestrator runs tasks inline (identical
+    results, since every task carries its own seeds).
+    """
+    if sys.platform != "linux":  # pragma: no cover - platform dependent
+        return None
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return None
+    workers = max(1, min(int(n_workers), os.cpu_count() or 1))
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 @dataclass
@@ -284,8 +304,6 @@ class SweepOrchestrator:
             )
         pool = None
         if self.n_workers > 1:
-            from ..hardware.batch import create_worker_pool
-
             pool = create_worker_pool(self.n_workers)
 
         last_journal = [float("-inf")]
@@ -376,10 +394,15 @@ class SweepOrchestrator:
                             ready.extend(batch)
                         claimed: List[TaskSpec] = []
                         for task in batches[0]:
-                            if leases.try_claim(task.key, task.task_id):
-                                claimed.append(task)
-                            else:
+                            if not leases.try_claim(task.key, task.task_id):
                                 remote[task.task_id] = task
+                            elif not recompute and self.store.contains(task.key):
+                                # Its owner checkpointed it and released the
+                                # lease between our probe above and the claim.
+                                leases.release(task.key)
+                                settle(task, "cached")
+                            else:
+                                claimed.append(task)
                         runnable = claimed
                         claimed_total += len(claimed)
                         if crash_after_claims and claimed_total >= crash_after_claims:

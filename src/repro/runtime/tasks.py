@@ -58,8 +58,9 @@ class TaskKind:
 
 _REGISTRY: Dict[str, TaskKind] = {}
 
-#: Parameters that change *how* a task runs but never *what* it computes
-#: (worker fan-out and batching are result-invariant by the seed protocol).
+#: Parameters older spec files and journals may carry but no task reads
+#: (the retired fan-out and batching knobs).  They stay out of keys, so such
+#: specs keep their keys.
 _NON_KEY_PARAMS = ("n_workers", "use_batch")
 
 
@@ -411,8 +412,6 @@ def _execute_policy_comparison(params, store):
         adapt_group_size=int(params["adapt_group_size"]),
         engine=str(params["engine"]),
         final_engine=str(params["final_engine"]),
-        use_batch=bool(params.get("use_batch", True)),
-        n_workers=1,  # the orchestrator owns the fan-out level
     )
     evaluation = run_policy_comparison(
         str(params["benchmark"]), _backend(params), config, store=store

@@ -15,7 +15,7 @@ packer in the ``ScheduleItem``/``Scheduler`` idiom: heterogeneous
 program) context are packed into device-shaped batches bounded by
 ``max_experiments``/``max_shots`` — overflow shots split across batches
 under a deterministic per-chunk seed plan — and executed through the
-existing :class:`~repro.hardware.batch.BatchExecutor` shared-program path,
+:meth:`~repro.hardware.execution.NoisyExecutor.run_batch` shared-program path,
 so process-level caches (compiled programs, distance matrices, noise-mask
 tables) amortize across every client of the daemon.
 

@@ -11,14 +11,14 @@ same dataclass backs every entry point —
 and all of them flow through :func:`execute_run_requests`: chunk the shot
 budgets (:func:`repro.service.scheduler.chunk_request`), pack same-context
 chunks into device-shaped batches (:func:`repro.service.scheduler.pack_chunks`),
-execute each batch as one :meth:`BatchExecutor.run_batch` call over a shared
+execute each batch as one :meth:`NoisyExecutor.run_batch` call over a shared
 compiled program, then merge each request's chunks back into one record.
 Because every chunk is a fully seeded :class:`BatchJob` and the chunk plan is
 a pure function of the request, the merged record is bit-identical no matter
 which entry point ran it, how many other requests shared its batches, or how
 many chunks landed in which batch.
 
-Execution contexts (backend, transpiled program, ideal distribution, batch
+Execution contexts (backend, transpiled program, ideal distribution,
 executor) are cached in a :class:`ContextCache`: a long-lived server keeps
 them warm across jobs, which — together with the process-level caches the
 executors already share — is where the daemon's throughput over
@@ -188,7 +188,7 @@ class ExecutionContext:
     def __init__(self, request: RunRequest) -> None:
         from ..core.evaluation import compiled_ideal_distribution
         from ..hardware.backend import Backend
-        from ..hardware.batch import BatchExecutor
+        from ..hardware.execution import NoisyExecutor
         from ..transpiler.transpile import transpile
         from ..workloads.suite import get_benchmark
 
@@ -197,7 +197,7 @@ class ExecutionContext:
         self.spec = get_benchmark(request.benchmark)
         self.compiled = transpile(self.spec.build(), self.backend)
         self.ideal = compiled_ideal_distribution(self.compiled)
-        self.executor = BatchExecutor(
+        self.executor = NoisyExecutor(
             self.backend, trajectories=int(request.trajectories)
         )
 

@@ -18,11 +18,11 @@ into the next item):
    groups: one batch holds at most ``max_experiments`` chunks, all from the
    same *execution context* (same device, calibration cycle, benchmark and
    trajectory budget — i.e. the same compiled program), so each batch maps
-   onto a single :meth:`~repro.hardware.batch.BatchExecutor.run_batch` call
+   onto a single :meth:`~repro.hardware.execution.NoisyExecutor.run_batch` call
    over one shared :class:`~repro.hardware.program.CompiledNoisyProgram`.
 
 Packing is *result-invariant by construction*: each chunk is a fully seeded
-:class:`~repro.hardware.batch.BatchJob`, and the executor contract makes
+:class:`~repro.hardware.execution.BatchJob`, and the executor contract makes
 seeded jobs independent of batch composition.  The packer therefore only
 decides how much compile/cache sharing the daemon extracts from concurrent
 clients, never what any request computes.

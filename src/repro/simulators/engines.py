@@ -1,8 +1,8 @@
 """Pluggable execution engines over a compiled noisy program.
 
-Every execution path — the sequential :class:`~repro.hardware.execution.NoisyExecutor`
-facade and the batched :class:`~repro.hardware.batch.BatchExecutor` — routes
-through the engines registered here.  An engine consumes a
+Every execution — single runs and batches of
+:class:`~repro.hardware.execution.NoisyExecutor` alike — routes through the
+engines registered here.  An engine consumes a
 :class:`~repro.hardware.program.CompiledNoisyProgram` (the shared event
 template with pre-resolved operators) plus per-job window variants, and
 returns one active-space probability vector per job.

@@ -1,26 +1,25 @@
-"""Tests for the batched execution subsystem: equivalence, caching, workers."""
+"""Tests for batched execution: equivalence, caching, search batching."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.core import Adapt, AdaptConfig, ExhaustiveSearch, LocalizedSearch
-from repro.core.evaluation import compiled_ideal_distribution, evaluate_policies
-from repro.core.policies import AllDDPolicy, NoDDPolicy, RuntimeBestPolicy
+from repro.core.adapt import evaluation_seed
+from repro.core.evaluation import evaluate_policies
+from repro.core.policies import AllDDPolicy, NoDDPolicy
 from repro.core.search import score_assignments
 from repro.dd import DDAssignment
 from repro.hardware import (
     Backend,
-    BatchExecutor,
     BatchJob,
     NoisyExecutor,
     job_streams,
-    run_jobs_in_processes,
+    process_cache_stats,
 )
-from repro.hardware.batch import process_cache_stats
+from repro.metrics import fidelity
 from repro.transpiler import transpile
 from repro.workloads import qft_benchmark
 
@@ -54,13 +53,13 @@ def assert_distributions_close(sequential, batched, atol=1e-9):
 
 
 class TestSeededEquivalence:
-    """The sequential-vs-batch contract of docs/architecture.md."""
+    """The ``run`` vs ``run_batch`` contract of docs/architecture.md."""
 
     @pytest.mark.parametrize("engine", ["density_matrix", "trajectories"])
     def test_batch_matches_sequential_seeded_run(self, london_backend, engine):
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 12)
         sequential = NoisyExecutor(london_backend, trajectories=40)
-        batch = BatchExecutor(london_backend, trajectories=40)
+        batch = NoisyExecutor(london_backend, trajectories=40)
         batched = batch.run_assignments(
             circuit, ASSIGNMENTS, shots=500, seeds=SEEDS, engine=engine
         )
@@ -97,7 +96,7 @@ class TestSeededEquivalence:
 
     def test_batch_respects_output_qubit_order(self, london_backend):
         circuit = QuantumCircuit(5).x(1).measure(1).measure(2)
-        batch = BatchExecutor(london_backend)
+        batch = NoisyExecutor(london_backend)
         forward, reverse = batch.run_batch(
             circuit,
             [
@@ -112,7 +111,7 @@ class TestSeededEquivalence:
 class TestCaching:
     def test_shared_program_cache_hits(self, london_backend):
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 6)
-        batch = BatchExecutor(london_backend)
+        batch = NoisyExecutor(london_backend)
         gst = london_backend.schedule(circuit)
         batch.run_assignments(circuit, ASSIGNMENTS, shots=64, seeds=SEEDS, gst=gst)
         assert batch.stats["program_compiles"] == 1
@@ -123,7 +122,7 @@ class TestCaching:
 
     def test_program_cache_keyed_by_circuit_without_gst(self, london_backend):
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 6)
-        batch = BatchExecutor(london_backend)
+        batch = NoisyExecutor(london_backend)
         batch.run_assignments(circuit, ASSIGNMENTS, shots=64, seeds=SEEDS)
         batch.run_assignments(circuit, ASSIGNMENTS, shots=64, seeds=SEEDS)
         assert batch.stats["program_compiles"] == 1
@@ -131,37 +130,18 @@ class TestCaching:
 
     def test_process_level_gate_matrix_cache_populated(self, london_backend):
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 3)
-        BatchExecutor(london_backend).run_batch(circuit, [BatchJob(shots=32, seed=1)])
+        NoisyExecutor(london_backend).run_batch(circuit, [BatchJob(shots=32, seed=1)])
         assert process_cache_stats()["gate_matrices"] > 0
 
     def test_pickling_drops_program_cache(self, london_backend):
         import pickle
 
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 3)
-        batch = BatchExecutor(london_backend)
+        batch = NoisyExecutor(london_backend)
         batch.run_batch(circuit, [BatchJob(shots=32, seed=1)])
         clone = pickle.loads(pickle.dumps(batch))
         assert clone._programs == {}
         assert clone.backend.name == london_backend.name
-
-
-class TestWorkers:
-    def test_worker_count_does_not_change_results(self, london_backend):
-        circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 12)
-        jobs = [
-            BatchJob(dd_assignment=a, shots=400, seed=s, engine="trajectories")
-            for a, s in zip(ASSIGNMENTS, SEEDS)
-        ]
-        options = {"trajectories": 30}
-        serial = run_jobs_in_processes(
-            london_backend, circuit, jobs, 1, executor_options=options
-        )
-        parallel = run_jobs_in_processes(
-            london_backend, circuit, jobs, 2, executor_options=options
-        )
-        for a, b in zip(serial, parallel):
-            assert a.counts == b.counts
-            assert a.probabilities == b.probabilities
 
 
 class TestSearchBatchProtocol:
@@ -210,30 +190,26 @@ class TestAdaptBatched:
         return backend, transpile(qft_benchmark(4, "A"), backend)
 
     def test_batched_selection_matches_sequential(self, compiled_qft):
+        """Each batched decoy score equals a sequential single run under its
+        evaluation seed."""
         backend, compiled = compiled_qft
         executor = NoisyExecutor(backend, trajectories=40)
         config = AdaptConfig(decoy_shots=256, group_size=2)
-        batched = Adapt(executor, config=config, seed=11).select(compiled)
-        sequential = Adapt(
-            executor, config=replace(config, use_batch=False), seed=11
-        ).select(compiled)
-        assert batched.assignment == sequential.assignment
-        assert batched.bitstring == sequential.bitstring
-        for a, b in zip(batched.search.evaluations, sequential.search.evaluations):
-            assert a.bitstring == b.bitstring
-            assert a.score == pytest.approx(b.score, abs=1e-9)
-
-    def test_worker_fanout_matches_in_process(self, compiled_qft):
-        backend, compiled = compiled_qft
-        executor = NoisyExecutor(backend, trajectories=40)
-        config = AdaptConfig(decoy_shots=256, group_size=2)
-        local = Adapt(executor, config=config, seed=11).select(compiled)
-        fanned = Adapt(
-            executor, config=replace(config, n_workers=2), seed=11
-        ).select(compiled)
-        assert local.assignment == fanned.assignment
-        for a, b in zip(local.search.evaluations, fanned.search.evaluations):
-            assert a.score == b.score
+        result = Adapt(executor, config=config, seed=11).select(compiled)
+        decoy_gst = backend.schedule(result.decoy.circuit)
+        decoy_ideal = result.decoy.ideal_distribution(compiled.output_qubits)
+        assert result.search.evaluations
+        for i, scored in enumerate(result.search.evaluations):
+            single = executor.run(
+                result.decoy.circuit,
+                dd_assignment=scored.assignment,
+                shots=config.decoy_shots,
+                output_qubits=compiled.output_qubits,
+                gst=decoy_gst,
+                engine=config.engine,
+                seed=evaluation_seed(11, i),
+            )
+            assert scored.score == fidelity(decoy_ideal, single.probabilities)
 
     def test_selection_is_deterministic_across_calls(self, compiled_qft):
         backend, compiled = compiled_qft
@@ -248,54 +224,27 @@ class TestEvaluationBatched:
 
         compiled = transpile(bernstein_vazirani(4), rome_backend)
         executor = NoisyExecutor(rome_backend, seed=5, trajectories=40)
-        batch = BatchExecutor(rome_backend, trajectories=40)
         policies = [NoDDPolicy(), AllDDPolicy()]
-        first = evaluate_policies(
-            compiled, policies, executor, shots=512, batch_executor=batch, seed=5
-        )
-        second = evaluate_policies(
-            compiled, policies, executor, shots=512, batch_executor=batch, seed=5
-        )
+        first = evaluate_policies(compiled, policies, executor, shots=512, seed=5)
+        second = evaluate_policies(compiled, policies, executor, shots=512, seed=5)
         assert first.outcomes["no_dd"].fidelity == second.outcomes["no_dd"].fidelity
         assert first.outcomes["all_dd"].fidelity == second.outcomes["all_dd"].fidelity
         assert first.outcomes["no_dd"].relative_fidelity == pytest.approx(1.0)
 
-    def test_policy_fanout_matches_serial(self, rome_backend):
+    def test_seed_decides_final_runs_whatever_the_executor_seed(self, rome_backend):
         from repro.workloads import bernstein_vazirani
 
         compiled = transpile(bernstein_vazirani(4), rome_backend)
-        executor = NoisyExecutor(rome_backend, seed=5, trajectories=40)
-        batch = BatchExecutor(rome_backend, trajectories=40)
 
-        def fresh_policies():
-            # RuntimeBestPolicy samples candidates from an internal stream, so
-            # each evaluation gets its own identically-seeded policy objects.
-            return [
-                NoDDPolicy(),
-                AllDDPolicy(),
-                RuntimeBestPolicy(
-                    executor,
-                    compiled_ideal_distribution,
-                    shots=256,
-                    max_exhaustive_qubits=2,
-                    max_evaluations=4,
-                    seed=5,
-                    batch_executor=batch,
-                ),
-            ]
+        def fidelities(executor_seed):
+            evaluation = evaluate_policies(
+                compiled,
+                [NoDDPolicy(), AllDDPolicy()],
+                NoisyExecutor(rome_backend, seed=executor_seed),
+                shots=256,
+                seed=5,
+                engine="trajectories",
+            )
+            return {name: o.fidelity for name, o in evaluation.outcomes.items()}
 
-        serial = evaluate_policies(
-            compiled, fresh_policies(), executor, shots=512, batch_executor=batch, seed=5
-        )
-        fanned = evaluate_policies(
-            compiled,
-            fresh_policies(),
-            executor,
-            shots=512,
-            n_workers=2,
-            batch_executor=batch,
-            seed=5,
-        )
-        for name in serial.outcomes:
-            assert serial.outcomes[name].assignment.qubits == fanned.outcomes[name].assignment.qubits
-            assert serial.outcomes[name].fidelity == fanned.outcomes[name].fidelity
+        assert fidelities(1) == fidelities(2)

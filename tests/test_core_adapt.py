@@ -209,6 +209,33 @@ class TestAdaptAndPolicies:
         assert decision.num_evaluations >= 2
         assert "best_score" in decision.metadata
 
+    def test_runtime_best_scores_everything_when_the_budget_exceeds_the_space(
+        self, rome_executor_module
+    ):
+        policy = RuntimeBestPolicy(
+            rome_executor_module,
+            compiled_ideal_distribution,
+            max_exhaustive_qubits=2,
+            max_evaluations=64,
+            seed=5,
+        )
+
+        class BoundedRng:
+            """Fails instead of hanging if candidate sampling never ends."""
+
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                assert self.draws < 10_000, "candidate sampling did not terminate"
+                return self.rng.integers(*args, **kwargs)
+
+        policy._rng = BoundedRng(policy._rng)
+        candidates = policy._candidate_assignments([0, 1, 2])
+        assert len(candidates) == 8
+        assert len({c.qubits for c in candidates}) == 8
+
     def test_standard_policies_composition(self, rome_executor_module):
         policies = standard_policies(rome_executor_module, compiled_ideal_distribution)
         names = [policy.name for policy in policies]

@@ -177,6 +177,88 @@ class TestLeaseManager:
             thread.join()
         assert len(winners) == 1
 
+    def test_late_stealer_never_moves_a_live_lease(self, tmp_path):
+        # Force the interleaving behind the race above: b reads the dead
+        # lease as stale, then a rival steals and re-claims the name before
+        # b acts, and a third claimant arrives while b is mid-break.
+        dead = LeaseManager(tmp_path, "drain", worker_id="dead", ttl_s=0.05)
+        assert dead.try_claim("k1", "task-1")
+        dead.close(abandon=True)
+        time.sleep(0.15)
+        a = LeaseManager(tmp_path, "drain", worker_id="a")
+        c = LeaseManager(tmp_path, "drain", worker_id="c")
+        reads = []
+
+        class LateStealer(LeaseManager):
+            def _read(self, path):
+                info = LeaseManager._read(path)
+                reads.append(path.name)
+                if len(reads) == 1:
+                    assert a.try_claim("k1", "task-1")
+                elif len(reads) == 2:
+                    assert not c.try_claim("k1", "task-1")
+                return info
+
+        b = LateStealer(tmp_path, "drain", worker_id="b")
+        try:
+            assert not b.try_claim("k1", "task-1")
+            assert len(reads) >= 2
+            assert b.holder("k1")["worker"] == "a"
+            assert a.held == ["k1"] and not b.held and not c.held
+        finally:
+            for manager in (a, b, c):
+                manager.close()
+
+    def test_stealer_never_unlinks_a_claim_made_after_the_break(self, tmp_path):
+        # b reads the dead lease as stale; a rival breaks it first; b then
+        # finds the name empty under the break lock, and the rival's claim
+        # lands right after b's re-read.
+        dead = LeaseManager(tmp_path, "drain", worker_id="dead", ttl_s=0.05)
+        assert dead.try_claim("k1", "task-1")
+        dead.close(abandon=True)
+        time.sleep(0.15)
+        rival = LeaseManager(tmp_path, "drain", worker_id="rival")
+        reads = []
+
+        class LateStealer(LeaseManager):
+            def _read(self, path):
+                info = LeaseManager._read(path)
+                reads.append(path.name)
+                if len(reads) == 1:
+                    assert rival._break_if_expired(path)
+                elif len(reads) == 2:
+                    assert info is None
+                    assert rival.try_claim("k1", "task-1")
+                return info
+
+        b = LateStealer(tmp_path, "drain", worker_id="b")
+        try:
+            assert not b.try_claim("k1", "task-1")
+            assert len(reads) == 2
+            assert b.holder("k1")["worker"] == "rival"
+            assert rival.held == ["k1"] and not b.held
+        finally:
+            for manager in (rival, b):
+                manager.close()
+
+    def test_abandoned_break_lock_expires(self, tmp_path):
+        a = LeaseManager(
+            tmp_path, "drain", worker_id="a", ttl_s=0.1, heartbeat_interval_s=0.02
+        )
+        assert a.try_claim("k1", "task-1")
+        a.close(abandon=True)
+        lock = a._path("k1").with_name("k1.lease.break")
+        lock.write_bytes(b"")  # a stealer died mid-break
+        time.sleep(0.3)
+        b = LeaseManager(tmp_path, "drain", worker_id="b", ttl_s=0.1)
+        try:
+            assert not b.try_claim("k1", "task-1")  # clears the dead lock
+            assert not lock.exists()
+            assert b.try_claim("k1", "task-1")
+            assert b.holder("k1")["worker"] == "b"
+        finally:
+            b.close()
+
     def test_unreadable_lease_expires_by_mtime(self, tmp_path):
         a = LeaseManager(tmp_path, "drain", worker_id="a", ttl_s=60.0)
         path = a._path("k1")
@@ -243,6 +325,38 @@ class TestJoinDrain:
         # the two drains never executed the same task.
         assert sorted(executed) == sorted(t.task_id for t in tasks)
         _assert_stores_identical(ExperimentStore(root), serial_store, tasks)
+
+    def test_task_finished_between_probe_and_claim_is_not_rerun(self, tmp_path):
+        # Force the interleaving behind the race above: right after this
+        # joiner's first store miss, another joiner drains the whole sweep
+        # (checkpoint, then release), so the late joiner's claim succeeds
+        # on a task that is already done.
+        specs = _sleepy_specs(n=2, tag=5)
+        tasks = expand_sweep(specs)
+        root = tmp_path / "shared"
+        rival_reports = []
+
+        class RacedStore(ExperimentStore):
+            def contains(self, key):
+                present = super().contains(key)
+                if not present and not rival_reports:
+                    rival_reports.append(
+                        SweepOrchestrator(
+                            ExperimentStore(root), join=True, worker_id="rival"
+                        ).run(specs, name="rival")
+                    )
+                return present
+
+        late = SweepOrchestrator(RacedStore(root), join=True, worker_id="late").run(
+            specs, name="late"
+        )
+        assert sorted(t.task_id for t in rival_reports[0].executed) == sorted(
+            t.task_id for t in tasks
+        )
+        assert not late.executed and not late.failed and not late.pending
+        assert sorted(t.task_id for t in late.cached) == sorted(
+            t.task_id for t in tasks
+        )
 
     def test_crashed_worker_is_re_leased_and_resumed(self, tmp_path, monkeypatch):
         specs = _sleepy_specs(n=4, tag=2)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.dd import DDAssignment
-from repro.hardware import BatchExecutor, BatchJob, NoisyExecutor
+from repro.hardware import BatchJob, NoisyExecutor
 from repro.metrics import fidelity
 from repro.simulators import SimulationError, available_engines, get_engine, select_engine
 from repro.simulators import channels
@@ -129,9 +129,9 @@ class TestEngineMatrix:
         """NoisyExecutor.run == one batch == any memory-budget sub-batching."""
         circuit = clifford_probe()
         sequential = NoisyExecutor(london_backend, trajectories=40)
-        batch = BatchExecutor(london_backend, trajectories=40)
+        batch = NoisyExecutor(london_backend, trajectories=40)
         # A budget of one byte forces a sub-batch split into batches of one.
-        split = BatchExecutor(london_backend, trajectories=40, memory_budget_bytes=1)
+        split = NoisyExecutor(london_backend, trajectories=40, memory_budget_bytes=1)
         batched = batch.run_assignments(
             circuit, ASSIGNMENTS, shots=500, seeds=SEEDS, engine=engine
         )
@@ -256,7 +256,7 @@ class TestCompileCache:
         assert len(executor._program_cache.entries) == 2
 
     def test_batch_executor_shares_the_same_cache_machinery(self, london_backend):
-        batch = BatchExecutor(london_backend)
+        batch = NoisyExecutor(london_backend)
         circuit = clifford_probe()
         batch.run_batch(circuit, [BatchJob(shots=32, seed=1)])
         batch.run_batch(circuit, [BatchJob(shots=32, seed=2)])
@@ -303,8 +303,5 @@ class TestMemoryBudgetSelection:
     def test_executors_share_the_budget_default(self):
         from repro.hardware import DEFAULT_MEMORY_BUDGET_BYTES, Backend
 
-        backend = Backend.from_name("ibmq_rome")
-        sequential = NoisyExecutor(backend)
-        batched = BatchExecutor(backend)
-        assert sequential.memory_budget_bytes == DEFAULT_MEMORY_BUDGET_BYTES
-        assert batched.memory_budget_bytes == DEFAULT_MEMORY_BUDGET_BYTES
+        executor = NoisyExecutor(Backend.from_name("ibmq_rome"))
+        assert executor.memory_budget_bytes == DEFAULT_MEMORY_BUDGET_BYTES

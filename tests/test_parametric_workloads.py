@@ -312,7 +312,6 @@ class TestFrameEnginePath:
         assert 0.0 < frames.metadata["flip_free_probability"] < 1.0
 
     def test_frames_are_deterministic_and_batch_invariant(self, london_backend):
-        from repro.hardware import BatchExecutor
         from repro.dd import DDAssignment
 
         circuit = QuantumCircuit(5)
@@ -325,7 +324,7 @@ class TestFrameEnginePath:
         assignments = [DDAssignment.none(), DDAssignment.all([0])]
         seeds = [21, 22]
         sequential = NoisyExecutor(london_backend, trajectories=50)
-        batch = BatchExecutor(london_backend, trajectories=50)
+        batch = NoisyExecutor(london_backend, trajectories=50)
         batched = batch.run_assignments(
             circuit, assignments, shots=400, seeds=seeds, engine="stabilizer_frames"
         )

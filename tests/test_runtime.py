@@ -526,10 +526,12 @@ class TestContinuousScheduling:
         # 2-thread pool — the orchestrator's settle loop is what's under test.
         from concurrent.futures import ThreadPoolExecutor
 
-        import repro.hardware.batch as batch
+        import repro.runtime.orchestrator as orchestrator
 
         monkeypatch.setattr(
-            batch, "create_worker_pool", lambda n: ThreadPoolExecutor(max_workers=n)
+            orchestrator,
+            "create_worker_pool",
+            lambda n: ThreadPoolExecutor(max_workers=n),
         )
         self._register_staggered()
         slow = self._staggered_task("slow", seed=1, sleep_s=1.0)

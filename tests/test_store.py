@@ -117,6 +117,22 @@ class TestKeys:
             "policy_comparison", {**base, "n_workers": 8, "use_batch": False}
         )
 
+    def test_ignored_use_batch_param_stores_the_same_record(self):
+        from repro.runtime.tasks import run_task
+
+        params = {
+            "device": "ibmq_toronto",
+            "benchmark": "BV:11",
+            "seed": 3,
+            "shots": 128,
+            "decoy_shots": 64,
+            "trajectories": 4,
+            "runtime_best_max_evaluations": 4,
+        }
+        default_meta, _ = run_task("policy_comparison", params)
+        legacy_meta, _ = run_task("policy_comparison", {**params, "use_batch": False})
+        assert legacy_meta == default_meta
+
 
 _CROSS_PROCESS_SNIPPET = """
 import json, sys
@@ -473,7 +489,7 @@ class TestDriverStoreIntegration:
 
 class TestAggregatedCacheStats:
     def test_executor_cache_stats_surface_process_caches(self, rome_backend):
-        from repro.hardware import BatchExecutor, NoisyExecutor
+        from repro.hardware import NoisyExecutor
 
         executor = NoisyExecutor(rome_backend, seed=1)
         circuit = QuantumCircuit(2)
@@ -489,7 +505,7 @@ class TestAggregatedCacheStats:
         assert stats["cached_programs"] == 1
         assert stats["process_gate_matrices"] > 0
 
-        batch = BatchExecutor(rome_backend)
+        batch = NoisyExecutor(rome_backend)
         batch_stats = batch.cache_stats()
         assert batch_stats["cached_programs"] == 0
         assert batch_stats["process_gate_matrices"] > 0
