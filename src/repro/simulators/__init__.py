@@ -8,7 +8,7 @@ device-scale ``stabilizer_frames`` path).
 
 from .statevector import SimulationError, StatevectorSimulator
 from .density_matrix import DensityMatrixSimulator
-from .stabilizer import CliffordTableau, PackedCliffordTableau, StabilizerSimulator
+from .stabilizer import PackedCliffordTableau, StabilizerSimulator
 from .extended_stabilizer import ExtendedStabilizerSimulator, SimulationReport
 from . import symplectic
 from .engines import (
@@ -22,7 +22,6 @@ from .engines import (
 from . import channels
 
 __all__ = [
-    "CliffordTableau",
     "DensityMatrixSimulator",
     "ExecutionEngine",
     "ExtendedStabilizerSimulator",

@@ -34,9 +34,8 @@ Four engines are registered by default:
   what lets a 127-qubit mirror workload execute in milliseconds.
 
 Both Clifford engines run on the bit-packed symplectic kernels of
-:mod:`repro.simulators.symplectic` by default; ``REPRO_PURE_KERNELS=1``
-switches them back to the original boolean-row code path, which is kept as
-the differential-testing oracle.  Outputs are bit-identical either way.
+:mod:`repro.simulators.symplectic`, their only implementation; the test
+suite's boolean-row oracle (``tests/oracle``) pins them bit for bit.
 
 Engine selection policy lives here too (:func:`select_engine`): ``"auto"``
 picks the stabilizer fast path for Clifford-only programs, the dense density
@@ -721,59 +720,17 @@ class StabilizerEngine(ExecutionEngine):
         return twirl
 
     @staticmethod
-    def _pack_masks(xparts: np.ndarray, n: int) -> np.ndarray:
+    def _pack_masks(masks: np.ndarray, n: int) -> np.ndarray:
         """X-mask rows packed into integers (qubit position 0 = MSB).
 
-        This is the dense engine's output boundary: mask rows arriving as
-        packed symplectic words (qubit 0 = LSB of word 0) are unpacked here
-        before re-encoding into the MSB-first indices the 2^n spectrum uses.
-        The engine only runs at small n, so the conversion is negligible.
+        This is the dense engine's output boundary: packed symplectic words
+        (qubit 0 = LSB of word 0) are unpacked here before re-encoding into
+        the MSB-first indices the 2^n spectrum uses.  The engine only runs at
+        small n, so the conversion is negligible.
         """
-        if xparts.dtype == np.uint64:
-            xparts = symplectic.unpack_rows(xparts, n)
+        bits = symplectic.unpack_rows(masks, n)
         weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-        return (xparts.astype(np.uint64) @ weights).astype(np.uint64)
-
-    @staticmethod
-    def _propagate_gate(op, xparts: np.ndarray, zparts: np.ndarray) -> None:
-        """Symplectic conjugation of the pending Pauli rows by one gate."""
-        gate = op.gate
-        name = gate.name
-        positions = op.positions
-        if name in ("id", "i", "x", "y", "z"):
-            return
-        if name == "h":
-            a = positions[0]
-            xa = xparts[:, a].copy()
-            xparts[:, a] = zparts[:, a]
-            zparts[:, a] = xa
-        elif name in ("s", "sdg"):
-            a = positions[0]
-            zparts[:, a] ^= xparts[:, a]
-        elif name in ("sx", "sxdg"):
-            a = positions[0]
-            xparts[:, a] ^= zparts[:, a]
-        elif name in ("cx", "cnot"):
-            control, target = positions
-            xparts[:, target] ^= xparts[:, control]
-            zparts[:, control] ^= zparts[:, target]
-        elif name == "cz":
-            a, b = positions
-            zparts[:, b] ^= xparts[:, a]
-            zparts[:, a] ^= xparts[:, b]
-        elif name == "swap":
-            a, b = positions
-            for parts in (xparts, zparts):
-                col = parts[:, a].copy()
-                parts[:, a] = parts[:, b]
-                parts[:, b] = col
-        elif name in ("rz", "u1", "p"):
-            quarter_turns = int(round(gate.params[0] / (math.pi / 2))) % 4
-            if quarter_turns in (1, 3):
-                a = positions[0]
-                zparts[:, a] ^= xparts[:, a]
-        else:  # pragma: no cover - guarded by CompiledNoisyProgram.is_clifford
-            raise SimulationError(f"gate '{name}' is not Clifford-propagatable")
+        return (bits.astype(np.uint64) @ weights).astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -794,23 +751,14 @@ def _noise_mask_table(program) -> Dict[str, object]:
     The table is the shared substrate of both Clifford engines — the dense
     ``stabilizer`` engine convolves the masks into 2^n spectra, the sparse
     ``stabilizer_frames`` engine samples them — and is built once per
-    compiled program *and kernel mode*.  The pure path
-    (``REPRO_PURE_KERNELS=1``) is the original forward pass: it seeds 2n
-    boolean basis rows at every window slot and pushes the whole block
-    through each gate, which is transparent but O(gates × rows).  The packed
-    path (:func:`symplectic.use_packed_kernels`) instead walks the template
-    *backward*, composing one ``(n, W)``-word suffix map a gate at a time
+    compiled program.  The build walks the template *backward*, composing
+    one ``(n, W)``-word suffix map a gate at a time
     (:func:`symplectic.compose_suffix_packed`) and reading each event's
     masks straight out of the map — O(gates × W) row operations, which is
     what keeps the mask-table build sub-second at 255 and 1023 qubits where
-    the forward pass spends minutes.  The two builds produce bit-identical
-    mask content (GF(2) linearity; XOR order cannot matter) and are cached
-    under distinct ``engine_cache`` keys so flipping ``REPRO_PURE_KERNELS``
-    mid-process can never serve a stale representation.
+    a forward pass pushing 2n basis rows per window spends minutes.
     """
-    packed = symplectic.use_packed_kernels()
-    cache_key = "stabilizer_masks:packed" if packed else "stabilizer_masks:pure"
-    cached = program.engine_cache.get(cache_key)
+    cached = program.engine_cache.get("stabilizer_masks")
     if cached is not None:
         return cached
     n = program.num_active
@@ -823,15 +771,11 @@ def _noise_mask_table(program) -> Dict[str, object]:
         else:
             events.append((tidx, ("window", payload), None, ()))
 
-    if packed:
-        results = _packed_mask_results(program, events, n)
-    else:
-        results = _pure_mask_results(program, events, n)
-
     sequence: List[Tuple] = []
     suffix_maps: Dict[int, object] = {}
     shared_flip_free = 1.0
-    for item in results:  # template order, so the float product order is fixed
+    # template order, so the float product order is fixed
+    for item in _packed_mask_results(program, events, n):
         if item[0] == "window":
             _, widx, maps = item
             suffix_maps[widx] = maps
@@ -845,9 +789,8 @@ def _noise_mask_table(program) -> Dict[str, object]:
         "sequence": sequence,
         "suffix_maps": suffix_maps,
         "shared_flip_free": shared_flip_free,
-        "packed": packed,
     }
-    program.engine_cache[cache_key] = table
+    program.engine_cache["stabilizer_masks"] = table
     return table
 
 
@@ -860,13 +803,11 @@ def _packed_mask_results(program, events, n: int) -> List[Tuple]:
     map rows at the event's positions; reaching a window slot, the two map
     rows of the window's own qubit (idle-window ops never touch any other)
     are snapshotted as ``{position: row}`` dicts — 2 rows per window instead
-    of the forward pass's 2n, which is the difference between megabytes and
-    gigabytes at 1023 qubits.
+    of 2n, which is the difference between megabytes and gigabytes at 1023
+    qubits.
     """
-    W = symplectic.num_words(max(n, 1))
     x_of_x = symplectic.pack_rows(np.eye(n, dtype=bool), n)  # images of X_q
-    x_of_z = np.zeros((n, W), dtype=np.uint64)               # images of Z_q
-    zero = np.uint64(0)
+    x_of_z = np.zeros_like(x_of_x)                           # images of Z_q
     event_index = {tidx: i for i, (tidx, _, _, _) in enumerate(events)}
     results: List[Optional[Tuple]] = [None] * len(events)
     for tidx in range(len(program.template) - 1, -1, -1):
@@ -883,122 +824,52 @@ def _packed_mask_results(program, events, n: int) -> List[Tuple]:
             maps = ({p: x_of_x[p].copy()}, {p: x_of_z[p].copy()})
             results[event_index[tidx]] = ("window", widx, maps)
         else:
-            probs, xbits, zbits = twirl
-            final_x = np.zeros((xbits.shape[0], W), dtype=np.uint64)
-            for column, position in enumerate(positions):
-                final_x ^= np.where(
-                    xbits[:, column][:, None], x_of_x[position][None, :], zero
-                )
-                final_x ^= np.where(
-                    zbits[:, column][:, None], x_of_z[position][None, :], zero
-                )
+            probs = twirl[0]
+            final_x = _end_masks(twirl, positions, x_of_x, x_of_z, x_of_x.shape[1])
             results[event_index[tidx]] = ("noise", probs, final_x)
     return results
 
 
-def _pure_mask_results(program, events, n: int) -> List[Tuple]:
-    """Forward row-propagation build of the mask table (boolean rows).
+def _end_masks(twirl, positions, x_of_x, x_of_z, words: int) -> np.ndarray:
+    """Packed end-of-circuit X-masks of one twirled op's branches.
 
-    The original oracle implementation: seed each event's rows when its
-    template slot is reached, push every seeded row through each subsequent
-    gate's column update.  Kept verbatim behind ``REPRO_PURE_KERNELS=1`` as
-    the differential-testing reference for the backward packed build.
+    Branch ``b``'s mask is the XOR of the suffix-map rows its Pauli selects:
+    ``x_of_x[p]`` where it has an X-part on position ``p``, ``x_of_z[p]``
+    where it has a Z-part.
     """
-    identity = np.eye(n, dtype=bool)
-    basis_x = np.vstack([identity, np.zeros((n, n), dtype=bool)])  # X_q then Z_q
-    basis_z = np.vstack([np.zeros((n, n), dtype=bool), identity])
-
-    total_rows = sum(
-        2 * n if twirl is None else twirl[1].shape[0] for _, _, twirl, _ in events
-    )
-    xparts = np.zeros((total_rows, n), dtype=bool)
-    zparts = np.zeros((total_rows, n), dtype=bool)
-    spans: List[Tuple[object, int, int, Optional[np.ndarray]]] = []
-
-    cursor = 0
-    event_iter = iter(events)
-    pending = next(event_iter, None)
-    for tidx, (kind, payload) in enumerate(program.template):
-        while pending is not None and pending[0] == tidx:
-            _, tag, twirl, positions = pending
-            if twirl is None:  # window slot: seed the 2n basis rows
-                xparts[cursor : cursor + 2 * n] = basis_x
-                zparts[cursor : cursor + 2 * n] = basis_z
-                spans.append((tag, cursor, cursor + 2 * n, None))
-                cursor += 2 * n
-            else:
-                probs, xbits, zbits = twirl
-                rows = xbits.shape[0]
-                for column, position in enumerate(positions):
-                    xparts[cursor : cursor + rows, position] = xbits[:, column]
-                    zparts[cursor : cursor + rows, position] = zbits[:, column]
-                spans.append((tag, cursor, cursor + rows, probs))
-                cursor += rows
-            pending = next(event_iter, None)
-        if kind == "op" and payload.gate is not None:
-            StabilizerEngine._propagate_gate(payload, xparts[:cursor], zparts[:cursor])
-
-    results: List[Tuple] = []
-    for tag, start, stop, probs in spans:
-        if probs is None:
-            maps = (
-                xparts[start : start + n].copy(),      # x-parts of images of X_q
-                xparts[start + n : stop].copy(),       # x-parts of images of Z_q
-            )
-            results.append(("window", tag[1], maps))
-        else:
-            results.append(("noise", probs, xparts[start:stop].copy()))
-    return results
+    _, xbits, zbits = twirl
+    zero = np.uint64(0)
+    final_x = np.zeros((xbits.shape[0], words), dtype=np.uint64)
+    for column, position in enumerate(positions):
+        final_x ^= np.where(xbits[:, column][:, None], x_of_x[position][None, :], zero)
+        final_x ^= np.where(zbits[:, column][:, None], x_of_z[position][None, :], zero)
+    return final_x
 
 
 def _flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
-    """Probability that one twirled event contributes no X-flip at all.
-
-    Representation-agnostic: a row of the mask block is flip-free exactly
-    when every entry is falsy, whether the entries are per-qubit booleans or
-    packed uint64 words.
-    """
+    """Probability that one twirled event contributes no X-flip at all: the
+    weight of the branches whose packed mask row is all-zero words."""
     zero_rows = ~masks.any(axis=1)
     return float(probs[zero_rows].sum())
 
 
 def _variant_mask_events(
-    program, suffix_maps: Dict[int, Tuple[np.ndarray, np.ndarray]], widx: int, variant: object
+    program, suffix_maps: Dict[int, Tuple[object, object]], widx: int, variant: object
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """``(probs, end-propagated X-masks)`` of one (window, variant)'s ops.
 
-    The masks come back in whatever representation the suffix maps carry —
-    packed uint64 words from a packed table (``{position: row}`` dicts
-    holding just the window qubit's rows), boolean row matrices from a pure
-    one — so callers never branch on the kernel mode themselves.
+    The masks are packed words, read out of the window's suffix map (the
+    window qubit's rows of the images of ``X_q``/``Z_q``).
     """
     ops = program.window_ops(widx, variant)
     if not ops:
         return []
-    n = program.num_active
+    words = symplectic.num_words(max(1, program.num_active))
     x_of_x, x_of_z = suffix_maps[widx]
-    packed = isinstance(x_of_x, dict)
     events: List[Tuple[np.ndarray, np.ndarray]] = []
     for op in ops:
-        probs, xbits, zbits = StabilizerEngine._twirl(op)
-        rows = xbits.shape[0]
-        if packed:
-            zero = np.uint64(0)
-            words = len(next(iter(x_of_x.values())))
-            final_x = np.zeros((rows, words), dtype=np.uint64)
-            for column, position in enumerate(op.positions):
-                final_x ^= np.where(
-                    xbits[:, column][:, None], x_of_x[position][None, :], zero
-                )
-                final_x ^= np.where(
-                    zbits[:, column][:, None], x_of_z[position][None, :], zero
-                )
-        else:
-            final_x = np.zeros((rows, n), dtype=bool)
-            for column, position in enumerate(op.positions):
-                final_x ^= xbits[:, column][:, None] & x_of_x[position][None, :]
-                final_x ^= zbits[:, column][:, None] & x_of_z[position][None, :]
-        events.append((probs, final_x))
+        twirl = StabilizerEngine._twirl(op)
+        events.append((twirl[0], _end_masks(twirl, op.positions, x_of_x, x_of_z, words)))
     return events
 
 
@@ -1029,16 +900,14 @@ class StabilizerFrameEngine(ExecutionEngine):
     deterministic and batch-invariant (per-trajectory streams follow the
     same protocol as the trajectory engine).
 
-    Two implementations share this class: the default packed path stacks
-    every applied event into one ``(events, branches)`` cumulative matrix
-    plus an ``(events, branches, words)`` mask tensor, draws each
-    trajectory's whole uniform stream in one call, selects all branches in
-    one vectorized comparison, and folds the frame XOR through
-    :func:`repro.simulators.symplectic.xor_gather_reduce`; the original
-    per-event boolean loop survives behind ``REPRO_PURE_KERNELS=1`` as the
-    differential oracle.  Both consume the per-trajectory streams in the
-    same order, so counts, ``flip_free_probability`` and every
-    :class:`SparseDistribution` payload are bit-identical between them.
+    A run stacks every applied event into one ``(events, branches)``
+    cumulative matrix plus an ``(events, branches, words)`` mask tensor,
+    draws each trajectory's whole uniform stream in one call, selects all
+    branches in one vectorized comparison, and folds the frame XOR into
+    packed words.  Per stream, draws are consumed exactly as a per-event,
+    per-trajectory loop would consume them (the test suite's oracle is that
+    loop), so counts, ``flip_free_probability`` and every
+    :class:`SparseDistribution` payload are bit-identical to it.
     """
 
     name = "stabilizer_frames"
@@ -1059,131 +928,6 @@ class StabilizerFrameEngine(ExecutionEngine):
                 "the stabilizer_frames engine requires a Clifford-only compiled"
                 " program; use engine='auto', 'density_matrix' or 'trajectories'"
             )
-        if symplectic.use_packed_kernels():
-            return self._run_packed(program, jobs, stats)
-        n = program.num_active
-        table = _noise_mask_table(program)
-        base, basis = self._ideal_structure(program)
-        window_cache: Dict[
-            Tuple[int, object], Tuple[List[Tuple[np.ndarray, np.ndarray]], float]
-        ] = program.engine_cache.setdefault("stabilizer_frame_windows", {})
-        survival_cache: Dict[Tuple[int, ...], Optional[float]] = (
-            program.engine_cache.setdefault("stabilizer_frame_survival", {})
-        )
-        readout = self._readout_rates(program)
-        used_variants: set = set()
-        results = []
-        for job in jobs:
-            streams = job.streams
-            T = len(streams)
-            flips = np.zeros((T, n), dtype=bool)
-            flip_free = float(table["shared_flip_free"])
-
-            def apply_events(events) -> None:
-                for probs, masks in events:
-                    if not masks.any():
-                        # Pure-Z noise never changes computational-basis
-                        # outcomes; skipping it (deterministically, for every
-                        # job alike) keeps stream consumption consistent.
-                        continue
-                    cumulative = np.cumsum(probs)
-                    draws = np.fromiter(
-                        (stream.random() for stream in streams), dtype=float, count=T
-                    )
-                    chosen = np.minimum(
-                        np.searchsorted(cumulative, draws, side="right"),
-                        len(cumulative) - 1,
-                    )
-                    np.logical_xor(flips, masks[chosen], out=flips)
-
-            for entry in table["sequence"]:
-                if entry[0] == "noise":
-                    apply_events([(entry[1], entry[2])])
-                    continue
-                widx = entry[1]
-                variant = job.variants[widx]
-                if variant == "skip":
-                    continue
-                key = (widx, variant)
-                cached = window_cache.get(key)
-                if cached is None:
-                    events = _variant_mask_events(
-                        program, table["suffix_maps"], widx, variant
-                    )
-                    weight = 1.0
-                    for probs, masks in events:
-                        weight *= _flip_free_weight(probs, masks)
-                    cached = (events, weight)
-                    window_cache[key] = cached
-                events, weight = cached
-                flip_free *= weight
-                if events:
-                    used_variants.add(key)
-                apply_events(events)
-
-            if basis.shape[0]:
-                free_bits = np.empty((T, basis.shape[0]), dtype=np.uint8)
-                for t, stream in enumerate(streams):
-                    free_bits[t] = stream.integers(0, 2, size=basis.shape[0])
-                ideal_bits = ((free_bits @ basis.astype(np.uint8)) % 2).astype(bool)
-                outcomes = base[None, :] ^ ideal_bits ^ flips
-            else:
-                outcomes = base[None, :] ^ flips
-
-            positions = job.outputs if job.outputs is not None else tuple(range(n))
-            out_bits = outcomes[:, list(positions)]
-            for column, position in enumerate(positions):
-                p01, p10 = readout[position]
-                if p01 <= 0.0 and p10 <= 0.0:
-                    continue
-                draws = np.fromiter(
-                    (stream.random() for stream in streams), dtype=float, count=T
-                )
-                flip = np.where(out_bits[:, column], draws < p10, draws < p01)
-                out_bits[:, column] ^= flip
-
-            if positions not in survival_cache:
-                survival_cache[positions] = self._readout_survival(
-                    base, basis, positions, readout
-                )
-            survival = survival_cache[positions]
-
-            weight = 1.0 / T
-            probabilities: Dict[str, float] = {}
-            for row in out_bits:
-                bits = "".join("1" if bit else "0" for bit in row)
-                probabilities[bits] = probabilities.get(bits, 0.0) + weight
-            results.append(
-                SparseDistribution(
-                    probabilities=probabilities,
-                    num_bits=len(positions),
-                    readout_applied=True,
-                    metadata=(
-                        {}
-                        if survival is None
-                        else {"flip_free_probability": flip_free * survival}
-                    ),
-                )
-            )
-        if stats is not None:
-            stats["window_variants"] = stats.get("window_variants", 0) + len(used_variants)
-        return results
-
-    # -- packed fast path ----------------------------------------------
-
-    def _run_packed(self, program, jobs, stats=None):
-        """Frame sampling on the packed symplectic kernels.
-
-        The per-event/per-trajectory python loops of the pure path collapse
-        into four vectorized passes per job: one ``Generator.random(size=E)``
-        call per trajectory (a numpy Generator produces the identical stream
-        whether drawn singly or in blocks, so consumption matches the pure
-        loop draw for draw), one broadcast comparison against the stacked
-        cumulative matrix to choose every branch at once, one XOR-gather over
-        the stacked ``(events, branches, words)`` mask tensor, and one
-        block-draw readout pass.  Unpacking happens only at the output
-        boundary, bit column by bit column.
-        """
         n = program.num_active
         W = symplectic.num_words(max(1, n))
         table = _noise_mask_table(program)
@@ -1257,7 +1001,7 @@ class StabilizerFrameEngine(ExecutionEngine):
             probabilities: Dict[str, float] = {}
             # One ascii render of the whole (T, P) bit block; slicing it per
             # trajectory yields the same strings (and the same accumulation
-            # order) as the pure path's per-row joins.
+            # order) as per-row joins.
             P = out_bits.shape[1]
             text = (out_bits.astype(np.uint8) + np.uint8(48)).tobytes().decode("ascii")
             for t in range(T):
@@ -1282,7 +1026,7 @@ class StabilizerFrameEngine(ExecutionEngine):
 
     #: When more than this fraction of all (trajectory, event) draws leave
     #: the first branch, the sparse scatter-XOR stops winning and the dense
-    #: gather kernel (numba-compiled where available) takes over.  The
+    #: gather kernel takes over.  The
     #: threshold only picks an implementation — both compute identical flips.
     _DENSE_GATHER_FRACTION = 0.05
 
@@ -1293,8 +1037,8 @@ class StabilizerFrameEngine(ExecutionEngine):
         Branch selection is one ``searchsorted`` into the offset-flattened
         cumulative matrix (event ``e``'s block shifted by ``2e``, so a draw
         ``u + 2e`` lands inside its own block and the result minus ``e * B``
-        is exactly the pure loop's ``searchsorted(cum, u, side="right")``
-        clipped to the branch count).  Because realistic noise leaves almost
+        is exactly ``searchsorted(cum, u, side="right")`` on the event's own
+        cumulative row, clipped to its branch count).  Because realistic noise leaves almost
         every draw on the first branch, the XOR is computed as a precomputed
         first-branch baseline plus a scatter of the rare off-baseline deltas;
         when the off-baseline fraction is high the dense
@@ -1328,17 +1072,17 @@ class StabilizerFrameEngine(ExecutionEngine):
     def _variant_stack(program, table, variants) -> Dict[str, object]:
         """Stack one variant-tuple's applied events into contiguous arrays.
 
-        Walks the table sequence exactly like the pure loop: pure-Z events
-        (no X-component in any branch) are dropped deterministically — they
-        never consume a draw on either path — and window flip-free weights
-        multiply into the running product in encounter order, so the float
-        result matches the pure path bit for bit.  Cached per variants tuple
+        Walks the table sequence in template order: pure-Z events (no
+        X-component in any branch) are dropped deterministically — they never
+        consume a draw — and window flip-free weights multiply into the
+        running product in encounter order, which fixes the float result bit
+        for bit.  Cached per variants tuple
         in ``engine_cache["stabilizer_frame_stacks"]``; ragged branch counts
         are padded with cumulative 2.0 / zero masks.
         """
         window_cache: Dict[
             Tuple[int, object], Tuple[List[Tuple[np.ndarray, np.ndarray]], float]
-        ] = program.engine_cache.setdefault("stabilizer_frame_windows:packed", {})
+        ] = program.engine_cache.setdefault("stabilizer_frame_windows", {})
         applied: List[Tuple[np.ndarray, np.ndarray]] = []
         flip_free = float(table["shared_flip_free"])
         used: List[Tuple[int, object]] = []

@@ -5,18 +5,13 @@ Clifford-only circuits are efficiently simulable on conventional computers).
 The implementation follows the tableau algorithm of Aaronson & Gottesman,
 "Improved simulation of stabilizer circuits" (2004).
 
-Two tableau implementations share one interface:
-
-* :class:`CliffordTableau` — boolean rows, one column per qubit.  The *pure*
-  reference path: simple, obviously correct, kept as the differential-test
-  oracle and selected by ``REPRO_PURE_KERNELS=1``.
-* :class:`PackedCliffordTableau` — the default: x/z half-rows bit-packed
-  into ``uint64`` words (:mod:`repro.simulators.symplectic`), gates as
-  word-column updates across all ``2n`` rows at once, measurement collapse
-  as one vectorized rowsum and the phase accumulator as popcount
-  arithmetic.  Bit-identical to the pure tableau by construction
-  (``tests/test_symplectic_diff.py`` fuzzes the equivalence across the
-  64/128-bit word boundaries).
+The tableau, :class:`PackedCliffordTableau`, keeps its x/z half-rows
+bit-packed into ``uint64`` words (:mod:`repro.simulators.symplectic`):
+gates are word-column updates across all ``2n`` rows at once, measurement
+collapse is one vectorized rowsum and the phase accumulator is popcount
+arithmetic.  ``tests/test_symplectic_diff.py`` fuzzes it against the
+boolean-row reference tableau of the test suite across the 64/128-bit word
+boundaries.
 
 Supported gates: every Clifford gate in the IR (``x, y, z, h, s, sdg, sx,
 sxdg, cx, cz, swap, id``) plus ``rz``/``u1`` at multiples of pi/2.
@@ -26,7 +21,7 @@ Measurements are computational-basis and terminal or mid-circuit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,15 +32,13 @@ from .statevector import SimulationError
 
 __all__ = [
     "StabilizerSimulator",
-    "CliffordTableau",
     "PackedCliffordTableau",
     "SUPPORTED_GATE_NAMES",
     "is_tableau_supported",
 ]
 
-#: Test-only hook invoked on every tableau copy (both implementations); the
-#: enumeration copy-budget regression counts through it.  Never set outside
-#: tests.
+#: Test-only hook invoked on every tableau copy; the enumeration copy-budget
+#: regression counts through it.  Never set outside tests.
 _COPY_HOOK: Optional[Callable[[], None]] = None
 
 
@@ -82,176 +75,15 @@ def is_tableau_supported(gate: Gate) -> bool:
     return False
 
 
-class CliffordTableau:
-    """The CHP tableau: 2n rows of (x|z) bits plus a sign bit per row.
+class PackedCliffordTableau:
+    """The CHP tableau: ``2n`` rows of (x|z) bits plus a sign bit per row.
 
     Rows ``0..n-1`` are destabilizers, rows ``n..2n-1`` are stabilizers.
-    """
-
-    def __init__(self, num_qubits: int) -> None:
-        if num_qubits <= 0:
-            raise SimulationError("need at least one qubit")
-        self.n = int(num_qubits)
-        n = self.n
-        self.x = np.zeros((2 * n, n), dtype=bool)
-        self.z = np.zeros((2 * n, n), dtype=bool)
-        self.r = np.zeros(2 * n, dtype=bool)
-        for i in range(n):
-            self.x[i, i] = True          # destabilizer i = X_i
-            self.z[n + i, i] = True      # stabilizer i   = Z_i
-
-    def copy(self) -> "CliffordTableau":
-        _note_copy()
-        clone = CliffordTableau.__new__(CliffordTableau)
-        clone.n = self.n
-        clone.x = self.x.copy()
-        clone.z = self.z.copy()
-        clone.r = self.r.copy()
-        return clone
-
-    # ------------------------------------------------------------------
-    # Clifford generators
-    # ------------------------------------------------------------------
-
-    def apply_h(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()
-
-    def apply_s(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.z[:, a] ^= self.x[:, a]
-
-    def apply_sdg(self, a: int) -> None:
-        # Sdg = S Z = S S S
-        self.apply_s(a)
-        self.apply_z(a)
-
-    def apply_x(self, a: int) -> None:
-        self.r ^= self.z[:, a]
-
-    def apply_z(self, a: int) -> None:
-        self.r ^= self.x[:, a]
-
-    def apply_y(self, a: int) -> None:
-        self.r ^= self.x[:, a] ^ self.z[:, a]
-
-    def apply_sx(self, a: int) -> None:
-        # SX = H S H (exactly, no extra phase)
-        self.apply_h(a)
-        self.apply_s(a)
-        self.apply_h(a)
-
-    def apply_sxdg(self, a: int) -> None:
-        self.apply_h(a)
-        self.apply_sdg(a)
-        self.apply_h(a)
-
-    def apply_cx(self, control: int, target: int) -> None:
-        xc, zc = self.x[:, control], self.z[:, control]
-        xt, zt = self.x[:, target], self.z[:, target]
-        self.r ^= xc & zt & (xt ^ zc ^ True)
-        self.x[:, target] = xt ^ xc
-        self.z[:, control] = zc ^ zt
-
-    def apply_cz(self, a: int, b: int) -> None:
-        self.apply_h(b)
-        self.apply_cx(a, b)
-        self.apply_h(b)
-
-    def apply_swap(self, a: int, b: int) -> None:
-        self.apply_cx(a, b)
-        self.apply_cx(b, a)
-        self.apply_cx(a, b)
-
-    # ------------------------------------------------------------------
-    # Measurement (CHP algorithm)
-    # ------------------------------------------------------------------
-
-    def _g(self, x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """Phase exponent contribution of multiplying two Pauli columns."""
-        x1i, z1i = x1.astype(np.int8), z1.astype(np.int8)
-        x2i, z2i = x2.astype(np.int8), z2.astype(np.int8)
-        result = np.zeros_like(x1i)
-        # (x1,z1) == (0,1): Z  -> x2*(1-2*z2)
-        mask = (x1i == 0) & (z1i == 1)
-        result[mask] = (x2i * (1 - 2 * z2i))[mask]
-        # (x1,z1) == (1,0): X  -> z2*(2*x2-1)
-        mask = (x1i == 1) & (z1i == 0)
-        result[mask] = (z2i * (2 * x2i - 1))[mask]
-        # (x1,z1) == (1,1): Y  -> z2 - x2
-        mask = (x1i == 1) & (z1i == 1)
-        result[mask] = (z2i - x2i)[mask]
-        return result
-
-    def _rowsum_into(
-        self,
-        hx: np.ndarray,
-        hz: np.ndarray,
-        hr: bool,
-        i: int,
-    ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Multiply row ``i`` into an explicit (x, z, r) row and return it."""
-        phase = 2 * int(hr) + 2 * int(self.r[i]) + int(
-            self._g(self.x[i], self.z[i], hx, hz).sum()
-        )
-        phase %= 4
-        new_r = phase == 2
-        return hx ^ self.x[i], hz ^ self.z[i], new_r
-
-    def _rowsum(self, h: int, i: int) -> None:
-        self.x[h], self.z[h], self.r[h] = self._rowsum_into(
-            self.x[h], self.z[h], bool(self.r[h]), i
-        )
-
-    def measure(self, a: int, rng: np.random.Generator, forced: Optional[int] = None) -> int:
-        """Measure qubit ``a`` in the computational basis, collapsing the state.
-
-        ``forced`` fixes the outcome of a non-deterministic measurement (used
-        by the exact-probability enumeration).
-        """
-        n = self.n
-        stab_with_x = np.nonzero(self.x[n:, a])[0]
-        if stab_with_x.size > 0:
-            p = int(stab_with_x[0]) + n
-            for i in range(2 * n):
-                if i != p and self.x[i, a]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p].copy()
-            self.z[p - n] = self.z[p].copy()
-            self.r[p - n] = self.r[p]
-            self.x[p] = False
-            self.z[p] = False
-            self.z[p, a] = True
-            if forced is None:
-                outcome = int(rng.integers(0, 2))
-            else:
-                outcome = int(forced)
-            self.r[p] = bool(outcome)
-            return outcome
-        # deterministic outcome
-        hx = np.zeros(n, dtype=bool)
-        hz = np.zeros(n, dtype=bool)
-        hr = False
-        for i in range(n):
-            if self.x[i, a]:
-                hx, hz, hr = self._rowsum_into(hx, hz, hr, i + n)
-        return int(hr)
-
-    def is_deterministic(self, a: int) -> bool:
-        """True if measuring qubit ``a`` would give a deterministic outcome."""
-        return not bool(self.x[self.n :, a].any())
-
-
-class PackedCliffordTableau:
-    """The CHP tableau over bit-packed ``uint64`` half-rows.
-
-    Same interface and bit-identical behaviour as :class:`CliffordTableau`
-    (the differential harness enforces it), with ``ceil(n/64)`` words per
-    x/z half-row: qubit ``q`` lives at bit ``q % 64`` of word ``q // 64``.
-    Gates are one-or-two word-column updates across all ``2n`` rows;
-    measurement applies every rowsum of a collapse in one vectorized pass,
-    with phases reduced to popcount arithmetic
-    (:func:`repro.simulators.symplectic.phase_g_sum`).
+    Each x/z half-row is ``ceil(n/64)`` ``uint64`` words: qubit ``q`` lives
+    at bit ``q % 64`` of word ``q // 64``.  Gates are one-or-two word-column
+    updates across all ``2n`` rows; measurement applies every rowsum of a
+    collapse in one vectorized pass, with phases reduced to popcount
+    arithmetic (:func:`repro.simulators.symplectic.phase_g_sum`).
     """
 
     def __init__(self, num_qubits: int) -> None:
@@ -278,26 +110,6 @@ class PackedCliffordTableau:
         clone.r = self.r.copy()
         return clone
 
-    # -- boundary converters (tests, debugging) -------------------------
-
-    @classmethod
-    def from_unpacked(cls, tableau: CliffordTableau) -> "PackedCliffordTableau":
-        clone = cls.__new__(cls)
-        clone.n = tableau.n
-        clone.num_words = symplectic.num_words(tableau.n)
-        clone.xw = symplectic.pack_rows(tableau.x, tableau.n)
-        clone.zw = symplectic.pack_rows(tableau.z, tableau.n)
-        clone.r = tableau.r.copy()
-        return clone
-
-    def to_unpacked(self) -> CliffordTableau:
-        clone = CliffordTableau.__new__(CliffordTableau)
-        clone.n = self.n
-        clone.x = symplectic.unpack_rows(self.xw, self.n)
-        clone.z = symplectic.unpack_rows(self.zw, self.n)
-        clone.r = self.r.copy()
-        return clone
-
     # ------------------------------------------------------------------
     # Clifford generators (word-column updates, all rows at once)
     # ------------------------------------------------------------------
@@ -319,7 +131,7 @@ class PackedCliffordTableau:
         self.zw[:, w] ^= self.xw[:, w] & mask
 
     def apply_sdg(self, a: int) -> None:
-        # Sdg = S Z = S S S (same composition as the pure tableau)
+        # Sdg = S Z = S S S
         self.apply_s(a)
         self.apply_z(a)
 
@@ -377,8 +189,8 @@ class PackedCliffordTableau:
     def measure(self, a: int, rng: np.random.Generator, forced: Optional[int] = None) -> int:
         """Measure qubit ``a`` in the computational basis, collapsing the state.
 
-        Identical semantics (and RNG consumption) to
-        :meth:`CliffordTableau.measure`; all rowsums of a collapse are
+        ``forced`` fixes the outcome of a non-deterministic measurement (used
+        by the exact-probability enumeration).  All rowsums of a collapse are
         applied in one pass.
         """
         n = self.n
@@ -421,7 +233,7 @@ class PackedCliffordTableau:
 
 
 class StabilizerSimulator:
-    """Circuit-level front-end over :class:`CliffordTableau`."""
+    """Circuit-level front-end over :class:`PackedCliffordTableau`."""
 
     _CLIFFORD_ANGLES = {
         0: None,        # identity
@@ -436,17 +248,9 @@ class StabilizerSimulator:
     # ------------------------------------------------------------------
 
     def run(self, circuit: QuantumCircuit, rng: Optional[np.random.Generator] = None):
-        """Apply every gate of a Clifford circuit and return the final tableau.
-
-        Returns a :class:`PackedCliffordTableau` on the default packed-kernel
-        path, a :class:`CliffordTableau` under ``REPRO_PURE_KERNELS=1`` —
-        both expose the same interface and bit-identical behaviour.
-        """
+        """Apply every gate of a Clifford circuit and return the final tableau."""
         rng = rng or self._rng
-        if symplectic.use_packed_kernels():
-            tableau = PackedCliffordTableau(circuit.num_qubits)
-        else:
-            tableau = CliffordTableau(circuit.num_qubits)
+        tableau = PackedCliffordTableau(circuit.num_qubits)
         for gate in circuit:
             if gate.is_barrier or gate.is_delay or gate.is_measurement:
                 continue
@@ -520,7 +324,7 @@ class StabilizerSimulator:
 
     # ------------------------------------------------------------------
 
-    def _apply(self, tableau: CliffordTableau, gate: Gate, rng: np.random.Generator) -> None:
+    def _apply(self, tableau: PackedCliffordTableau, gate: Gate, rng: np.random.Generator) -> None:
         name = gate.name
         qubits = gate.qubits
         if name in ("id", "i"):
@@ -559,7 +363,7 @@ class StabilizerSimulator:
             )
 
     @staticmethod
-    def _apply_clifford_rz(tableau: CliffordTableau, qubit: int, angle: float) -> None:
+    def _apply_clifford_rz(tableau: PackedCliffordTableau, qubit: int, angle: float) -> None:
         steps = angle / (math.pi / 2)
         rounded = round(steps)
         if not math.isclose(steps, rounded, abs_tol=_QUARTER_TURN_ATOL):

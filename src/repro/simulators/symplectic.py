@@ -9,9 +9,10 @@ qubits.  This module packs those bit-vectors into ``uint64`` words
 * :func:`pack_rows` / :func:`unpack_rows` — the boundary converters (used at
   measurement/output edges and by the differential tests; the engines never
   unpack mid-computation);
-* :func:`conjugate_columns_packed` — symplectic conjugation of a block of
-  packed Pauli rows by one Clifford gate, as two-or-three word-column ops
-  regardless of row count;
+* :func:`compose_suffix_packed` — the phase-free gate table: prepends one
+  Clifford gate to a suffix conjugation map, so walking a gate list backward
+  end-propagates any Pauli (the noise-mask table and the mirror target both
+  read their X-masks out of such a map);
 * :func:`phase_g_sum` — the CHP phase accumulator reduced to popcount
   arithmetic: the per-qubit exponent ``g`` of Aaronson–Gottesman is ``+1``
   exactly on the qubit patterns ``(Z,X), (X,Y), (Y,Z)`` and ``-1`` on
@@ -24,37 +25,30 @@ qubits.  This module packs those bit-vectors into ``uint64`` words
   Pauli rows (the deterministic-measurement reduction), vectorized through a
   prefix-XOR: every prefix product of stabilizer-group elements carries a
   real ``±1`` sign, so the mod-4 phase contributions can be summed in one
-  shot instead of row-by-row.
+  shot instead of row-by-row;
+* :func:`popcount64` / :func:`xor_gather_reduce` — the two numpy loops
+  under the rest: per-word popcount, and the frame engine's XOR-gather over
+  stacked event masks.
 
-The packed kernels are the default; ``REPRO_PURE_KERNELS=1``
-(:func:`use_packed_kernels`) switches every consumer back to the pure
-boolean-row path, which is kept alive as the differential-testing reference
-(``tests/test_symplectic_diff.py``) and exercised by its own CI leg.
-Outputs are bit-identical between the two paths by construction.
-
-Where available, popcount and the frame XOR-gather ride the optional numba
-kernels of :mod:`repro.simulators._kernels`; absence of numba only changes
-speed, never results.
+This is the only implementation of the stack.  A boolean-row reference of it
+lives in the test suite (``tests/oracle``), where the differential tests
+require bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import popcount64, xor_gather_reduce
-
 __all__ = [
     "WORD_BITS",
     "num_words",
-    "use_packed_kernels",
     "pack_rows",
     "unpack_rows",
     "bit_column",
-    "conjugate_columns_packed",
+    "compose_suffix_packed",
     "phase_g_sum",
     "rowsum_rows",
     "product_phase",
@@ -69,16 +63,6 @@ _ONE = np.uint64(1)
 _BYTE_WEIGHTS = (_ONE << (np.uint64(8) * np.arange(8, dtype=np.uint64))).astype(
     np.uint64
 )
-
-
-def use_packed_kernels() -> bool:
-    """True unless ``REPRO_PURE_KERNELS=1`` demands the boolean-row path.
-
-    Read at call time (not import time) so tests can flip the toggle per
-    case; every packed/pure dispatch point in the stabilizer stack goes
-    through this one predicate.
-    """
-    return os.environ.get("REPRO_PURE_KERNELS", "") != "1"
 
 
 def num_words(num_qubits: int) -> int:
@@ -125,72 +109,55 @@ def bit_column(words: np.ndarray, qubit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Packed Clifford conjugation (phase-free column updates)
+# Word kernels
 # ---------------------------------------------------------------------------
 
+if hasattr(np, "bitwise_count"):
 
-def conjugate_columns_packed(
-    xw: np.ndarray,
-    zw: np.ndarray,
-    name: str,
-    qubits: Sequence[int],
-    params: Sequence[float] = (),
-) -> None:
-    """Conjugate a block of packed Pauli rows by one Clifford gate, in place.
+    def popcount64(words: np.ndarray) -> np.ndarray:
+        """Per-element popcount of a ``uint64`` array (numpy >= 2.0)."""
+        return np.bitwise_count(words)
 
-    The phase-free x/z update of ``P -> G P G†`` applied to every row of
-    ``xw``/``zw`` (shape ``(rows, W)``) at once: each gate touches one or two
-    word columns, so the cost is independent of the qubit count.  Phases are
-    deliberately not tracked — mask propagation and the mirror-target
-    derivation only need anticommutation structure.
+else:  # pragma: no cover - numpy < 2.0 fallback
+
+    _M1 = np.uint64(0x5555555555555555)
+    _M2 = np.uint64(0x3333333333333333)
+    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    _H01 = np.uint64(0x0101010101010101)
+
+    def popcount64(words: np.ndarray) -> np.ndarray:
+        """SWAR popcount of a ``uint64`` array (pre-``bitwise_count`` numpy)."""
+        v = words.astype(np.uint64, copy=True)
+        v -= (v >> np.uint64(1)) & _M1
+        v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
+        v = (v + (v >> np.uint64(4))) & _M4
+        return ((v * _H01) >> np.uint64(56)).astype(np.uint8)
+
+
+#: Event-axis chunk of :func:`xor_gather_reduce`: bounds the transient gather
+#: to ``trajectories * CHUNK * words * 8`` bytes regardless of event count.
+_XOR_CHUNK_EVENTS = 512
+
+
+def xor_gather_reduce(masks: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """XOR of ``masks[e, chosen[t, e]]`` over events, per trajectory.
+
+    ``masks`` is ``(events, branches, words)`` uint64, ``chosen`` is
+    ``(trajectories, events)`` branch indices; returns the accumulated
+    ``(trajectories, words)`` flip words.
     """
-    if name in ("id", "i", "x", "y", "z"):
-        return
-    if name == "h":
-        w, s = divmod(int(qubits[0]), WORD_BITS)
-        mask = _ONE << np.uint64(s)
-        delta = (xw[:, w] ^ zw[:, w]) & mask
-        xw[:, w] ^= delta
-        zw[:, w] ^= delta
-    elif name in ("s", "sdg"):
-        w, s = divmod(int(qubits[0]), WORD_BITS)
-        mask = _ONE << np.uint64(s)
-        zw[:, w] ^= xw[:, w] & mask
-    elif name in ("sx", "sxdg"):
-        w, s = divmod(int(qubits[0]), WORD_BITS)
-        mask = _ONE << np.uint64(s)
-        xw[:, w] ^= zw[:, w] & mask
-    elif name in ("cx", "cnot"):
-        wc, sc = divmod(int(qubits[0]), WORD_BITS)
-        wt, st = divmod(int(qubits[1]), WORD_BITS)
-        xc = (xw[:, wc] >> np.uint64(sc)) & _ONE
-        zt = (zw[:, wt] >> np.uint64(st)) & _ONE
-        xw[:, wt] ^= xc << np.uint64(st)
-        zw[:, wc] ^= zt << np.uint64(sc)
-    elif name == "cz":
-        wa, sa = divmod(int(qubits[0]), WORD_BITS)
-        wb, sb = divmod(int(qubits[1]), WORD_BITS)
-        xa = (xw[:, wa] >> np.uint64(sa)) & _ONE
-        xb = (xw[:, wb] >> np.uint64(sb)) & _ONE
-        zw[:, wb] ^= xa << np.uint64(sb)
-        zw[:, wa] ^= xb << np.uint64(sa)
-    elif name == "swap":
-        wa, sa = divmod(int(qubits[0]), WORD_BITS)
-        wb, sb = divmod(int(qubits[1]), WORD_BITS)
-        for parts in (xw, zw):
-            a_bits = (parts[:, wa] >> np.uint64(sa)) & _ONE
-            b_bits = (parts[:, wb] >> np.uint64(sb)) & _ONE
-            delta = a_bits ^ b_bits
-            parts[:, wa] ^= delta << np.uint64(sa)
-            parts[:, wb] ^= delta << np.uint64(sb)
-    elif name in ("rz", "u1", "p"):
-        quarter_turns = int(round(float(params[0]) / (math.pi / 2))) % 4
-        if quarter_turns in (1, 3):
-            w, s = divmod(int(qubits[0]), WORD_BITS)
-            mask = _ONE << np.uint64(s)
-            zw[:, w] ^= xw[:, w] & mask
-    else:
-        raise ValueError(f"gate '{name}' is not Clifford-propagatable")
+    T, E = chosen.shape
+    out = np.zeros((T, masks.shape[2]), dtype=np.uint64)
+    for start in range(0, E, _XOR_CHUNK_EVENTS):
+        stop = min(E, start + _XOR_CHUNK_EVENTS)
+        picked = masks[np.arange(start, stop)[None, :], chosen[:, start:stop]]
+        out ^= np.bitwise_xor.reduce(picked, axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Phase-free Clifford conjugation (suffix maps)
+# ---------------------------------------------------------------------------
 
 
 def compose_suffix_packed(
@@ -209,8 +176,10 @@ def compose_suffix_packed(
     gate costs one or two row XOR/swap operations of ``W`` words — walking a
     template backward builds every intermediate suffix map in
     ``O(gates · W)`` total, independent of how many Pauli rows will later be
-    pushed through those maps.  Phase-free, with exactly the gate alphabet
-    (and the same quarter-turn rounding) as :func:`conjugate_columns_packed`.
+    pushed through those maps.  Phase-free: ``rz``/``u1``/``p`` act as ``s``
+    at odd quarter turns and as the identity at even ones, and a gate's
+    inverse maps like the gate itself (``sdg`` like ``s``, ``sxdg`` like
+    ``sx``, the rest self-inverse).
     """
     if name in ("id", "i", "x", "y", "z"):
         return
@@ -304,8 +273,8 @@ def product_phase(
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Ordered product of commuting packed Pauli rows: ``(x, z, sign)``.
 
-    Folds the rows top-down exactly like the sequential ``rowsum_into``
-    reduction of the pure tableau, but in one vectorized pass: the x/z part
+    Folds the rows top-down exactly like the sequential CHP rowsum
+    reduction, one row at a time, but in one vectorized pass: the x/z part
     of the accumulator before step ``i`` is the prefix-XOR of rows
     ``0..i-1``, and since every prefix here is a stabilizer-group element
     (real ``±1`` sign, phase ``0`` or ``2`` mod 4), the per-step mod-4

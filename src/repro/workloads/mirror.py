@@ -4,14 +4,14 @@ Mirror circuits are the scalable verification workload of the parametric
 suite (``MIRROR:<n>@<seed>``): a forward half ``F`` of seeded random
 single-qubit Cliffords and nearest-neighbour CNOT brick layers, a random
 Pauli layer ``P``, and the exact gate-by-gate inverse ``F†``.  The final
-state ``F† P F |0…0⟩`` is a *computational basis state*: conjugating each
-initial stabilizer ``Z_q`` through the circuit gives ``±Z_q``, with the sign
-set by whether ``P`` anticommutes with ``S_q = F Z_q F†``.  The target
-bitstring is therefore computable in ``O(gates · n)`` symplectic bit
-operations — no simulation of any kind — which is what makes the success
-probability of a 100+ qubit run *verifiable*: the ideal outcome is a known
-delta distribution at any size, and the noisy success probability is simply
-the probability mass an execution places on the target.
+state ``F† P F |0…0⟩`` is a *computational basis state*: ``F† P F`` is a
+Pauli, so the target bitstring is its X-part — ``P`` end-propagated through
+the suffix ``F†`` exactly like a noise event's mask.  That costs
+``O(gates · n/64)`` packed-word operations — no simulation of any kind —
+which is what makes the success probability of a 100+ qubit run
+*verifiable*: the ideal outcome is a known delta distribution at any size,
+and the noisy success probability is simply the probability mass an
+execution places on the target.
 
 Because every gate is Clifford, mirror workloads ride the stabilizer
 execution path end to end (the ``stabilizer`` spectrum engine at small
@@ -70,85 +70,28 @@ def _pauli_layer(num_qubits: int, rng: np.random.Generator) -> List[str]:
     return [_PAULIS[int(rng.integers(0, len(_PAULIS)))] for _ in range(num_qubits)]
 
 
-# ---------------------------------------------------------------------------
-# Symplectic conjugation (phase-free): enough to derive the target bitstring
-# ---------------------------------------------------------------------------
-
-#: x/z-part updates of conjugating a Pauli row by one Clifford gate.  Phases
-#: are irrelevant here: the mirror identity only needs the anticommutation
-#: parity between the Pauli layer and the propagated stabilizers.
-
-
-def _conjugate_rows(xparts: np.ndarray, zparts: np.ndarray, gate) -> None:
-    name = gate.name
-    qubits = gate.qubits
-    if name in ("id", "i", "x", "y", "z"):
-        return
-    if name == "h":
-        a = qubits[0]
-        xa = xparts[:, a].copy()
-        xparts[:, a] = zparts[:, a]
-        zparts[:, a] = xa
-    elif name in ("s", "sdg"):
-        a = qubits[0]
-        zparts[:, a] ^= xparts[:, a]
-    elif name in ("sx", "sxdg"):
-        a = qubits[0]
-        xparts[:, a] ^= zparts[:, a]
-    elif name in ("cx", "cnot"):
-        control, target = qubits
-        xparts[:, target] ^= xparts[:, control]
-        zparts[:, control] ^= zparts[:, target]
-    elif name == "cz":
-        a, b = qubits
-        zparts[:, b] ^= xparts[:, a]
-        zparts[:, a] ^= xparts[:, b]
-    elif name == "swap":
-        a, b = qubits
-        for parts in (xparts, zparts):
-            column = parts[:, a].copy()
-            parts[:, a] = parts[:, b]
-            parts[:, b] = column
-    else:  # pragma: no cover - the forward half only emits the gates above
-        raise ValueError(f"gate '{name}' is not supported by the mirror family")
-
-
 def _target_bits(forward: QuantumCircuit, paulis: List[str]) -> str:
-    """The deterministic outcome of ``F† P F |0…0⟩``.
+    """The deterministic outcome of ``F† P F |0…0⟩``: the X-part of ``F† P F``.
 
-    Row ``q`` tracks ``S_q = F Z_q F†``; output bit ``q`` is 1 exactly when
-    the Pauli layer anticommutes with ``S_q``.  By default the rows live as
-    packed uint64 words and the anticommutation parity is two popcounts per
-    row; ``REPRO_PURE_KERNELS=1`` keeps the boolean-row derivation as the
-    differential reference.  The bitstring is identical either way.
+    Walking the suffix ``F†`` backward prepends ``G_1†, G_2†, …`` to its
+    conjugation map, and a phase-free conjugation under ``G†`` equals the
+    one under ``G`` for this gate alphabet, so the walk goes over
+    ``forward``'s gates in order.  Output bit ``q`` is 1 exactly when the
+    end-propagated Pauli layer carries an X on qubit ``q``.
     """
     n = forward.num_qubits
+    x_of_x = symplectic.pack_rows(np.eye(n, dtype=bool), n)  # images of X_q
+    x_of_z = np.zeros_like(x_of_x)                           # images of Z_q
+    for gate in forward:
+        symplectic.compose_suffix_packed(
+            x_of_x, x_of_z, gate.name, gate.qubits, gate.params
+        )
     pauli_x = np.array([p in ("x", "y") for p in paulis], dtype=bool)
     pauli_z = np.array([p in ("z", "y") for p in paulis], dtype=bool)
-    if symplectic.use_packed_kernels():
-        xwords = np.zeros((n, symplectic.num_words(n)), dtype=np.uint64)
-        zwords = symplectic.pack_rows(np.eye(n, dtype=bool), n)
-        for gate in forward:
-            symplectic.conjugate_columns_packed(
-                xwords, zwords, gate.name, gate.qubits, gate.params
-            )
-        pauli_xw = symplectic.pack_rows(pauli_x, n)
-        pauli_zw = symplectic.pack_rows(pauli_z, n)
-        # anticommute(S_q, P) = parity(x(S_q)·z(P)) xor parity(z(S_q)·x(P))
-        weight = symplectic.popcount64(xwords & pauli_zw[None, :]).sum(
-            axis=1
-        ) + symplectic.popcount64(zwords & pauli_xw[None, :]).sum(axis=1)
-        flips = (weight % 2).astype(bool)
-        return "".join("1" if flip else "0" for flip in flips)
-    xparts = np.zeros((n, n), dtype=bool)
-    zparts = np.eye(n, dtype=bool)
-    for gate in forward:
-        _conjugate_rows(xparts, zparts, gate)
-    # anticommute(S_q, P) = parity(x(S_q)·z(P)) xor parity(z(S_q)·x(P))
-    flips = np.logical_xor(
-        (xparts & pauli_z[None, :]).sum(axis=1) % 2,
-        (zparts & pauli_x[None, :]).sum(axis=1) % 2,
+    target = np.bitwise_xor.reduce(
+        np.concatenate([x_of_x[pauli_x], x_of_z[pauli_z]]), axis=0
     )
+    flips = symplectic.unpack_rows(target, n)
     return "".join("1" if flip else "0" for flip in flips)
 
 

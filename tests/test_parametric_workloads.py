@@ -177,7 +177,9 @@ class TestDeterministicBuilds:
 
 
 class TestMirrorFamily:
-    @pytest.mark.parametrize("num_qubits,seed", [(4, 0), (8, 7), (13, 42)])
+    @pytest.mark.parametrize(
+        "num_qubits,seed", [(4, 0), (8, 7), (13, 42), (64, 3), (65, 11), (129, 5)]
+    )
     def test_analytic_target_matches_tableau_simulation(self, num_qubits, seed):
         circuit = mirror_circuit(num_qubits, seed, measure=False)
         outcome = StabilizerSimulator().probabilities(circuit)

@@ -1,11 +1,10 @@
 """Differential testing + fuzzing of the bit-packed symplectic kernels.
 
 The packed stabilizer stack (:class:`PackedCliffordTableau`, the kernels of
-:mod:`repro.simulators.symplectic`) must be *bit-identical* to the pure
-boolean-row implementation — same rows, same phases, same measurement
-outcomes, same RNG consumption — because the experiment store fingerprints
-results and the two paths share one schema.  These tests lock that contract
-down:
+:mod:`repro.simulators.symplectic`) must be *bit-identical* to the boolean-row
+reference of the ``oracle`` test package — same rows, same phases, same
+measurement outcomes, same RNG consumption — because the experiment store
+fingerprints results.  These tests lock that contract down:
 
 * seeded random Clifford circuits at widths crossing the 64/128-bit word
   boundaries (including exactly 64 and 65 qubits) drive both tableaus
@@ -14,7 +13,8 @@ down:
 * a 1000-tableau fuzz round-trips random boolean rows through
   ``pack_rows``/``unpack_rows`` and random packed words back through the
   boolean side;
-* the mirror-target analytic derivation is compared between kernel modes;
+* the mirror-target derivation (an end-propagated mask) is compared with
+  the oracle's anticommutation count;
 * the kernel primitives (popcount, XOR-gather, product phase) are checked
   against brute-force references.
 """
@@ -22,13 +22,10 @@ down:
 import numpy as np
 import pytest
 
+from oracle import CliffordTableau, installed
 from repro.circuits import QuantumCircuit
 from repro.simulators import symplectic
-from repro.simulators.stabilizer import (
-    CliffordTableau,
-    PackedCliffordTableau,
-    StabilizerSimulator,
-)
+from repro.simulators.stabilizer import PackedCliffordTableau, StabilizerSimulator
 from repro.workloads.mirror import mirror_target
 
 #: Widths straddling the packing boundaries: single partial word, exactly one
@@ -101,14 +98,14 @@ class TestTableauDifferential:
 
     def test_round_trip_converters(self):
         pure, packed = _random_pair(65, seed=9)
-        rebuilt = PackedCliffordTableau.from_unpacked(packed.to_unpacked())
+        rebuilt = CliffordTableau.from_packed(packed).to_packed()
         np.testing.assert_array_equal(rebuilt.xw, packed.xw)
         np.testing.assert_array_equal(rebuilt.zw, packed.zw)
         np.testing.assert_array_equal(rebuilt.r, packed.r)
-        assert packed.to_unpacked().x.shape == pure.x.shape
+        assert CliffordTableau.from_packed(packed).x.shape == pure.x.shape
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_probabilities_match_between_kernel_modes(self, n, monkeypatch):
+    def test_probabilities_match_between_kernel_modes(self, n):
         rng = np.random.default_rng(n)
         circuit = QuantumCircuit(n)
         for _ in range(30):
@@ -122,10 +119,10 @@ class TestTableauDifferential:
                 circuit.cx(a, b)
             else:
                 circuit.x(int(rng.integers(0, n)))
-        monkeypatch.delenv("REPRO_PURE_KERNELS", raising=False)
         fast = StabilizerSimulator().probabilities(circuit)
-        monkeypatch.setenv("REPRO_PURE_KERNELS", "1")
-        pure = StabilizerSimulator().probabilities(circuit)
+        with installed() as calls:
+            pure = StabilizerSimulator().probabilities(circuit)
+        assert calls["tableau"] == 1
         assert fast == pure
 
 
@@ -208,10 +205,10 @@ class TestKernelPrimitives:
 
 class TestMirrorTargetDifferential:
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 129])
-    def test_target_identical_between_kernel_modes(self, n, monkeypatch):
-        monkeypatch.delenv("REPRO_PURE_KERNELS", raising=False)
+    def test_target_identical_between_kernel_modes(self, n):
         fast = mirror_target(n, seed=7)
-        monkeypatch.setenv("REPRO_PURE_KERNELS", "1")
-        pure = mirror_target(n, seed=7)
+        with installed() as calls:
+            pure = mirror_target(n, seed=7)
+        assert calls["mirror_target"] == 1
         assert fast == pure
         assert len(fast) == n
