@@ -7,8 +7,8 @@ Subcommands:
   sweep) into a task DAG, skip stored tasks, run + checkpoint the rest;
   ``--join`` drains cooperatively with other ``--join`` processes through
   crash-safe task leases (work stealing on a shared write root);
-* ``ls``     — list store contents; ``--stats`` adds the aggregated cache
-  counters (store hits/misses across sessions + process-level caches);
+* ``ls``     — list store contents; ``--stats`` adds the store's cache
+  counters (hits/misses aggregated across sessions);
 * ``gc``     — reclaim stale-schema / corrupt / orphaned / stale-lease
   artifacts (write root only);
 * ``report`` — show sweep journals and per-task status; ``--partial``
@@ -452,14 +452,6 @@ def _cmd_ls(args) -> int:
         hits = lookups - int(cumulative.get("misses", 0)) - int(session.get("misses", 0))
         if lookups:
             print(f"  store.hit_rate            {100.0 * hits / lookups:.1f}%")
-        from .hardware.program import process_cache_stats
-
-        for counter, value in sorted(process_cache_stats().items()):
-            print(f"  process.{counter:18s} {value}")
-        print(
-            "  (per-executor compile-cache counters live on"
-            " NoisyExecutor.cache_stats())"
-        )
     return 0
 
 

@@ -282,7 +282,6 @@ def execute_program_jobs(
     trajectories: int,
     dm_qubit_limit: int,
     memory_budget_bytes: Optional[int] = None,
-    stats: Optional[Dict[str, int]] = None,
 ) -> List[ExecutionResult]:
     """Execute jobs against a compiled program through the engine registry.
 
@@ -356,11 +355,9 @@ def execute_program_jobs(
                     EngineJob(variants=_job_variants(program, job), outputs=outputs)
                     for job, outputs in zip(sub_jobs, sub_outputs)
                 ]
-            probs = engine.run(program, engine_jobs, trajectories, stats=stats)
+            probs = engine.run(program, engine_jobs, trajectories)
             for job, job_probs, j, sample_rng in zip(sub_jobs, probs, subset, sample_rngs):
                 results[j] = _finalize(backend, program, job, job_probs, name, sample_rng)
-    if stats is not None:
-        stats["jobs_run"] = stats.get("jobs_run", 0) + len(jobs)
     return results  # type: ignore[return-value]
 
 
@@ -417,7 +414,6 @@ class NoisyExecutor:
             "program_compiles": 0,
             "program_hits": 0,
             "jobs_run": 0,
-            "window_variants": 0,
         }
 
     # -- compile cache -------------------------------------------------
@@ -432,12 +428,12 @@ class NoisyExecutor:
 
         Per-executor ``stats`` (``program_compiles`` / ``program_hits`` /
         ``jobs_run``) only tell part of the story: the process-level caches
-        (gate matrices, rotations, resolved noise operators) are shared by
-        *every* executor in the process, so their sizes are folded in here
-        under ``process_*`` keys, along with the live compile-cache entry
-        count.  ``repro ls --stats`` surfaces the same aggregation alongside
-        the experiment store's cumulative hit/miss counters, which is how
-        cache efficacy across a whole sweep is observed.
+        (gate matrices, resolved noise operators) are shared by *every*
+        executor in the process, so their sizes are folded in here under
+        ``process_*`` keys, along with the live compile-cache entry count.
+        They describe the calling process only: ``repro ls --stats`` runs in
+        a fresh process and reports the experiment store's cumulative
+        hit/miss counters instead.
         """
         merged = dict(self.stats)
         merged["cached_programs"] = len(self._program_cache.entries)
@@ -500,15 +496,16 @@ class NoisyExecutor:
             job if job.seed is not None else replace(job, seed=self.draw_job_seed())
             for job in jobs
         ]
-        return execute_program_jobs(
+        results = execute_program_jobs(
             self.backend,
             program,
             jobs,
             trajectories=self.trajectories,
             dm_qubit_limit=self.dm_qubit_limit,
             memory_budget_bytes=self.memory_budget_bytes,
-            stats=self.stats,
         )
+        self.stats["jobs_run"] += len(jobs)
+        return results
 
     def run_assignments(
         self,

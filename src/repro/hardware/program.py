@@ -3,8 +3,10 @@
 A :class:`CompiledNoisyProgram` is everything about one scheduled circuit on
 one backend that is invariant across executions: the active-qubit set and
 output resolution, the time-ordered event template with gate unitaries and
-noise channels pre-resolved into engine-ready tensors, and the memoized
-idle-window *variants* (unprotected, or protected by one DD protocol).
+noise channels resolved into Kraus lists (each engine-ready form — dense
+superoperator, tensors, Pauli twirl — is derived on first use), and the
+memoized idle-window *variants* (unprotected, or protected by one DD
+protocol).
 
 The :class:`~repro.hardware.execution.NoisyExecutor` compiles circuits into
 this representation (through a :class:`ProgramCache`) and hands it to the
@@ -18,17 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate, gate_matrix, rx_matrix, rz_matrix
+from ..circuits.gates import Gate, gate_matrix
 from ..core.gst import GateSequenceTable, IdleWindow
 from ..dd.insertion import DDAssignment, DDPlan
 from ..dd.sequences import get_sequence
 from ..noise.model import NoiseOp
 from ..simulators import channels
+from ..simulators.engines import pauli_twirl_probabilities
 from ..simulators.stabilizer import is_tableau_supported
 from ..simulators.statevector import SimulationError
 
@@ -53,51 +57,42 @@ GATE_NOISE_PRIORITY = 2
 
 
 # ---------------------------------------------------------------------------
-# Process-level caches (gate unitaries, parametric rotations)
+# Process-level caches (gate unitaries, resolved noise ops)
 # ---------------------------------------------------------------------------
 
-#: All process-level caches are LRU-bounded: rotation angles and gate params
-#: are continuous, so a long-running sweep across calibration cycles/devices
-#: would otherwise grow them without bound.
+#: All process-level caches are LRU-bounded: rotation angles, gate params and
+#: per-cycle Kraus weights are continuous, so a long-running sweep across
+#: calibration cycles/devices would otherwise grow them without bound.
 _GATE_MATRIX_CACHE: Dict[Tuple[str, Tuple[float, ...]], np.ndarray] = {}
-_ROTATION_CACHE: Dict[Tuple[str, float], np.ndarray] = {}
-_MATRIX_CACHE_MAX_ENTRIES = 8192
+_CACHE_MAX_ENTRIES = 8192
 
 
-def _lru_get(cache: Dict, key: object, build) -> np.ndarray:
-    """Bounded-LRU lookup shared by the process-level matrix caches."""
-    value = cache.get(key)
+def _lru_get(cache: Dict, key: object, build):
+    """Bounded-LRU lookup shared by the process-level caches."""
+    value = cache.pop(key, None)  # LRU refresh (re-inserted below)
     if value is None:
         value = build()
-        value.setflags(write=False)
-    else:
-        del cache[key]  # LRU refresh (re-inserted below)
     cache[key] = value
-    while len(cache) > _MATRIX_CACHE_MAX_ENTRIES:
+    while len(cache) > _CACHE_MAX_ENTRIES:
         cache.pop(next(iter(cache)))
     return value
 
 
 def cached_gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
-    """Process-level memoized :func:`~repro.circuits.gates.gate_matrix`."""
-    key = (name, tuple(float(p) for p in params))
-    return _lru_get(_GATE_MATRIX_CACHE, key, lambda: gate_matrix(name, params))
+    """Process-level memoized, read-only :func:`~repro.circuits.gates.gate_matrix`."""
 
+    def build() -> np.ndarray:
+        matrix = gate_matrix(name, params)
+        matrix.setflags(write=False)
+        return matrix
 
-def _cached_rotation(kind: str, angle: float) -> np.ndarray:
-    key = (kind, float(angle))
-    return _lru_get(
-        _ROTATION_CACHE,
-        key,
-        lambda: rz_matrix(angle) if kind == "rz" else rx_matrix(angle),
-    )
+    return _lru_get(_GATE_MATRIX_CACHE, (name, tuple(float(p) for p in params)), build)
 
 
 def process_cache_stats() -> Dict[str, int]:
     """Sizes of the process-level caches (useful for diagnostics/tests)."""
     return {
         "gate_matrices": len(_GATE_MATRIX_CACHE),
-        "rotations": len(_ROTATION_CACHE),
         "resolved_ops": len(_RESOLVED_OP_CACHE),
     }
 
@@ -144,48 +139,73 @@ def mixed_unitary_form(
 
 @dataclass
 class ResolvedOp:
-    """A noise/gate operation pre-resolved into engine-ready tensors.
+    """One gate or noise channel of a compiled program, kept as its Kraus list.
 
-    ``superop`` is the channel's superoperator ``sum_m K_m (x) conj(K_m)``
-    reshaped into a ``(2,)*(4k)`` tensor whose legs are ordered
-    ``(row_out..., col_out..., row_in..., col_in...)``: the density-matrix
-    engine applies any channel (unitary, Kraus, Gaussian dephasing) as ONE
-    BLAS-backed contraction over the row+col legs of the whole batch, instead
-    of one Python-level Kraus loop per job.
+    ``kraus`` (one matrix for a unitary) is the only form built at compile
+    time.  Every engine-ready form is derived from it on first read and
+    memoized on the op, so each form is built only by an engine that reads
+    it:
 
-    ``gate`` is set for program gates (the ideal circuit), ``noise`` for
-    noise operations — the stabilizer engine uses them to rebuild the
-    Clifford circuit and to Pauli-twirl the noise.
+    * ``superop`` — ``sum_m K_m (x) conj(K_m)`` reshaped into a ``(2,)*(4k)``
+      tensor with legs ``(row_out..., col_out..., row_in..., col_in...)``;
+      the density-matrix engine applies any channel as ONE BLAS-backed
+      contraction over the row+col legs of the whole batch;
+    * ``tensor``, ``kraus_stack`` and ``mixed`` — the trajectory engine's
+      unitary tensor, stacked Kraus tensors and mixed-unitary sampling form;
+    * ``twirl`` — the Pauli twirl, the only form the two Clifford engines
+      read.
+
+    ``std`` is set only for ``gaussian_phase`` noise: its Kraus list is the
+    equivalent phase-damping channel, while the trajectory engine samples a
+    concrete RZ angle per trajectory.  ``gate`` is set for program gates (the
+    ideal circuit), ``noise`` for noise operations.
     """
 
-    kind: str                       # "unitary" | "kraus" | "gaussian"
     positions: Tuple[int, ...]      # active-space qubit positions
-    tensor: Optional[np.ndarray] = None        # unitary tensor (2,)*2k
-    kraus_stack: Optional[np.ndarray] = None   # (m,) + (2,)*2k
-    std: float = 0.0                           # gaussian_phase std-dev
-    superop: Optional[np.ndarray] = None       # (2,)*(4k) superoperator
-    # mixed-unitary decomposition for the trajectory engine:
-    mixed_cumulative: Optional[np.ndarray] = None
-    mixed_unitaries: Optional[List[Optional[np.ndarray]]] = None
-    # provenance, used by the stabilizer fast path:
+    kraus: List[np.ndarray]         # (2^k, 2^k) complex Kraus operators
+    std: Optional[float] = None     # gaussian_phase std-dev
     gate: Optional[Gate] = None
     noise: Optional[NoiseOp] = None
-    # lazily computed Pauli-twirl of the channel (probabilities, x-bits, z-bits)
-    _twirl: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def kraus_matrices(self) -> List[np.ndarray]:
-        """The channel's Kraus operators as plain ``(2^k, 2^k)`` matrices."""
-        k = len(self.positions)
-        dim = 2 ** k
-        if self.kind == "unitary":
-            return [np.asarray(self.tensor, dtype=complex).reshape(dim, dim)]
-        if self.kind == "gaussian":
-            lam = 1.0 - math.exp(-(self.std ** 2))
-            return [np.asarray(m, dtype=complex) for m in channels.phase_damping(min(1.0, lam))]
-        return [
-            np.asarray(self.kraus_stack[i], dtype=complex).reshape(dim, dim)
-            for i in range(self.kraus_stack.shape[0])
+    @property
+    def kind(self) -> str:
+        """``"gaussian"``, ``"unitary"`` (one Kraus operator) or ``"kraus"``."""
+        if self.std is not None:
+            return "gaussian"
+        return "unitary" if len(self.kraus) == 1 else "kraus"
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        dim = self.kraus[0].shape[0]
+        total = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for operator in self.kraus:
+            total += np.kron(operator, operator.conj())
+        return total.reshape((2,) * (4 * len(self.positions)))
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        return _as_op_tensor(self.kraus[0])
+
+    @cached_property
+    def kraus_stack(self) -> np.ndarray:
+        return np.stack([_as_op_tensor(k) for k in self.kraus])
+
+    @cached_property
+    def mixed(self) -> Optional[Tuple[np.ndarray, List[Optional[np.ndarray]]]]:
+        """``(cumulative probabilities, unitary tensors)`` of
+        :func:`mixed_unitary_form`, or ``None`` for channels without one."""
+        form = mixed_unitary_form(self.kraus)
+        if form is None:
+            return None
+        probabilities, unitaries = form
+        return np.cumsum(probabilities), [
+            None if u is None else _as_op_tensor(u) for u in unitaries
         ]
+
+    @cached_property
+    def twirl(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probs, xbits, zbits)`` of :func:`pauli_twirl_probabilities`."""
+        return pauli_twirl_probabilities(self.kraus)
 
 
 def _as_op_tensor(matrix: np.ndarray) -> np.ndarray:
@@ -193,27 +213,13 @@ def _as_op_tensor(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix, dtype=complex).reshape((2,) * (2 * k))
 
 
-def _superop_tensor(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    dim = kraus[0].shape[0]
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for operator in kraus:
-        operator = np.asarray(operator, dtype=complex)
-        total += np.kron(operator, operator.conj())
-    k = int(round(math.log2(dim)))
-    return total.reshape((2,) * (4 * k))
-
-
 #: Process-level memo of resolved noise ops, keyed by channel content and
 #: active-space positions.  Identical channels recur constantly (every CNOT
 #: on one link shares a depolarizing channel; idle windows repeat variants),
-#: and resolving one means building superoperator tensors — worth sharing
-#: across events AND across compiled programs.  Shared instances also share
-#: their lazily-computed Pauli twirl.  LRU-bounded: sweeps across many
-#: devices / calibration cycles produce unboundedly many distinct channels
-#: (continuous angles, per-cycle Kraus weights), and each entry carries
-#: kilobytes of tensors.
+#: so one op is shared across events AND across compiled programs — and with
+#: it every form an engine has derived from it.  LRU-bounded like the gate
+#: matrices: each entry may carry kilobytes of derived tensors.
 _RESOLVED_OP_CACHE: Dict[object, ResolvedOp] = {}
-_RESOLVED_OP_CACHE_MAX_ENTRIES = 8192
 
 
 def _noise_op_cache_key(op: NoiseOp, positions: Tuple[int, ...]) -> Optional[object]:
@@ -231,64 +237,20 @@ def _noise_op_cache_key(op: NoiseOp, positions: Tuple[int, ...]) -> Optional[obj
 def _resolve_noise_op(op: NoiseOp, index_of: Dict[int, int]) -> ResolvedOp:
     positions = tuple(index_of[q] for q in op.qubits)
     key = _noise_op_cache_key(op, positions)
-    if key is not None:
-        cached = _RESOLVED_OP_CACHE.get(key)
-        if cached is None:
-            cached = _resolve_noise_op_uncached(op, positions)
-        else:
-            del _RESOLVED_OP_CACHE[key]  # LRU refresh (re-inserted below)
-        _RESOLVED_OP_CACHE[key] = cached
-        while len(_RESOLVED_OP_CACHE) > _RESOLVED_OP_CACHE_MAX_ENTRIES:
-            _RESOLVED_OP_CACHE.pop(next(iter(_RESOLVED_OP_CACHE)))
-        return cached
-    return _resolve_noise_op_uncached(op, positions)
+    if key is None:
+        return _resolve_noise_op_uncached(op, positions)
+    return _lru_get(_RESOLVED_OP_CACHE, key, lambda: _resolve_noise_op_uncached(op, positions))
 
 
 def _resolve_noise_op_uncached(op: NoiseOp, positions: Tuple[int, ...]) -> ResolvedOp:
     if op.kind in ("rz", "rx"):
-        matrix = _cached_rotation(op.kind, float(op.payload))
-        return ResolvedOp(
-            kind="unitary",
-            positions=positions,
-            tensor=_as_op_tensor(matrix),
-            superop=_superop_tensor([matrix]),
-            noise=op,
-        )
+        return ResolvedOp(positions, [cached_gate_matrix(op.kind, (float(op.payload),))], noise=op)
     if op.kind == "gaussian_phase":
         sigma = float(op.payload)
         lam = 1.0 - math.exp(-(sigma ** 2))
-        dm_kraus = channels.phase_damping(min(1.0, lam))
-        return ResolvedOp(
-            kind="gaussian",
-            positions=positions,
-            std=sigma,
-            superop=_superop_tensor(dm_kraus),
-            noise=op,
-        )
+        return ResolvedOp(positions, channels.phase_damping(min(1.0, lam)), std=sigma, noise=op)
     kraus = [np.asarray(k, dtype=complex) for k in op.payload]  # type: ignore[union-attr]
-    if len(kraus) == 1:
-        return ResolvedOp(
-            kind="unitary",
-            positions=positions,
-            tensor=_as_op_tensor(kraus[0]),
-            superop=_superop_tensor(kraus),
-            noise=op,
-        )
-    resolved = ResolvedOp(
-        kind="kraus",
-        positions=positions,
-        kraus_stack=np.stack([_as_op_tensor(k) for k in kraus]),
-        superop=_superop_tensor(kraus),
-        noise=op,
-    )
-    mixed = mixed_unitary_form(kraus)
-    if mixed is not None:
-        probabilities, unitaries = mixed
-        resolved.mixed_cumulative = np.cumsum(probabilities)
-        resolved.mixed_unitaries = [
-            None if u is None else _as_op_tensor(u) for u in unitaries
-        ]
-    return resolved
+    return ResolvedOp(positions, kraus, noise=op)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +301,7 @@ class CompiledNoisyProgram:
             clifford = clifford and is_tableau_supported(gate)
             positions = tuple(self.index_of[q] for q in gate.qubits)
             matrix = cached_gate_matrix(gate.name, gate.params)
-            resolved = ResolvedOp(
-                kind="unitary",
-                positions=positions,
-                tensor=_as_op_tensor(matrix),
-                superop=_superop_tensor([matrix]),
-                gate=gate,
-            )
+            resolved = ResolvedOp(positions, [matrix], gate=gate)
             entries.append((scheduled.start, GATE_EVENT_PRIORITY, order, ("op", resolved)))
             order += 1
             for op in noise_model.gate_noise(gate):

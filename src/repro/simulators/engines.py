@@ -10,8 +10,8 @@ returns one active-space probability vector per job.
 Four engines are registered by default:
 
 * ``"density_matrix"`` — exact mixed-state evolution; channels are applied as
-  precomputed superoperators, one BLAS-backed contraction over the whole
-  stacked batch per event.
+  superoperators (each built on first use and memoized on its op), one
+  BLAS-backed contraction over the whole stacked batch per event.
 * ``"trajectories"`` — vectorized Monte-Carlo unravelling on statevectors;
   every trajectory draws from its own seeded stream via the single-uniform
   :func:`choose_branch` protocol, making results independent of batching.
@@ -191,13 +191,7 @@ class ExecutionEngine:
         """Per-job working-state size, used for memory-budget sub-batching."""
         raise NotImplementedError
 
-    def run(
-        self,
-        program,
-        jobs: Sequence[EngineJob],
-        trajectories: int,
-        stats: Optional[Dict[str, int]] = None,
-    ) -> List[np.ndarray]:
+    def run(self, program, jobs: Sequence[EngineJob], trajectories: int) -> List[np.ndarray]:
         """Execute all jobs, returning one active-space probability vector each."""
         raise NotImplementedError
 
@@ -309,7 +303,7 @@ class DensityMatrixEngine(ExecutionEngine):
     def state_bytes(self, num_active: int, trajectories: int) -> int:
         return 16 * (4 ** num_active)
 
-    def run(self, program, jobs, trajectories, stats=None):
+    def run(self, program, jobs, trajectories):
         n = program.num_active
         J = len(jobs)
         state = np.zeros((J,) + (2,) * (2 * n), dtype=complex)
@@ -329,8 +323,6 @@ class DensityMatrixEngine(ExecutionEngine):
                 ops = program.window_ops(widx, variant)
                 if not ops:
                     continue
-                if stats is not None:
-                    stats["window_variants"] = stats.get("window_variants", 0) + 1
                 if len(members) == J:
                     for op in ops:
                         state = apply_op(state, op)
@@ -370,7 +362,7 @@ class TrajectoryEngine(ExecutionEngine):
     def state_bytes(self, num_active: int, trajectories: int) -> int:
         return 16 * trajectories * (2 ** num_active)
 
-    def run(self, program, jobs, trajectories, stats=None):
+    def run(self, program, jobs, trajectories):
         n = program.num_active
         J = len(jobs)
         T = trajectories
@@ -387,8 +379,6 @@ class TrajectoryEngine(ExecutionEngine):
                 ops = program.window_ops(widx, variant)
                 if not ops:
                     continue
-                if stats is not None:
-                    stats["window_variants"] = stats.get("window_variants", 0) + 1
                 for op in ops:
                     state = self._apply_sv_op(state, op, members, streams, offset=2)
 
@@ -434,14 +424,14 @@ class TrajectoryEngine(ExecutionEngine):
         index = np.array(members)
         sub = state if whole else state[index]
         sub_axes = axes
-        if op.mixed_cumulative is not None:
-            cumulative = op.mixed_cumulative
+        if op.mixed is not None:
+            cumulative, unitaries = op.mixed
             choices = np.empty((len(members), T), dtype=np.int64)
             for row, j in enumerate(members):
                 row_streams = streams[j]
                 for t in range(T):
                     choices[row, t] = choose_branch(row_streams[t], cumulative)
-            for branch, unitary in enumerate(op.mixed_unitaries or []):
+            for branch, unitary in enumerate(unitaries):
                 if unitary is None:
                     continue
                 mask = choices == branch
@@ -600,7 +590,7 @@ class StabilizerEngine(ExecutionEngine):
 
     # -- public entry --------------------------------------------------
 
-    def run(self, program, jobs, trajectories, stats=None):
+    def run(self, program, jobs, trajectories):
         if not self.supports(program):
             raise SimulationError(
                 "the stabilizer engine requires a Clifford-only compiled program;"
@@ -638,14 +628,6 @@ class StabilizerEngine(ExecutionEngine):
             if total <= 0:
                 raise SimulationError("stabilizer distribution has vanished")
             results.append(probs / total)
-        if stats is not None and jobs:
-            for widx in range(len(jobs[0].variants)):
-                groups = {
-                    job.variants[widx]
-                    for job in jobs
-                    if (widx, job.variants[widx]) in cache["windows"]
-                }
-                stats["window_variants"] = stats.get("window_variants", 0) + len(groups)
         return results
 
     # -- model construction --------------------------------------------
@@ -712,14 +694,6 @@ class StabilizerEngine(ExecutionEngine):
         return spectrum
 
     @staticmethod
-    def _twirl(op) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        twirl = op._twirl
-        if twirl is None:
-            twirl = pauli_twirl_probabilities(op.kraus_matrices())
-            op._twirl = twirl
-        return twirl
-
-    @staticmethod
     def _pack_masks(masks: np.ndarray, n: int) -> np.ndarray:
         """X-mask rows packed into integers (qubit position 0 = MSB).
 
@@ -767,7 +741,7 @@ def _noise_mask_table(program) -> Dict[str, object]:
         if kind == "op":
             if payload.gate is not None:
                 continue
-            events.append((tidx, "noise", StabilizerEngine._twirl(payload), payload.positions))
+            events.append((tidx, "noise", payload.twirl, payload.positions))
         else:
             events.append((tidx, ("window", payload), None, ()))
 
@@ -868,7 +842,7 @@ def _variant_mask_events(
     x_of_x, x_of_z = suffix_maps[widx]
     events: List[Tuple[np.ndarray, np.ndarray]] = []
     for op in ops:
-        twirl = StabilizerEngine._twirl(op)
+        twirl = op.twirl
         events.append((twirl[0], _end_masks(twirl, op.positions, x_of_x, x_of_z, words)))
     return events
 
@@ -922,7 +896,7 @@ class StabilizerFrameEngine(ExecutionEngine):
 
     # -- public entry --------------------------------------------------
 
-    def run(self, program, jobs, trajectories, stats=None):
+    def run(self, program, jobs, trajectories):
         if not self.supports(program):
             raise SimulationError(
                 "the stabilizer_frames engine requires a Clifford-only compiled"
@@ -941,7 +915,6 @@ class StabilizerFrameEngine(ExecutionEngine):
             program.engine_cache.setdefault("stabilizer_frame_survival", {})
         )
         readout = self._readout_rates(program)
-        used_variants: set = set()
         results = []
         for job in jobs:
             streams = job.streams
@@ -951,7 +924,6 @@ class StabilizerFrameEngine(ExecutionEngine):
             if stack is None:
                 stack = self._variant_stack(program, table, job.variants)
                 stack_cache[key] = stack
-            used_variants.update(stack["used"])
 
             counts: np.ndarray = stack["counts"]
             E = counts.shape[0]
@@ -1020,8 +992,6 @@ class StabilizerFrameEngine(ExecutionEngine):
                     ),
                 )
             )
-        if stats is not None:
-            stats["window_variants"] = stats.get("window_variants", 0) + len(used_variants)
         return results
 
     #: When more than this fraction of all (trajectory, event) draws leave
@@ -1085,7 +1055,6 @@ class StabilizerFrameEngine(ExecutionEngine):
         ] = program.engine_cache.setdefault("stabilizer_frame_windows", {})
         applied: List[Tuple[np.ndarray, np.ndarray]] = []
         flip_free = float(table["shared_flip_free"])
-        used: List[Tuple[int, object]] = []
         for entry in table["sequence"]:
             if entry[0] == "noise":
                 if entry[2].any():
@@ -1108,8 +1077,6 @@ class StabilizerFrameEngine(ExecutionEngine):
                 window_cache[key] = cached
             events, weight = cached
             flip_free *= weight
-            if events:
-                used.append(key)
             for probs, masks in events:
                 if masks.any():
                     applied.append((np.cumsum(probs), masks))
@@ -1143,7 +1110,6 @@ class StabilizerFrameEngine(ExecutionEngine):
                 else np.zeros(W, dtype=np.uint64)
             ),
             "flip_free": flip_free,
-            "used": used,
         }
 
     # -- per-program structure -----------------------------------------

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.simulators import engines, symplectic
-from repro.simulators.engines import SparseDistribution, StabilizerEngine
+from repro.simulators.engines import SparseDistribution
 
 
 def conjugate_rows(xparts, zparts, name: str, qubits, params=()) -> None:
@@ -124,7 +124,7 @@ def variant_mask_events(program, suffix_maps, widx: int, variant: object):
     x_of_x, x_of_z = (symplectic.unpack_rows(rows, n) for rows in suffix_maps[widx])
     events: List[Tuple[np.ndarray, np.ndarray]] = []
     for op in ops:
-        probs, xbits, zbits = StabilizerEngine._twirl(op)
+        probs, xbits, zbits = op.twirl
         final_x = np.zeros((xbits.shape[0], n), dtype=bool)
         for column, position in enumerate(op.positions):
             final_x ^= xbits[:, column][:, None] & x_of_x[position][None, :]
@@ -147,7 +147,7 @@ def _apply_events(events, streams, flips: np.ndarray, n: int) -> None:
         np.logical_xor(flips, symplectic.unpack_rows(masks, n)[chosen], out=flips)
 
 
-def frame_run(self, program, jobs, trajectories, stats=None):
+def frame_run(self, program, jobs, trajectories):
     """Frame sampling with one ``stream.random()`` per trajectory per event.
 
     Per stream the draws come in the engine's order: one per applied event
@@ -159,7 +159,6 @@ def frame_run(self, program, jobs, trajectories, stats=None):
     base, basis = self._ideal_structure(program)
     readout = self._readout_rates(program)
     window_cache: Dict[Tuple[int, object], Tuple[list, float]] = {}
-    used_variants: set = set()
     results = []
     for job in jobs:
         streams = job.streams
@@ -185,8 +184,6 @@ def frame_run(self, program, jobs, trajectories, stats=None):
                 window_cache[key] = (events, weight)
             events, weight = window_cache[key]
             flip_free *= weight
-            if events:
-                used_variants.add(key)
             _apply_events(events, streams, flips, n)
 
         if basis.shape[0]:
@@ -228,6 +225,4 @@ def frame_run(self, program, jobs, trajectories, stats=None):
                 ),
             )
         )
-    if stats is not None:
-        stats["window_variants"] = stats.get("window_variants", 0) + len(used_variants)
     return results

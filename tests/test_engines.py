@@ -1,4 +1,5 @@
-"""Engine-registry tests: selection policy, equivalence matrix, compile cache.
+"""Engine-registry tests: selection policy, equivalence matrix, compile cache,
+and the derived forms of resolved operators.
 
 The matrix test enforces the contract of ``docs/architecture.md``: every
 registered engine must agree with the dense density-matrix reference on small
@@ -11,10 +12,14 @@ import math
 import numpy as np
 import pytest
 
+import repro.hardware.program as program_module
 from repro.circuits import QuantumCircuit
+from repro.circuits.gates import gate_matrix, rx_matrix, rz_matrix
 from repro.dd import DDAssignment
 from repro.hardware import BatchJob, NoisyExecutor
+from repro.hardware.program import mixed_unitary_form
 from repro.metrics import fidelity
+from repro.noise import NoiseOp
 from repro.simulators import SimulationError, available_engines, get_engine, select_engine
 from repro.simulators import channels
 from repro.simulators.engines import pauli_twirl_probabilities
@@ -305,3 +310,112 @@ class TestMemoryBudgetSelection:
 
         executor = NoisyExecutor(Backend.from_name("ibmq_rome"))
         assert executor.memory_budget_bytes == DEFAULT_MEMORY_BUDGET_BYTES
+
+
+#: Noise ops resolved on active-space positions equal to their qubits:
+#: (op, expected Kraus list, expected kind).
+NOISE_CASES = {
+    "depolarizing": (
+        NoiseOp("kraus", (0,), channels.depolarizing(0.02)),
+        channels.depolarizing(0.02),
+        "kraus",
+    ),
+    "depolarizing_two_qubit": (
+        NoiseOp("kraus", (0, 1), channels.depolarizing_two_qubit(0.03)),
+        channels.depolarizing_two_qubit(0.03),
+        "kraus",
+    ),
+    "amplitude_damping": (
+        NoiseOp("kraus", (0,), channels.amplitude_damping(0.1)),
+        channels.amplitude_damping(0.1),
+        "kraus",
+    ),
+    "identity_kraus": (NoiseOp("kraus", (0,), [np.eye(2)]), [np.eye(2)], "unitary"),
+    "rz": (NoiseOp("rz", (0,), 0.3), [rz_matrix(0.3)], "unitary"),
+    "rx": (NoiseOp("rx", (0,), 0.2), [rx_matrix(0.2)], "unitary"),
+    "gaussian_phase": (
+        NoiseOp("gaussian_phase", (0,), 0.25),
+        channels.phase_damping(1.0 - math.exp(-(0.25 ** 2))),
+        "gaussian",
+    ),
+}
+
+
+class TestResolvedOps:
+    """A resolved op keeps its Kraus list; every other form is derived from it
+    on first read, by the engine that reads it."""
+
+    @staticmethod
+    def _resolved(case, london_backend):
+        if case == "gate_event":
+            executor = NoisyExecutor(london_backend)
+            program = executor.compile(clifford_probe())
+            op = next(
+                payload
+                for kind, payload in program.template
+                if kind == "op" and payload.gate is not None and payload.gate.name == "cx"
+            )
+            return op, [gate_matrix("cx")], "unitary"
+        noise, kraus, kind = NOISE_CASES[case]
+        op = program_module._resolve_noise_op(noise, {q: q for q in noise.qubits})
+        return op, kraus, kind
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES) + ["gate_event"])
+    def test_derived_forms_equal_their_formulas(self, london_backend, monkeypatch, case):
+        monkeypatch.setattr(program_module, "_RESOLVED_OP_CACHE", {})
+        op, kraus, kind = self._resolved(case, london_backend)
+        kraus = [np.asarray(k, dtype=complex) for k in kraus]
+        k = len(op.positions)
+        legs = (2,) * (2 * k)
+
+        assert op.kind == kind
+        assert op.std == (op.noise.payload if kind == "gaussian" else None)
+        assert len(op.kraus) == len(kraus)
+        assert all(np.array_equal(a, b) for a, b in zip(op.kraus, kraus))
+
+        superop = sum(np.kron(K, K.conj()) for K in kraus)
+        assert np.array_equal(op.superop, superop.reshape((2,) * (4 * k)))
+        if kind == "unitary":
+            assert np.array_equal(op.tensor, kraus[0].reshape(legs))
+        assert np.array_equal(op.kraus_stack, np.stack([K.reshape(legs) for K in kraus]))
+
+        mixed = mixed_unitary_form(kraus)
+        if mixed is None:
+            assert op.mixed is None
+        else:
+            cumulative, unitaries = op.mixed
+            assert np.array_equal(cumulative, np.cumsum(mixed[0]))
+            assert len(unitaries) == len(mixed[1])
+            for got, want in zip(unitaries, mixed[1]):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want.reshape(legs))
+        if case == "amplitude_damping":
+            assert op.mixed is None  # T1 decay is not a mixed-unitary channel
+
+        for got, want in zip(op.twirl, pauli_twirl_probabilities(kraus)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("engine", ["stabilizer", "stabilizer_frames"])
+    def test_clifford_engines_never_build_dense_forms(self, london_backend, monkeypatch, engine):
+        # Resolved noise ops are shared process-wide: start from an empty memo
+        # so no earlier dense run has already built their forms.
+        monkeypatch.setattr(program_module, "_RESOLVED_OP_CACHE", {})
+        executor = NoisyExecutor(london_backend, trajectories=40)
+        circuit = clifford_probe()
+        executor.run_assignments(circuit, ASSIGNMENTS, shots=200, seeds=SEEDS, engine=engine)
+
+        (program,) = executor._programs.values()
+        template_ops = [payload for kind, payload in program.template if kind == "op"]
+        window_ops = [op for ops in program._window_ops.values() for op in ops]
+        assert window_ops
+        for op in template_ops + window_ops:
+            built = set(vars(op))
+            assert not built & {"superop", "tensor", "kraus_stack", "mixed"}
+            if op.noise is not None:
+                assert "twirl" in built
+
+        executor.run_assignments(
+            circuit, ASSIGNMENTS, shots=200, seeds=SEEDS, engine="density_matrix"
+        )
+        assert all("superop" in vars(op) for op in template_ops)

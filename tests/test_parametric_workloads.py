@@ -355,8 +355,8 @@ class TestFrameEnginePath:
         class ForgetfulFrames(StabilizerFrameEngine):
             name = "frames_forgot_readout"
 
-            def run(self, program, jobs, trajectories, stats=None):
-                results = super().run(program, jobs, trajectories, stats=stats)
+            def run(self, program, jobs, trajectories):
+                results = super().run(program, jobs, trajectories)
                 for result in results:
                     result.readout_applied = False
                 return results
@@ -381,10 +381,10 @@ class TestFrameEnginePath:
         class FullWidthFrames(StabilizerFrameEngine):
             name = "frames_full_width"
 
-            def run(self, program, jobs, trajectories, stats=None):
+            def run(self, program, jobs, trajectories):
                 for job in jobs:
                     job.outputs = None  # simulate an engine that ignores outputs
-                return super().run(program, jobs, trajectories, stats=stats)
+                return super().run(program, jobs, trajectories)
 
         register_engine(FullWidthFrames())
         try:

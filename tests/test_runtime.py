@@ -348,7 +348,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "figure1" in out
         assert "store.writes" in out
-        assert "process.gate_matrices" in out
+        assert "process." not in out
 
         assert main(["sweep", "--smoke", "--store", store_arg, "--quiet"]) == 0
         capsys.readouterr()
