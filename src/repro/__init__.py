@@ -4,8 +4,8 @@ The package provides everything the paper's system depends on, built from
 scratch in Python:
 
 * :mod:`repro.circuits` — circuit IR (gates, circuits, dependency DAGs);
-* :mod:`repro.simulators` — statevector, density-matrix, stabilizer and
-  extended-stabilizer simulators, Kraus channels, and the pluggable
+* :mod:`repro.simulators` — statevector, density-matrix and stabilizer
+  simulators, Kraus channels, and the pluggable
   execution-engine registry (density matrix, trajectories, Clifford
   stabilizer fast path);
 * :mod:`repro.hardware` — IBMQ device models, calibration snapshots, the
@@ -47,7 +47,6 @@ Quickstart::
 from .circuits import Gate, QuantumCircuit
 from .simulators import (
     DensityMatrixSimulator,
-    ExtendedStabilizerSimulator,
     StabilizerSimulator,
     StatevectorSimulator,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "DDPlan",
     "DensityMatrixSimulator",
     "ExperimentStore",
-    "ExtendedStabilizerSimulator",
     "Gate",
     "GateSequenceTable",
     "NoisyExecutor",

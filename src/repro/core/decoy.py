@@ -9,11 +9,13 @@ output is known (Section 4.2).
 Three constructions are provided:
 
 * **CDC** — every non-Clifford gate is replaced by its closest Clifford under
-  the operator norm (Equation 1); simulable on the stabilizer engine.
+  the operator norm (Equation 1); simulable on the stabilizer tableau.
 * **SDC** — like the CDC, but the first non-Clifford gate encountered on each
   of a few "seed" qubits is kept.  The handful of non-Clifford seeds keeps the
   output distribution low-entropy (and therefore sensitive to idling errors)
-  while remaining cheap to simulate (Section 4.2.3).
+  while remaining cheap to simulate (Section 4.2.3): the dense statevector
+  covers them up to 16 qubits, and wider ones are refused
+  (:data:`repro.core.ideal.DECOY_TIERS`).
 * **trivial** — single-qubit gates dropped entirely, CNOT skeleton only
   (Figure 10(b)); used as a baseline in the decoy-quality ablation.
 
@@ -30,7 +32,7 @@ from typing import Dict, Optional
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, closest_clifford
 from ..metrics.fidelity import normalized_entropy
-from ..simulators.extended_stabilizer import ExtendedStabilizerSimulator
+from . import ideal
 
 __all__ = ["DecoyCircuit", "clifford_decoy", "seeded_decoy", "trivial_decoy", "make_decoy"]
 
@@ -45,7 +47,6 @@ class DecoyCircuit:
     num_non_clifford: int
 
     _ideal: Optional[Dict[tuple, Dict[str, float]]] = None
-    _simulator: Optional[ExtendedStabilizerSimulator] = None
 
     def ideal_distribution(self, output_qubits) -> Dict[str, float]:
         """Noise-free output distribution over ``output_qubits``.
@@ -57,21 +58,9 @@ class DecoyCircuit:
         key = tuple(output_qubits)
         if self._ideal is None:
             self._ideal = {}
-        cached = self._ideal.get(key)
-        if cached is not None:
-            return cached
-        simulator = self._simulator or ExtendedStabilizerSimulator()
-        compacted, used = self.circuit.compact()
-        raw = simulator.probabilities(compacted)
-        position = {qubit: index for index, qubit in enumerate(used)}
-        distribution: Dict[str, float] = {}
-        for bits, probability in raw.items():
-            out_bits = "".join(
-                bits[position[q]] if q in position else "0" for q in key
-            )
-            distribution[out_bits] = distribution.get(out_bits, 0.0) + probability
-        self._ideal[key] = distribution
-        return distribution
+        if key not in self._ideal:
+            self._ideal[key] = ideal.ideal_distribution(self.circuit, key, ideal.DECOY_TIERS)
+        return self._ideal[key]
 
     def output_entropy(self, output_qubits) -> float:
         """Normalised Shannon entropy of the decoy's ideal output."""

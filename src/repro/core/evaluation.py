@@ -16,8 +16,8 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity, geometric_mean
-from ..simulators.statevector import StatevectorSimulator
 from .adapt import evaluation_seed
+from .ideal import PROGRAM_TIERS, ideal_distribution
 from .policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,39 +36,8 @@ __all__ = [
 
 
 def logical_ideal_distribution(circuit: QuantumCircuit) -> Dict[str, float]:
-    """Noise-free output distribution of a logical circuit (statevector)."""
-    simulator = StatevectorSimulator()
-    probabilities = simulator.probabilities(circuit)
-    n = circuit.num_qubits
-    return {
-        format(index, f"0{n}b"): float(p)
-        for index, p in enumerate(probabilities)
-        if p > 1e-12
-    }
-
-
-#: Above this compacted width, Clifford-only programs switch from the dense
-#: statevector to exact stabilizer-tableau enumeration (the pre-existing
-#: numerics below the switch are preserved bit-for-bit — no pre-change
-#: workload ever compacted past 16 qubits).
-_IDEAL_TABLEAU_QUBIT_LIMIT = 16
-
-#: Hard ceiling for the dense statevector path: 2^24 amplitudes (~270 MB).
-#: Non-Clifford programs beyond it fail descriptively instead of exhausting
-#: memory.
-_IDEAL_DENSE_QUBIT_LIMIT = 24
-
-
-def _clifford_ideal_outcomes(compacted: QuantumCircuit) -> Dict[str, float]:
-    """Exact ideal outcomes of a Clifford circuit via the tableau.
-
-    The support of a stabilizer state is an affine subspace; for the
-    device-scale verification workloads (mirror circuits) it is a single
-    point, so this is O(gates · n²) at any width.
-    """
-    from ..simulators.stabilizer import StabilizerSimulator
-
-    return StabilizerSimulator().probabilities(compacted, max_outcomes=4096)
+    """Noise-free output distribution of a logical circuit over all its qubits."""
+    return ideal_distribution(circuit, range(circuit.num_qubits), PROGRAM_TIERS)
 
 
 def compiled_ideal_distribution(compiled: "CompiledProgram") -> Dict[str, float]:
@@ -76,52 +45,12 @@ def compiled_ideal_distribution(compiled: "CompiledProgram") -> Dict[str, float]
 
     Equal to :func:`logical_ideal_distribution` of the source program when the
     transpiler is correct; computed from the physical circuit so the
-    Runtime-Best oracle does not need the logical circuit at all.  Tiered by
-    compacted width: the dense statevector up to
-    :data:`_IDEAL_TABLEAU_QUBIT_LIMIT` qubits (bit-identical to earlier
-    revisions), exact stabilizer-tableau enumeration beyond that for
-    Clifford-only programs (the mirror workloads of the scaling study, at any
-    width), the dense statevector again for *non*-Clifford programs up to
-    :data:`_IDEAL_DENSE_QUBIT_LIMIT` qubits (e.g. a routed ``QFT:18``), and a
-    descriptive error past that instead of an out-of-memory crash.
+    Runtime-Best oracle does not need the logical circuit at all.  Both are
+    tiered by :data:`~repro.core.ideal.PROGRAM_TIERS`.
     """
-    from ..simulators.stabilizer import is_tableau_supported
-
-    compacted, used = compiled.physical_circuit.compact()
-    n = compacted.num_qubits
-    position = {qubit: index for index, qubit in enumerate(used)}
-    distribution: Dict[str, float] = {}
-    if n > _IDEAL_TABLEAU_QUBIT_LIMIT:
-        unsupported = sorted(
-            {
-                gate.name
-                for gate in compacted
-                if not (gate.is_measurement or gate.is_barrier or gate.is_delay)
-                and not is_tableau_supported(gate)
-            }
-        )
-        if not unsupported:
-            for bits, p in _clifford_ideal_outcomes(compacted).items():
-                out = "".join(bits[position[q]] for q in compiled.output_qubits)
-                distribution[out] = distribution.get(out, 0.0) + float(p)
-            return distribution
-        if n > _IDEAL_DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"cannot compute the ideal distribution of a {n}-qubit"
-                f" non-Clifford program (gates {unsupported} have no tableau"
-                " rule, and the dense statevector stops at"
-                f" {_IDEAL_DENSE_QUBIT_LIMIT} qubits); only Clifford"
-                " workloads scale further"
-            )
-    simulator = StatevectorSimulator()
-    probabilities = simulator.probabilities(compacted)
-    for index, p in enumerate(probabilities):
-        if p <= 1e-12:
-            continue
-        bits = format(index, f"0{n}b")
-        out = "".join(bits[position[q]] for q in compiled.output_qubits)
-        distribution[out] = distribution.get(out, 0.0) + float(p)
-    return distribution
+    return ideal_distribution(
+        compiled.physical_circuit, compiled.output_qubits, PROGRAM_TIERS
+    )
 
 
 @dataclass

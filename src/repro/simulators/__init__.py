@@ -1,4 +1,4 @@
-"""Simulation engines: statevector, density matrix, stabilizer, extended stabilizer.
+"""Simulation engines: statevector, density matrix and stabilizer tableau.
 
 :mod:`repro.simulators.engines` additionally hosts the pluggable
 execution-engine registry consumed by ``repro.hardware`` (density matrix,
@@ -9,7 +9,6 @@ device-scale ``stabilizer_frames`` path).
 from .statevector import SimulationError, StatevectorSimulator
 from .density_matrix import DensityMatrixSimulator
 from .stabilizer import PackedCliffordTableau, StabilizerSimulator
-from .extended_stabilizer import ExtendedStabilizerSimulator, SimulationReport
 from . import symplectic
 from .engines import (
     ExecutionEngine,
@@ -24,10 +23,8 @@ from . import channels
 __all__ = [
     "DensityMatrixSimulator",
     "ExecutionEngine",
-    "ExtendedStabilizerSimulator",
     "SimulationError",
     "PackedCliffordTableau",
-    "SimulationReport",
     "SparseDistribution",
     "StabilizerSimulator",
     "StatevectorSimulator",

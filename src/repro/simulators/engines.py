@@ -55,7 +55,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
 from . import symplectic
-from .stabilizer import StabilizerSimulator
+from .stabilizer import StabilizerSimulator, affine_points
 from .statevector import SimulationError
 
 __all__ = [
@@ -632,28 +632,14 @@ class StabilizerEngine(ExecutionEngine):
 
     # -- model construction --------------------------------------------
 
-    def _ideal_distribution(self, program) -> np.ndarray:
-        """Exact noise-free output distribution over the active qubits."""
-        n = program.num_active
-        circuit = QuantumCircuit(n)
-        for kind, payload in program.template:
-            if kind == "op" and payload.gate is not None:
-                circuit.append(
-                    Gate(payload.gate.name, payload.positions, payload.gate.params)
-                )
-        outcome_map = StabilizerSimulator().probabilities(circuit, max_outcomes=2 ** n)
-        ideal = np.zeros(2 ** n, dtype=float)
-        for bits, probability in outcome_map.items():
-            ideal[int(bits, 2)] = probability
-        return ideal / ideal.sum()
-
     def _build_base(self, program) -> Dict[str, object]:
         """The variant-independent part of the model, from the shared table.
 
         The propagated mask table (:func:`_noise_mask_table`, shared with the
         frame engine) supplies every shared noise event's branch
         probabilities and end-propagated X-masks; here they are convolved
-        into one spectrum, alongside the exact ideal distribution.
+        into one spectrum, alongside the exact ideal distribution (uniform
+        on the shared :func:`_ideal_support`).
         """
         n = program.num_active
         table = _noise_mask_table(program)
@@ -662,7 +648,10 @@ class StabilizerEngine(ExecutionEngine):
             if entry[0] == "noise":
                 _, probs, masks = entry
                 shared *= self._spectrum(probs, self._pack_masks(masks, n), n)
-        ideal = self._ideal_distribution(program)
+        base, basis = _ideal_support(program)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # position 0 = MSB
+        ideal = np.zeros(2 ** n, dtype=float)
+        ideal[affine_points(base @ weights, basis @ weights)] = 0.5 ** basis.shape[0]
         return {
             "ideal_wht": _fwht(ideal),
             "shared": shared,
@@ -708,8 +697,30 @@ class StabilizerEngine(ExecutionEngine):
 
 
 # ---------------------------------------------------------------------------
-# Shared twirled-mask propagation (stabilizer + stabilizer_frames)
+# Shared per-program structure (stabilizer + stabilizer_frames): the ideal
+# support and the twirled-mask propagation
 # ---------------------------------------------------------------------------
+
+
+def _ideal_support(program) -> Tuple[np.ndarray, np.ndarray]:
+    """Affine support ``base ⊕ span(basis)`` of the program's ideal outcome.
+
+    One tableau pass (:meth:`StabilizerSimulator.support`) over the
+    template's gates in active-space positions, memoized per program and
+    read by both Clifford engines.  Mirror workloads are fully
+    deterministic, so their basis is empty.
+    """
+    cached = program.engine_cache.get("ideal_support")
+    if cached is None:
+        circuit = QuantumCircuit(program.num_active)
+        for kind, payload in program.template:
+            if kind == "op" and payload.gate is not None:
+                circuit.append(
+                    Gate(payload.gate.name, payload.positions, payload.gate.params)
+                )
+        cached = StabilizerSimulator().support(circuit)
+        program.engine_cache["ideal_support"] = cached
+    return cached
 
 
 def _noise_mask_table(program) -> Dict[str, object]:
@@ -905,7 +916,7 @@ class StabilizerFrameEngine(ExecutionEngine):
         n = program.num_active
         W = symplectic.num_words(max(1, n))
         table = _noise_mask_table(program)
-        base, basis = self._ideal_structure(program)
+        base, basis = _ideal_support(program)
         base_words = symplectic.pack_rows(base, n)
         basis_words = symplectic.pack_rows(basis, n) if basis.shape[0] else None
         stack_cache: Dict[Tuple[object, ...], Dict[str, object]] = (
@@ -1162,51 +1173,6 @@ class StabilizerFrameEngine(ExecutionEngine):
             cal = calibration.qubit(qubit)
             rates[position] = (float(cal.readout_p01), float(cal.readout_p10))
         return rates
-
-    def _ideal_structure(self, program) -> Tuple[np.ndarray, np.ndarray]:
-        """Affine support of the ideal outcome: ``base ⊕ span(basis)``.
-
-        A stabilizer state measured in the computational basis is uniform
-        over an affine subspace; measuring the tableau once with forced-zero
-        free bits gives the base point, and once per free bit (forced one)
-        gives the subspace basis.  Mirror workloads are fully deterministic,
-        so their basis is empty and every frame shares one ideal outcome.
-        """
-        cached = program.engine_cache.get("stabilizer_frames_ideal")
-        if cached is not None:
-            return cached
-        n = program.num_active
-        circuit = QuantumCircuit(n)
-        for kind, payload in program.template:
-            if kind == "op" and payload.gate is not None:
-                circuit.append(
-                    Gate(payload.gate.name, payload.positions, payload.gate.params)
-                )
-        final = StabilizerSimulator().run(circuit)
-        rng = np.random.default_rng(0)
-
-        def forced_pass(forced_free: Optional[int]) -> Tuple[np.ndarray, List[int]]:
-            tableau = final.copy()
-            bits = np.zeros(n, dtype=bool)
-            free: List[int] = []
-            for q in range(n):
-                if tableau.is_deterministic(q):
-                    bits[q] = bool(tableau.measure(q, rng))
-                else:
-                    free.append(q)
-                    bits[q] = bool(
-                        tableau.measure(q, rng, forced=1 if q == forced_free else 0)
-                    )
-            return bits, free
-
-        base, free = forced_pass(None)
-        basis = np.zeros((len(free), n), dtype=bool)
-        for row, qubit in enumerate(free):
-            bits, _ = forced_pass(qubit)
-            basis[row] = bits ^ base
-        structure = (base, basis)
-        program.engine_cache["stabilizer_frames_ideal"] = structure
-        return structure
 
 
 register_engine(DensityMatrixEngine())

@@ -15,13 +15,15 @@ boundaries.
 
 Supported gates: every Clifford gate in the IR (``x, y, z, h, s, sdg, sx,
 sxdg, cx, cz, swap, id``) plus ``rz``/``u1`` at multiples of pi/2.
-Measurements are computational-basis and terminal or mid-circuit.
+Measurements are computational-basis and read from the final state through
+one routine, :meth:`StabilizerSimulator.support`, whose affine subspace
+``probabilities`` lists and ``counts`` samples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +36,11 @@ __all__ = [
     "StabilizerSimulator",
     "PackedCliffordTableau",
     "SUPPORTED_GATE_NAMES",
+    "affine_points",
     "is_tableau_supported",
 ]
 
-#: Test-only hook invoked on every tableau copy; the enumeration copy-budget
+#: Test-only hook invoked on every tableau copy; the support copy-budget
 #: regression counts through it.  Never set outside tests.
 _COPY_HOOK: Optional[Callable[[], None]] = None
 
@@ -60,12 +63,13 @@ _QUARTER_TURN_ATOL = 1e-7
 def is_tableau_supported(gate: Gate) -> bool:
     """True if this engine can apply ``gate`` exactly.
 
-    The one Clifford-detection predicate for execution purposes: the
+    The one Clifford-detection predicate for simulation purposes: the
     compiled-program layer uses it to decide whether a program qualifies for
-    the stabilizer fast path, so it cannot drift from what the simulator
-    actually implements.  Note this is stricter than ``Gate.is_clifford``:
-    rx/ry at quarter turns are mathematically Clifford but have no tableau
-    rule here.
+    the stabilizer fast path, and :mod:`repro.core.ideal` whether an ideal
+    output may come from the tableau, so neither can drift from what the
+    simulator actually implements.  Note this is stricter than
+    ``Gate.is_clifford``: rx/ry at quarter turns are mathematically Clifford
+    but have no tableau rule here.
     """
     if gate.name in SUPPORTED_GATE_NAMES:
         return True
@@ -190,7 +194,7 @@ class PackedCliffordTableau:
         """Measure qubit ``a`` in the computational basis, collapsing the state.
 
         ``forced`` fixes the outcome of a non-deterministic measurement (used
-        by the exact-probability enumeration).  All rowsums of a collapse are
+        by :meth:`StabilizerSimulator.support`).  All rowsums of a collapse are
         applied in one pass.
         """
         n = self.n
@@ -232,15 +236,43 @@ class PackedCliffordTableau:
         return not bool(((self.xw[self.n :, w] & mask) != 0).any())
 
 
+def _forced_pass(tableau, one: Optional[int]) -> Tuple[np.ndarray, List[int]]:
+    """Measure every qubit of ``tableau`` in place, forcing each free outcome.
+
+    Free outcomes are forced to 0 except qubit ``one``'s, forced to 1, so no
+    generator is ever drawn.  Returns the outcome bits and the free qubits.
+    """
+    bits = np.zeros(tableau.n, dtype=bool)
+    free: List[int] = []
+    for q in range(tableau.n):
+        if tableau.is_deterministic(q):
+            bits[q] = bool(tableau.measure(q, None))
+        else:
+            free.append(q)
+            bits[q] = bool(tableau.measure(q, None, forced=int(q == one)))
+    return bits, free
+
+
+def affine_points(base: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Every point of ``base ⊕ span(basis)``, one per row.
+
+    Rows of :meth:`StabilizerSimulator.support`'s basis lead with their own
+    free qubit, in ascending order, so doubling from the last row to the
+    first lists the points in ascending bitstring order.  Works on bit rows
+    and on rows packed into integers alike.
+    """
+    points = np.asarray(base)[None, ...]
+    for row in basis[::-1]:
+        points = np.concatenate([points, points ^ row])
+    return points
+
+
+def _bitstring(bits: np.ndarray) -> str:
+    return "".join("1" if bit else "0" for bit in bits)
+
+
 class StabilizerSimulator:
     """Circuit-level front-end over :class:`PackedCliffordTableau`."""
-
-    _CLIFFORD_ANGLES = {
-        0: None,        # identity
-        1: "s",
-        2: "z",
-        3: "sdg",
-    }
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._rng = np.random.default_rng(seed)
@@ -257,21 +289,46 @@ class StabilizerSimulator:
             self._apply(tableau, gate, rng)
         return tableau
 
+    def support(self, circuit: QuantumCircuit) -> Tuple[np.ndarray, np.ndarray]:
+        """Affine support ``base ⊕ span(basis)`` of the final state's outcomes.
+
+        A stabilizer state measured in the computational basis is uniform over
+        an affine subspace (Aaronson & Gottesman 2004).  Measuring every qubit
+        in order with each non-deterministic (free) outcome forced to 0 gives
+        the base point; forcing one free bit to 1 gives that bit's basis row
+        (XOR the base).  Which qubits are free does not depend on the forced
+        outcomes, so one pass per free bit suffices.  Deterministic
+        measurements never collapse the tableau and the last pass runs on the
+        final tableau in place, so ``k`` free bits cost ``k`` copies.
+
+        Returns ``base`` (``n`` bools) and ``basis`` (``k x n`` bools, one row
+        per free qubit in ascending order).
+        """
+        final = self.run(circuit)
+        n = final.n
+        # With no free bit the base pass is the last one.
+        deterministic = all(final.is_deterministic(q) for q in range(n))
+        base, free = _forced_pass(final if deterministic else final.copy(), None)
+        basis = np.zeros((len(free), n), dtype=bool)
+        for row, qubit in enumerate(free):
+            tableau = final if row == len(free) - 1 else final.copy()
+            bits, _ = _forced_pass(tableau, qubit)
+            basis[row] = bits ^ base
+        return base, basis
+
     def counts(
         self,
         circuit: QuantumCircuit,
         shots: int = 1024,
         rng: Optional[np.random.Generator] = None,
     ) -> Dict[str, int]:
-        """Sample measurement counts of all qubits from the final state."""
+        """Sample measurement counts of all qubits: one uniform draw per free bit."""
         rng = rng or self._rng
-        base = self.run(circuit, rng)
-        n = circuit.num_qubits
+        base, basis = self.support(circuit)
+        draws = rng.integers(0, 2, size=(shots, basis.shape[0]))
         results: Dict[str, int] = {}
-        for _ in range(shots):
-            tableau = base.copy()
-            bits = [str(tableau.measure(q, rng)) for q in range(n)]
-            key = "".join(bits)
+        for bits in base ^ ((draws @ basis) % 2 == 1):
+            key = _bitstring(bits)
             results[key] = results.get(key, 0) + 1
         return results
 
@@ -282,45 +339,17 @@ class StabilizerSimulator:
     ) -> Dict[str, float]:
         """Exact output distribution of a Clifford circuit.
 
-        A stabilizer state measured in the computational basis is uniform over
-        an affine subspace; the distribution is enumerated by branching on each
-        non-deterministic qubit measurement.  ``max_outcomes`` bounds the
-        branching (the subspace of an n-qubit state has at most 2**n points).
-
-        Each recursion level owns its tableau: deterministic measurements
-        never collapse the state, so the shared prefix up to the first
-        non-deterministic qubit is measured in place with no copy at all, and
-        a branch point copies once (the 0-branch) while the 1-branch reuses
-        the level's own tableau.  A w-free-bit enumeration therefore costs
-        ``2^w - 1`` copies instead of one per branch edge.
+        Every point of :meth:`support` at weight ``0.5**k``, in ascending
+        bitstring order.  ``max_outcomes`` bounds the ``2**k`` points listed.
         """
-        base = self.run(circuit)
-        n = circuit.num_qubits
-        rng = np.random.default_rng(0)
-        outcomes: Dict[str, float] = {}
-
-        def recurse(tableau, qubit: int, prefix: str, weight: float) -> None:
-            while qubit < n:
-                if len(outcomes) > max_outcomes:
-                    raise SimulationError(
-                        "Clifford output support exceeds max_outcomes; sample"
-                        " counts instead"
-                    )
-                if tableau.is_deterministic(qubit):
-                    prefix += str(tableau.measure(qubit, rng))
-                    qubit += 1
-                    continue
-                branch = tableau.copy()
-                branch.measure(qubit, rng, forced=0)
-                recurse(branch, qubit + 1, prefix + "0", weight / 2.0)
-                tableau.measure(qubit, rng, forced=1)
-                prefix += "1"
-                qubit += 1
-                weight /= 2.0
-            outcomes[prefix] = outcomes.get(prefix, 0.0) + weight
-
-        recurse(base, 0, "", 1.0)
-        return outcomes
+        base, basis = self.support(circuit)
+        k = basis.shape[0]
+        if 2 ** k > max_outcomes:
+            raise SimulationError(
+                "Clifford output support exceeds max_outcomes; sample counts instead"
+            )
+        weight = 0.5 ** k
+        return {_bitstring(point): weight for point in affine_points(base, basis)}
 
     # ------------------------------------------------------------------
 
@@ -368,8 +397,8 @@ class StabilizerSimulator:
         rounded = round(steps)
         if not math.isclose(steps, rounded, abs_tol=_QUARTER_TURN_ATOL):
             raise SimulationError(
-                f"rz({angle}) is not a Clifford rotation; build an SDC or use the"
-                " extended stabilizer engine"
+                f"rz({angle}) is not a Clifford rotation; simulate it on the dense"
+                " statevector (repro.core.ideal tiers it there)"
             )
         quarter_turns = int(rounded) % 4
         if quarter_turns == 1:

@@ -18,6 +18,10 @@ a test can prove the oracle ran instead of comparing packed with packed:
 * ``engines.StabilizerFrameEngine.run`` ← ``frame_run`` (``"frame_loop"``);
 * ``mirror._target_bits`` ← ``target_bits`` (``"mirror_target"``).
 
+:func:`enumerate_probabilities` is an independent route to
+``StabilizerSimulator.probabilities``: a recursive branch walk over the
+tableau's measurements, compared with it directly by the differential suite.
+
 The references hand masks and suffix maps back packed by
 :func:`repro.simulators.symplectic.pack_rows`, so production code never sees
 a boolean row.  Compiled programs memoize the mask table in their
@@ -38,9 +42,9 @@ from repro.workloads import mirror as mirror_module
 
 from .engines import frame_run, mask_results, variant_mask_events
 from .mirror import target_bits
-from .tableau import CliffordTableau
+from .tableau import CliffordTableau, enumerate_probabilities
 
-__all__ = ["CliffordTableau", "installed"]
+__all__ = ["CliffordTableau", "enumerate_probabilities", "installed"]
 
 
 def _counted(calls: Counter, key: str, function):

@@ -156,7 +156,7 @@ def frame_run(self, program, jobs, trajectories):
     """
     n = program.num_active
     table = engines._noise_mask_table(program)
-    base, basis = self._ideal_structure(program)
+    base, basis = engines._ideal_support(program)
     readout = self._readout_rates(program)
     window_cache: Dict[Tuple[int, object], Tuple[list, float]] = {}
     results = []

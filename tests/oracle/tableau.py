@@ -2,12 +2,14 @@
 
 The reference for :class:`repro.simulators.stabilizer.PackedCliffordTableau`
 (same interface, same RNG consumption), following Aaronson & Gottesman,
-"Improved simulation of stabilizer circuits" (2004), line by line.
+"Improved simulation of stabilizer circuits" (2004), line by line; and
+:func:`enumerate_probabilities`, the recursive branch walk that is the
+reference for :meth:`repro.simulators.stabilizer.StabilizerSimulator.probabilities`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -193,3 +195,40 @@ class CliffordTableau:
     def is_deterministic(self, a: int) -> bool:
         """True if measuring qubit ``a`` would give a deterministic outcome."""
         return not bool(self.x[self.n :, a].any())
+
+
+def enumerate_probabilities(tableau, max_outcomes: int = 4096) -> Dict[str, float]:
+    """Exact outcome distribution of a final tableau, by recursive branching.
+
+    Measures the qubits in order; at each non-deterministic qubit the walk
+    branches, the 0-branch on a copy first, and halves the weight.  Each
+    recursion level owns its tableau (deterministic measurements never
+    collapse it), so ``w`` free bits cost ``2^w - 1`` copies.  Consumes
+    ``tableau``.
+    """
+    n = tableau.n
+    rng = np.random.default_rng(0)
+    outcomes: Dict[str, float] = {}
+
+    def recurse(tableau, qubit: int, prefix: str, weight: float) -> None:
+        while qubit < n:
+            if len(outcomes) > max_outcomes:
+                raise SimulationError(
+                    "Clifford output support exceeds max_outcomes; sample"
+                    " counts instead"
+                )
+            if tableau.is_deterministic(qubit):
+                prefix += str(tableau.measure(qubit, rng))
+                qubit += 1
+                continue
+            branch = tableau.copy()
+            branch.measure(qubit, rng, forced=0)
+            recurse(branch, qubit + 1, prefix + "0", weight / 2.0)
+            tableau.measure(qubit, rng, forced=1)
+            prefix += "1"
+            qubit += 1
+            weight /= 2.0
+        outcomes[prefix] = outcomes.get(prefix, 0.0) + weight
+
+    recurse(tableau, 0, "", 1.0)
+    return outcomes

@@ -26,11 +26,19 @@ from repro.core import (
     summarize_relative_fidelity,
     trivial_decoy,
 )
+from repro.core.ideal import DECOY_TIERS, PROGRAM_TIERS, ideal_distribution
 from repro.dd import DDAssignment
 from repro.hardware import NoisyExecutor
 from repro.metrics import fidelity
+from repro.simulators import StabilizerSimulator, StatevectorSimulator
 from repro.transpiler import transpile
-from repro.workloads import bernstein_vazirani, ghz, qft_benchmark, quantum_adder
+from repro.workloads import (
+    bernstein_vazirani,
+    get_benchmark,
+    ghz,
+    qft_benchmark,
+    quantum_adder,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +106,73 @@ class TestDecoys:
         cdc = clifford_decoy(compiled.physical_circuit)
         sdc = seeded_decoy(compiled.physical_circuit)
         assert sdc.output_entropy(outputs) <= cdc.output_entropy(outputs) + 0.35
+
+
+def _marginal(raw, used, output_qubits):
+    position = {qubit: index for index, qubit in enumerate(used)}
+    out = {}
+    for bits, probability in raw:
+        key = "".join(bits[position[q]] for q in output_qubits)
+        out[key] = out.get(key, 0.0) + probability
+    return list(out.items())
+
+
+class TestIdealTiers:
+    def test_quarter_turn_rx_decoy_falls_back_to_the_statevector(self):
+        # rx(pi/2) is Clifford by Gate.is_clifford but has no tableau rule, so
+        # the decoy's ideal must come from the dense statevector.
+        circuit = QuantumCircuit(2)
+        circuit.rx(math.pi / 2, 0)
+        circuit.cx(0, 1)
+        circuit.measure_all()
+        distribution = clifford_decoy(circuit).ideal_distribution([0, 1])
+        assert list(distribution.items()) == [
+            ("00", 0.5000000000000001),
+            ("11", 0.4999999999999999),
+        ]
+
+    def test_each_tier_order_keeps_its_callers_bits(self, toronto_backend):
+        """QFT-6A's CDC: the tableau and statevector differ in the last bits.
+
+        Decoys read the tableau and programs the statevector, so swapping the
+        two tier tuples fails here.
+        """
+        compiled = transpile(get_benchmark("QFT-6A").build(), toronto_backend)
+        decoy = clifford_decoy(compiled.physical_circuit)
+        outputs = compiled.output_qubits
+        compacted, used = decoy.circuit.compact()
+        tableau = _marginal(
+            StabilizerSimulator().probabilities(compacted).items(), used, outputs
+        )
+        dense = StatevectorSimulator().probabilities(compacted)
+        statevector = _marginal(
+            (
+                (format(index, f"0{compacted.num_qubits}b"), float(p))
+                for index, p in enumerate(dense)
+                if p > 1e-12
+            ),
+            used,
+            outputs,
+        )
+        assert tableau != statevector
+        assert list(decoy.ideal_distribution(outputs).items()) == tableau
+        assert list(ideal_distribution(decoy.circuit, outputs, DECOY_TIERS).items()) == tableau
+        assert (
+            list(ideal_distribution(decoy.circuit, outputs, PROGRAM_TIERS).items())
+            == statevector
+        )
+
+    def test_wide_seeded_decoy_is_refused_with_its_width(self):
+        circuit = QuantumCircuit(20)
+        circuit.t(0)
+        circuit.h(0)
+        for qubit in range(19):
+            circuit.cx(qubit, qubit + 1)
+        circuit.measure_all()
+        decoy = seeded_decoy(circuit)
+        assert decoy.num_non_clifford == 1
+        with pytest.raises(ValueError, match="20-qubit"):
+            decoy.ideal_distribution(range(20))
 
 
 class TestSearch:

@@ -1,4 +1,4 @@
-"""Tests for the four simulation engines and their mutual consistency."""
+"""Tests for the statevector, density-matrix and stabilizer simulators and their consistency."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.circuits import QuantumCircuit
 from repro.simulators import (
     DensityMatrixSimulator,
-    ExtendedStabilizerSimulator,
     SimulationError,
     StabilizerSimulator,
     StatevectorSimulator,
@@ -192,12 +191,12 @@ class TestStabilizer:
         assert probs == pytest.approx({"0": 1.0})
 
     def test_probabilities_copy_budget_on_ghz16(self, monkeypatch):
-        """Exact enumeration copies the tableau 2^w - 1 times for w free bits.
+        """The support costs one tableau copy per free bit.
 
-        The 16-qubit GHZ state has a single free bit, so the branch walk must
-        clone exactly once — the regression guarded here is the old
-        implementation's copy-per-branch-per-level recursion, which scaled
-        with depth instead of with the number of branch points.
+        The 16-qubit GHZ state has a single free bit, so the support must
+        clone exactly once — the regression guarded here is a copy per
+        measured qubit, which scales with width instead of with the number
+        of free bits.
         """
         from repro.simulators import stabilizer as stabilizer_module
 
@@ -224,49 +223,17 @@ class TestStabilizer:
         monkeypatch.setattr(stabilizer_module, "_COPY_HOOK", lambda: copies.append(1))
         probs = StabilizerSimulator().probabilities(circuit)
         assert len(probs) == 4
-        assert len(copies) == 3  # 2^2 - 1 for two free bits
+        assert len(copies) == 2  # one per free bit
 
+    def test_probabilities_copy_budget_basis_state(self, monkeypatch):
+        from repro.simulators import stabilizer as stabilizer_module
 
-class TestExtendedStabilizer:
-    def test_clifford_circuit_uses_stabilizer_engine(self, ghz3_circuit):
-        simulator = ExtendedStabilizerSimulator()
-        probs = simulator.probabilities(ghz3_circuit)
-        assert simulator.last_report.engine == "stabilizer"
-        assert probs == pytest.approx({"000": 0.5, "111": 0.5})
-
-    def test_small_non_clifford_uses_statevector(self):
-        circuit = QuantumCircuit(2).t(0).h(0).cx(0, 1)
-        simulator = ExtendedStabilizerSimulator()
-        probs = simulator.probabilities(circuit)
-        assert simulator.last_report.engine == "statevector"
-        dense = as_dict(StatevectorSimulator().probabilities(circuit), 2)
-        assert probs == pytest.approx(dense)
-
-    def test_large_non_clifford_uses_dominant_branch(self):
-        circuit = QuantumCircuit(20)
-        circuit.t(0)
-        circuit.h(0)
-        for q in range(19):
-            circuit.cx(q, q + 1)
-        simulator = ExtendedStabilizerSimulator(dense_qubit_limit=10)
-        probs = simulator.probabilities(circuit)
-        assert simulator.last_report.engine == "stabilizer-dominant-branch"
-        assert not simulator.last_report.exact
-        assert abs(sum(probs.values()) - 1.0) < 1e-9
-
-    def test_too_many_non_clifford_gates_rejected(self):
-        circuit = QuantumCircuit(2)
-        for _ in range(5):
-            circuit.t(0)
-        simulator = ExtendedStabilizerSimulator(non_clifford_limit=3)
-        with pytest.raises(SimulationError):
-            simulator.probabilities(circuit)
-
-    def test_counts_match_distribution(self, rng):
-        circuit = QuantumCircuit(2).t(0).h(0).cx(0, 1)
-        simulator = ExtendedStabilizerSimulator(seed=5)
-        counts = simulator.counts(circuit, shots=1000)
-        assert sum(counts.values()) == 1000
+        circuit = QuantumCircuit(16).x(3).x(11)
+        copies = []
+        monkeypatch.setattr(stabilizer_module, "_COPY_HOOK", lambda: copies.append(1))
+        probs = StabilizerSimulator().probabilities(circuit)
+        assert probs == {"0001000000010000": 1.0}
+        assert len(copies) == 0  # no free bit: one pass, in place
 
 
 class TestChannels:

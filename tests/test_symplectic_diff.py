@@ -15,6 +15,9 @@ fingerprints results.  These tests lock that contract down:
   boolean side;
 * the mirror-target derivation (an end-propagated mask) is compared with
   the oracle's anticommutation count;
+* ``StabilizerSimulator.probabilities`` (the points of the affine support)
+  is compared with the oracle's recursive branch walk over 400 seeded random
+  Clifford circuits: same keys, same key order, same float bits;
 * the kernel primitives (popcount, XOR-gather, product phase) are checked
   against brute-force references.
 """
@@ -22,7 +25,7 @@ fingerprints results.  These tests lock that contract down:
 import numpy as np
 import pytest
 
-from oracle import CliffordTableau, installed
+from oracle import CliffordTableau, enumerate_probabilities, installed
 from repro.circuits import QuantumCircuit
 from repro.simulators import symplectic
 from repro.simulators.stabilizer import PackedCliffordTableau, StabilizerSimulator
@@ -124,6 +127,34 @@ class TestTableauDifferential:
             pure = StabilizerSimulator().probabilities(circuit)
         assert calls["tableau"] == 1
         assert fast == pure
+
+
+def _random_clifford_circuit(n: int, seed: int) -> QuantumCircuit:
+    """A seeded random circuit over every gate the tableau applies."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(n)
+    for _ in range(int(rng.integers(0, 4 * n + 1))):
+        if n >= 2 and rng.random() < 0.4:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            circuit.add(_TWO_QUBIT[int(rng.integers(0, len(_TWO_QUBIT)))], [a, b])
+        elif rng.random() < 0.2:
+            circuit.rz(int(rng.integers(0, 4)) * np.pi / 2, int(rng.integers(0, n)))
+        else:
+            name = _ONE_QUBIT[int(rng.integers(0, len(_ONE_QUBIT)))]
+            circuit.add(name, [int(rng.integers(0, n))])
+    return circuit
+
+
+class TestSupportEnumeration:
+    def test_probabilities_match_the_recursive_walk(self):
+        """400 random Clifford circuits on 1-10 qubits, compared item by item."""
+        for seed in range(400):
+            circuit = _random_clifford_circuit(1 + seed % 10, seed)
+            expected = enumerate_probabilities(StabilizerSimulator().run(circuit))
+            actual = StabilizerSimulator().probabilities(circuit)
+            assert [(key, value.hex()) for key, value in actual.items()] == [
+                (key, value.hex()) for key, value in expected.items()
+            ], f"seed {seed}"
 
 
 class TestPackingFuzz:
