@@ -45,11 +45,7 @@ Quickstart::
 """
 
 from .circuits import Gate, QuantumCircuit
-from .simulators import (
-    DensityMatrixSimulator,
-    StabilizerSimulator,
-    StatevectorSimulator,
-)
+from .simulators import StabilizerSimulator, StatevectorSimulator
 from .hardware import (
     Backend,
     BatchJob,
@@ -82,7 +78,6 @@ __all__ = [
     "CompiledProgram",
     "DDAssignment",
     "DDPlan",
-    "DensityMatrixSimulator",
     "ExperimentStore",
     "Gate",
     "GateSequenceTable",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-import numpy as np
-
 from ..circuits.circuit import QuantumCircuit
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity, geometric_mean
@@ -103,7 +101,6 @@ def evaluate_policies(
     shots: int = 4096,
     ideal: Optional[Dict[str, float]] = None,
     benchmark_name: Optional[str] = None,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     engine: str = "auto_dense",
     store: Optional["ExperimentStore"] = None,
@@ -115,10 +112,9 @@ def evaluate_policies(
     on ``executor``.
 
     Args:
-        rng: seeds the final executions, one draw per policy in order, when
-            ``seed`` is omitted (default: the executor's own stream).
         seed: gives each final execution its own deterministic per-policy
-            stream.
+            stream.  Without it the executions draw their seeds from the
+            executor's own stream, one per policy in order.
         engine: execution engine for the final per-policy runs.  These are
             the *measured* fidelities of the evaluation, so the default
             ``"auto_dense"`` keeps them on the exact dense engines even for
@@ -174,10 +170,9 @@ def evaluate_policies(
 
     decisions = [policy.decide(compiled) for policy in policies]
     baseline_fidelity: Optional[float] = None
+    seeds = None
     if seed is not None:
         seeds = [evaluation_seed(seed, i, domain=2) for i in range(len(decisions))]
-    else:
-        seeds = [executor.draw_job_seed(rng) for _ in decisions]
     results = executor.run_assignments(
         compiled.physical_circuit,
         [decision.assignment for decision in decisions],

@@ -3,9 +3,11 @@
 A *DD assignment* is the subset of program qubits on which DD is enabled — the
 bitstrings the paper enumerates ("000000" = no qubit, "111111" = all qubits,
 Figure 8).  Given a Gate Sequence Table, an assignment and a protocol, this
-module produces a :class:`DDPlan`: one pulse train per eligible idle window.
-The plan is what the noisy executor consumes; it can also be materialised into
-an explicit circuit (pulses + delays) for inspection or export.
+module produces a :class:`DDPlan`: one pulse train per eligible idle window,
+which can be materialised into an explicit circuit (pulses + delays) for
+inspection or export.  The noisy executor protects the same windows straight
+from the assignment and protocol
+(:meth:`~repro.hardware.program.CompiledNoisyProgram.assignment_variants`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Noisy execution of scheduled circuits with optional DD plans.
+"""Noisy execution of scheduled circuits under a DD assignment.
 
 The :class:`NoisyExecutor` is the reproduction's stand-in for submitting a job
 to an IBMQ machine.  It combines:
@@ -23,12 +23,14 @@ Engines (see :func:`repro.simulators.engines.select_engine` for the shared
 ``"auto"`` policy):
 
 * ``"density_matrix"`` — exact mixed-state evolution; the default for up to
-  ``dm_qubit_limit`` active qubits.
-* ``"trajectories"`` — Monte-Carlo unravelling on statevectors, scaling to
-  the larger routed circuits (12+ active qubits).
+  ``dm_qubit_limit`` active qubits (10 by default).
+* ``"trajectories"`` — Monte-Carlo unravelling on statevectors, taking over
+  beyond ``dm_qubit_limit``.
 * ``"stabilizer"`` — the Clifford fast path, auto-selected for Clifford-only
   programs (decoy scoring, exhaustive-DD sweeps): stabilizer-tableau ideal
   output plus Pauli-twirled noise, with no dense state at all.
+* ``"stabilizer_frames"`` — the same Pauli-twirled model sampled as sparse
+  Pauli frames, for Clifford programs too wide for any dense state.
 
 Every engine simulates only the *active* qubits (those touched by a gate or a
 measurement), so mapping a 7-qubit program onto a 27-qubit device does not
@@ -44,7 +46,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..core.gst import GateSequenceTable
-from ..dd.insertion import DDAssignment, DDPlan
+from ..dd.insertion import DDAssignment
 from ..simulators.engines import (
     EngineJob,
     SparseDistribution,
@@ -54,14 +56,7 @@ from ..simulators.engines import (
 )
 from ..simulators.statevector import SimulationError
 from .backend import Backend
-from .program import (
-    GATE_EVENT_PRIORITY,
-    GATE_NOISE_PRIORITY,
-    WINDOW_NOISE_PRIORITY,
-    CompiledNoisyProgram,
-    ProgramCache,
-    process_cache_stats,
-)
+from .program import CompiledNoisyProgram, ProgramCache, process_cache_stats
 
 __all__ = [
     "BatchJob",
@@ -72,10 +67,6 @@ __all__ = [
     "job_streams",
     "job_sample_rng",
     "choose_branch",
-    # re-exported for backwards compatibility with pre-refactor imports:
-    "WINDOW_NOISE_PRIORITY",
-    "GATE_EVENT_PRIORITY",
-    "GATE_NOISE_PRIORITY",
 ]
 
 #: The default active-space memory budget (256 MiB).  Engine selection folds
@@ -116,12 +107,10 @@ def job_sample_rng(seed: int, trajectories: int) -> np.random.Generator:
 class BatchJob:
     """One execution of a compiled program under a DD candidate.
 
-    ``seed`` drives the deterministic stream protocol of :func:`job_streams`;
-    jobs with explicit seeds produce identical results regardless of batch
-    composition.  ``dd_plan`` overrides ``dd_assignment`` with
-    an explicit :class:`~repro.dd.insertion.DDPlan` (e.g. one built with a
-    custom ``min_window_ns``).  ``tag`` is carried through untouched for
-    caller bookkeeping.
+    The candidate is the set of qubits ``dd_assignment`` protects under the
+    one protocol ``dd_sequence``.  ``seed`` drives the deterministic stream
+    protocol of :func:`job_streams`; jobs with explicit seeds produce
+    identical results regardless of batch composition.
     """
 
     dd_assignment: Optional[DDAssignment] = None
@@ -130,9 +119,6 @@ class BatchJob:
     seed: Optional[int] = None
     output_qubits: Optional[Tuple[int, ...]] = None
     engine: str = "auto"
-    include_idle_noise: bool = True
-    dd_plan: Optional[DDPlan] = None
-    tag: Optional[object] = None
 
 
 @dataclass
@@ -159,15 +145,6 @@ class ExecutionResult:
 # ---------------------------------------------------------------------------
 # The shared execution pipeline
 # ---------------------------------------------------------------------------
-
-
-def _job_variants(program: CompiledNoisyProgram, job: BatchJob) -> List[object]:
-    """Per-window variant keys for one job (assignment- or plan-driven)."""
-    if job.dd_plan is not None:
-        return program.plan_variants(job.dd_plan, job.include_idle_noise)
-    return program.assignment_variants(
-        job.dd_assignment, job.dd_sequence, job.include_idle_noise
-    )
 
 
 def _marginalize(probs: np.ndarray, active: List[int], outputs: List[int]) -> np.ndarray:
@@ -202,6 +179,7 @@ def _finalize(
     backend: Backend,
     program: CompiledNoisyProgram,
     job: BatchJob,
+    variants: List[Optional[str]],
     active_probs: "np.ndarray | SparseDistribution",
     engine: str,
     sample_rng: np.random.Generator,
@@ -245,14 +223,7 @@ def _finalize(
             for i, p in enumerate(probs)
             if p > 1e-12
         }
-    if job.dd_plan is not None:
-        sequence_name = job.dd_plan.sequence_name
-        pulses = job.dd_plan.total_pulses
-        protected = job.dd_plan.num_protected_windows
-    else:
-        assignment = job.dd_assignment or DDAssignment.none()
-        sequence_name = program.sequence(job.dd_sequence).name
-        pulses, protected = program.plan_stats(assignment, sequence_name)
+    trains = [program.train_for(v, widx) for widx, v in enumerate(variants) if v is not None]
     return ExecutionResult(
         counts=counts,
         probabilities=prob_dict,
@@ -260,14 +231,13 @@ def _finalize(
         output_qubits=tuple(outputs),
         engine=engine,
         total_duration_ns=program.gst.total_duration,
-        dd_pulse_count=pulses,
+        dd_pulse_count=sum(train.num_pulses for train in trains),
         num_active_qubits=len(program.active),
         metadata={
             "device": backend.name,
             "calibration_cycle": backend.calibration.cycle,
-            "dd_sequence": sequence_name,
-            "protected_windows": protected,
-            "tag": job.tag,
+            "dd_sequence": program.sequence(job.dd_sequence).name,
+            "protected_windows": len(trains),
             "seed": job.seed,
             **extra_metadata,
         },
@@ -295,15 +265,18 @@ def execute_program_jobs(
         return []
     if any(job.seed is None for job in jobs):
         raise ValueError("execute_program_jobs needs a seed on every job")
-    # Fail fast on unresolvable output qubits before any engine work: a bad
-    # job must not cost a whole sub-batch of simulation first.  The resolved
-    # active-space positions ride along to the engines so sparse engines can
-    # produce output-space results directly.
+    # Fail fast on unresolvable output qubits and unknown DD protocols before
+    # any engine work: a bad job must not cost a whole sub-batch of simulation
+    # first.  The resolved active-space positions ride along to the engines so
+    # sparse engines can produce output-space results directly.
     output_positions = [
         tuple(
             program.index_of[q] for q in program.resolve_outputs(job.output_qubits)
         )
         for job in jobs
+    ]
+    variants = [
+        program.assignment_variants(job.dd_assignment, job.dd_sequence) for job in jobs
     ]
     n = len(program.active)
     groups: Dict[str, List[int]] = {}
@@ -333,31 +306,28 @@ def execute_program_jobs(
             chunk = max(1, memory_budget_bytes // max(1, state_bytes))
         for start in range(0, len(indices), chunk):
             subset = indices[start : start + chunk]
-            sub_jobs = [jobs[j] for j in subset]
-            sub_seeds = [job.seed for job in sub_jobs]
-            sub_outputs = [output_positions[j] for j in subset]
             if engine.needs_streams:
-                pairs = [job_streams(s, trajectories) for s in sub_seeds]
+                pairs = [job_streams(jobs[j].seed, trajectories) for j in subset]
                 sample_rngs = [pair[1] for pair in pairs]
                 engine_jobs = [
                     EngineJob(
-                        variants=_job_variants(program, job),
-                        streams=pair[0],
-                        outputs=outputs,
+                        variants=variants[j], streams=pair[0], outputs=output_positions[j]
                     )
-                    for job, pair, outputs in zip(sub_jobs, pairs, sub_outputs)
+                    for j, pair in zip(subset, pairs)
                 ]
             else:
                 # Stream-free engines never touch the per-trajectory streams;
                 # materialize only the sampling stream (same child either way).
-                sample_rngs = [job_sample_rng(s, trajectories) for s in sub_seeds]
+                sample_rngs = [job_sample_rng(jobs[j].seed, trajectories) for j in subset]
                 engine_jobs = [
-                    EngineJob(variants=_job_variants(program, job), outputs=outputs)
-                    for job, outputs in zip(sub_jobs, sub_outputs)
+                    EngineJob(variants=variants[j], outputs=output_positions[j])
+                    for j in subset
                 ]
             probs = engine.run(program, engine_jobs, trajectories)
-            for job, job_probs, j, sample_rng in zip(sub_jobs, probs, subset, sample_rngs):
-                results[j] = _finalize(backend, program, job, job_probs, name, sample_rng)
+            for j, job_probs, sample_rng in zip(subset, probs, sample_rngs):
+                results[j] = _finalize(
+                    backend, program, jobs[j], variants[j], job_probs, name, sample_rng
+                )
     return results  # type: ignore[return-value]
 
 
@@ -455,26 +425,16 @@ class NoisyExecutor:
         self.stats["program_hits" if hit else "program_compiles"] += 1
         return program
 
-    def __getstate__(self):
-        # Compile caches are machine-local working state: a pickled executor
-        # starts with an empty one.
-        state = self.__dict__.copy()
-        state["_program_cache"] = ProgramCache(
-            self.backend, max_entries=self._program_cache.max_entries
-        )
-        return state
-
     # -- execution -----------------------------------------------------
 
-    def draw_job_seed(self, rng: Optional[np.random.Generator] = None) -> int:
-        """Draw one job seed from ``rng`` (default: the executor's stream).
+    def draw_job_seed(self) -> int:
+        """Draw one job seed from the executor's stream.
 
         This is the unseeded-job convention: callers that pre-draw seeds for
         a batch (e.g. the Figure 8 sweep) get the same reproducibility-by-
         call-sequence guarantee as repeated unseeded ``run()`` calls.
         """
-        source = rng if rng is not None else self._rng
-        return int(source.integers(0, 2 ** 63))
+        return int(self._rng.integers(0, 2 ** 63))
 
     def run_batch(
         self,
@@ -518,7 +478,6 @@ class NoisyExecutor:
         gst: Optional[GateSequenceTable] = None,
         seeds: Optional[Sequence[Optional[int]]] = None,
         engine: str = "auto",
-        include_idle_noise: bool = True,
     ) -> List[ExecutionResult]:
         """One job per DD assignment, run as a single batch."""
         if seeds is None:
@@ -534,7 +493,6 @@ class NoisyExecutor:
                 seed=seed,
                 output_qubits=outputs,
                 engine=engine,
-                include_idle_noise=include_idle_noise,
             )
             for assignment, seed in zip(assignments, seeds)
         ]
@@ -548,10 +506,7 @@ class NoisyExecutor:
         shots: int = 4096,
         output_qubits: Optional[Sequence[int]] = None,
         gst: Optional[GateSequenceTable] = None,
-        dd_plan: Optional[DDPlan] = None,
         engine: str = "auto",
-        include_idle_noise: bool = True,
-        rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> ExecutionResult:
         """Execute a circuit under noise (a batch of one).
@@ -560,8 +515,8 @@ class NoisyExecutor:
             circuit: compiled circuit on physical qubits (measurements mark
                 the read-out qubits).
             dd_assignment: qubits whose idle windows receive DD; ``None``
-                means no DD.  Ignored when an explicit ``dd_plan`` is given.
-            dd_sequence: DD protocol name used to build the plan.
+                means no DD.
+            dd_sequence: the DD protocol protecting those windows.
             output_qubits: physical qubits defining the output bit order
                 (defaults to the measured qubits in ascending order).
             engine: ``"auto"``, ``"auto_dense"`` or a registered engine name
@@ -570,17 +525,13 @@ class NoisyExecutor:
                 Clifford-only programs; measurement contexts that must stay
                 on the exact dense engines pass ``"auto_dense"``, as the
                 analysis drivers do for every reported fidelity.
-            include_idle_noise: disable to isolate gate/readout errors.
             seed: per-job seed enabling the deterministic stream protocol of
                 :func:`job_streams`.  A seeded run is reproducible on its own
                 (independent of executor state) and equals the
-                :meth:`run_batch` result of a job with the same seed; it
-                overrides ``rng``.  Unseeded runs derive a job seed from
-                ``rng`` (or the executor's own stream), so they stay
-                reproducible within a fixed call sequence.
+                :meth:`run_batch` result of a job with the same seed.
+                Unseeded runs draw a job seed from the executor's own stream,
+                so they stay reproducible within a fixed call sequence.
         """
-        if seed is None:
-            seed = self.draw_job_seed(rng)
         job = BatchJob(
             dd_assignment=dd_assignment,
             dd_sequence=dd_sequence,
@@ -588,7 +539,5 @@ class NoisyExecutor:
             seed=seed,
             output_qubits=None if output_qubits is None else tuple(int(q) for q in output_qubits),
             engine=engine,
-            include_idle_noise=include_idle_noise,
-            dd_plan=dd_plan,
         )
         return self.run_batch(circuit, [job], gst=gst)[0]

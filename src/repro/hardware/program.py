@@ -28,7 +28,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_matrix
 from ..core.gst import GateSequenceTable, IdleWindow
-from ..dd.insertion import DDAssignment, DDPlan
+from ..dd.insertion import DDAssignment
 from ..dd.sequences import get_sequence
 from ..noise.model import NoiseOp
 from ..simulators import channels
@@ -326,9 +326,7 @@ class CompiledNoisyProgram:
 
         self._sequences: Dict[str, object] = {}
         self._trains: Dict[Tuple[str, int], Optional[object]] = {}
-        self._window_ops: Dict[Tuple[int, object], List[ResolvedOp]] = {}
-        self._custom_trains: Dict[object, object] = {}
-        self._plan_stats: Dict[Tuple[str, frozenset], Tuple[int, int]] = {}
+        self._window_ops: Dict[Tuple[int, Optional[str]], List[ResolvedOp]] = {}
         #: Scratch space for engines to memoize program-derived state
         #: (e.g. the stabilizer engine's ideal spectrum and noise masks).
         self.engine_cache: Dict[str, object] = {}
@@ -350,7 +348,7 @@ class CompiledNoisyProgram:
             raise SimulationError(f"output qubits {missing} never appear in the circuit")
         return outputs
 
-    # -- DD plans ------------------------------------------------------
+    # -- window variants -----------------------------------------------
 
     def sequence(self, name: str):
         """Memoized :func:`~repro.dd.sequences.get_sequence`."""
@@ -372,25 +370,17 @@ class CompiledNoisyProgram:
             self._trains[key] = train
         return self._trains[key]
 
-    def window_ops(self, widx: int, variant: object) -> List[ResolvedOp]:
+    def window_ops(self, widx: int, variant: Optional[str]) -> List[ResolvedOp]:
         """Noise ops of one idle window under one variant.
 
-        ``variant`` is ``"skip"`` (idle noise disabled), ``None`` (no DD), a
-        protocol name (the memoized default train), or a custom-train key
-        registered by :meth:`plan_variants`.
+        ``variant`` is ``None`` (unprotected) or a protocol name (the window
+        carries that protocol's memoized train).
         """
-        if variant == "skip":
-            return []
         key = (widx, variant)
         ops = self._window_ops.get(key)
         if ops is None:
             window = self.windows[widx]
-            if variant is None:
-                train = None
-            elif isinstance(variant, tuple):
-                train = self._custom_trains[variant]
-            else:
-                train = self.train_for(variant, widx)
+            train = None if variant is None else self.train_for(variant, widx)
             effect = self.backend.idle_noise.window_effect(
                 window.qubit, window.duration, self.concurrent[widx], train
             )
@@ -398,75 +388,22 @@ class CompiledNoisyProgram:
             self._window_ops[key] = ops
         return ops
 
-    def protected_windows(self, assignment: DDAssignment, sequence_name: str) -> List[bool]:
+    def assignment_variants(
+        self, assignment: Optional[DDAssignment], protocol: str
+    ) -> List[Optional[str]]:
+        """Per-window variant of one job: the protocol's name where it protects.
+
+        A window is protected when ``assignment`` enables its qubit and the
+        protocol's train fits it.  This is the one place that decides which
+        windows a job protects; an unknown protocol raises ``KeyError``.
+        """
+        assignment = assignment or DDAssignment.none()
+        name = self.sequence(protocol).name
         return [
-            assignment.enabled(w.qubit) and self.train_for(sequence_name, widx) is not None
+            name if assignment.enabled(w.qubit) and self.train_for(name, widx) is not None
+            else None
             for widx, w in enumerate(self.windows)
         ]
-
-    def assignment_variants(
-        self,
-        assignment: Optional[DDAssignment],
-        dd_sequence: str,
-        include_idle_noise: bool = True,
-    ) -> List[object]:
-        """Per-window variant key for one DD assignment."""
-        if not include_idle_noise:
-            return ["skip"] * len(self.windows)
-        assignment = assignment or DDAssignment.none()
-        sequence_name = self.sequence(dd_sequence).name
-        protected = self.protected_windows(assignment, sequence_name)
-        return [sequence_name if p else None for p in protected]
-
-    def plan_variants(self, dd_plan: DDPlan, include_idle_noise: bool = True) -> List[object]:
-        """Per-window variant key for an explicit :class:`~repro.dd.insertion.DDPlan`.
-
-        Plans built with the protocol's default window threshold reuse the
-        memoized protocol variants; plans with custom trains (e.g. a custom
-        ``min_window_ns``) register their trains under dedicated keys so their
-        window effects are memoized too.
-        """
-        if not include_idle_noise:
-            return ["skip"] * len(self.windows)
-        variants: List[object] = []
-        for widx, window in enumerate(self.windows):
-            train = dd_plan.train_for(window)
-            if train is None:
-                variants.append(None)
-                continue
-            default = self.train_for(dd_plan.sequence_name, widx)
-            if (
-                default is not None
-                and default.num_pulses == train.num_pulses
-                and abs(default.average_spacing - train.average_spacing) < 1e-9
-            ):
-                variants.append(dd_plan.sequence_name)
-                continue
-            key = ("train", widx, train.num_pulses, round(train.average_spacing, 6))
-            self._custom_trains[key] = train
-            variants.append(key)
-        return variants
-
-    def plan_stats(self, assignment: DDAssignment, sequence_name: str) -> Tuple[int, int]:
-        """(total DD pulses, protected window count) of one candidate plan."""
-        relevant = frozenset(
-            q for q in assignment.qubits if any(w.qubit == q for w in self.windows)
-        )
-        key = (sequence_name, relevant)
-        stats = self._plan_stats.get(key)
-        if stats is None:
-            pulses = 0
-            protected = 0
-            for widx, window in enumerate(self.windows):
-                if window.qubit not in relevant:
-                    continue
-                train = self.train_for(sequence_name, widx)
-                if train is not None:
-                    pulses += train.num_pulses
-                    protected += 1
-            stats = (pulses, protected)
-            self._plan_stats[key] = stats
-        return stats
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,6 @@ class ExecutionContext:
                 seed=int(chunk.seed),
                 output_qubits=self.compiled.output_qubits,
                 engine=chunk.request.resolved_engine,
-                tag=(chunk.request_id, chunk.chunk_index),
             )
             for chunk in chunks
         ]

@@ -1,4 +1,4 @@
-"""Simulation engines: statevector, density matrix and stabilizer tableau.
+"""Simulation engines: statevector and stabilizer tableau.
 
 :mod:`repro.simulators.engines` additionally hosts the pluggable
 execution-engine registry consumed by ``repro.hardware`` (density matrix,
@@ -7,7 +7,6 @@ device-scale ``stabilizer_frames`` path).
 """
 
 from .statevector import SimulationError, StatevectorSimulator
-from .density_matrix import DensityMatrixSimulator
 from .stabilizer import PackedCliffordTableau, StabilizerSimulator
 from . import symplectic
 from .engines import (
@@ -21,7 +20,6 @@ from .engines import (
 from . import channels
 
 __all__ = [
-    "DensityMatrixSimulator",
     "ExecutionEngine",
     "SimulationError",
     "PackedCliffordTableau",

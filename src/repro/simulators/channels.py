@@ -4,8 +4,9 @@ All channels are returned as lists of Kraus matrices ``[K_0, K_1, ...]`` with
 ``sum_k K_k^dagger K_k = I``.  Single-qubit channels are 2x2, two-qubit
 channels 4x4.  The noisy executor's compiled programs keep each channel as
 this Kraus list and derive what an engine reads from it on first use (see
-:class:`~repro.hardware.program.ResolvedOp`);
-:meth:`DensityMatrixSimulator.apply_kraus` applies a list directly.
+:class:`~repro.hardware.program.ResolvedOp`); the test oracle's
+``DensityMatrixSimulator.apply_kraus`` (``tests/oracle/density_matrix.py``)
+applies a list directly.
 
 The channel set mirrors what the ADAPT evaluation needs:
 

@@ -96,8 +96,9 @@ def choose_branch(rng: np.random.Generator, cumulative: np.ndarray) -> int:
 class EngineJob:
     """Per-job execution inputs handed to an engine.
 
-    ``variants`` holds one window-variant key per idle window of the program
-    (see :meth:`~repro.hardware.program.CompiledNoisyProgram.window_ops`);
+    ``variants`` holds one window variant per idle window of the program:
+    ``None`` (unprotected) or a DD protocol name (see
+    :meth:`~repro.hardware.program.CompiledNoisyProgram.window_ops`);
     ``streams`` the per-trajectory RNG streams (only materialized for engines
     with ``needs_streams``).  ``outputs`` gives the job's output qubits as
     *active-space positions* in output-bit order — dense engines ignore it
@@ -105,7 +106,7 @@ class EngineJob:
     outputs themselves because a 2^n vector never exists.
     """
 
-    variants: List[object]
+    variants: List[Optional[str]]
     streams: Optional[List[np.random.Generator]] = None
     outputs: Optional[Tuple[int, ...]] = None
 
@@ -225,14 +226,14 @@ def select_engine(
     num_active: int,
     dm_qubit_limit: int = 10,
     clifford: bool = False,
-    stabilizer_qubit_limit: int = STABILIZER_AUTO_QUBIT_LIMIT,
     memory_budget_bytes: Optional[int] = None,
     trajectories: int = 1,
 ) -> str:
     """The one engine-selection policy shared by every execution path.
 
     ``"auto"`` resolves to the stabilizer fast path when the compiled program
-    is Clifford-only (and small enough for the 2^n convolution), otherwise to
+    is Clifford-only (and within :data:`STABILIZER_AUTO_QUBIT_LIMIT` active
+    qubits, where the 2^n convolution is the cheap option), otherwise to
     the dense density matrix up to ``dm_qubit_limit`` active qubits, and to
     the trajectory engine beyond.  ``"auto_dense"`` applies the same policy
     but never picks the stabilizer engine — for *measurement* contexts (final
@@ -260,7 +261,7 @@ def select_engine(
         return engine
     stabilizer_ok = engine == "auto" and clifford and "stabilizer" in _ENGINES
     candidates = []
-    if stabilizer_ok and num_active <= stabilizer_qubit_limit:
+    if stabilizer_ok and num_active <= STABILIZER_AUTO_QUBIT_LIMIT:
         candidates.append("stabilizer")
     if num_active <= dm_qubit_limit:
         candidates.append("density_matrix")
@@ -281,9 +282,9 @@ def select_engine(
     return candidates[0]
 
 
-def _window_groups(jobs: Sequence[EngineJob], widx: int) -> Dict[object, List[int]]:
+def _window_groups(jobs: Sequence[EngineJob], widx: int) -> Dict[Optional[str], List[int]]:
     """Group job indices by the variant they use for window ``widx``."""
-    groups: Dict[object, List[int]] = {}
+    groups: Dict[Optional[str], List[int]] = {}
     for j, job in enumerate(jobs):
         groups.setdefault(job.variants[widx], []).append(j)
     return groups
@@ -333,8 +334,8 @@ class DensityMatrixEngine(ExecutionEngine):
                         sub = apply_op(sub, op)
                     state[index] = sub
 
-        # Diagonal, clipped and renormalised exactly like
-        # DensityMatrixSimulator.probabilities().
+        # Diagonal, clipped and renormalised exactly like the test oracle's
+        # DensityMatrixSimulator.probabilities() (tests/oracle/density_matrix.py).
         diag_labels = [0] + list(range(1, n + 1)) + list(range(1, n + 1))
         diag = np.real(np.einsum(state, diag_labels, [0] + list(range(1, n + 1))))
         diag = diag.reshape(J, 2 ** n).copy()
@@ -597,11 +598,7 @@ class StabilizerEngine(ExecutionEngine):
                 " use engine='auto', 'density_matrix' or 'trajectories'"
             )
         n = program.num_active
-        needed = set()
-        for job in jobs:
-            for widx, variant in enumerate(job.variants):
-                if variant != "skip":
-                    needed.add((widx, variant))
+        needed = {(widx, variant) for job in jobs for widx, variant in enumerate(job.variants)}
         cache = program.engine_cache.get(self.name)
         if cache is None:
             cache = self._build_base(program)
@@ -617,8 +614,6 @@ class StabilizerEngine(ExecutionEngine):
         for job in jobs:
             spectrum = cache["shared"].copy()
             for widx, variant in enumerate(job.variants):
-                if variant == "skip":
-                    continue
                 window_spectrum = cache["windows"].get((widx, variant))
                 if window_spectrum is not None:
                     spectrum *= window_spectrum
@@ -660,7 +655,7 @@ class StabilizerEngine(ExecutionEngine):
             "built": set(),
         }
 
-    def _add_window_variant(self, program, cache, widx: int, variant: object) -> None:
+    def _add_window_variant(self, program, cache, widx: int, variant: Optional[str]) -> None:
         """Spectrum of one (window, variant): twirl its ops, map through the
         memoized suffix conjugation, convolve — no template re-walk."""
         events = _variant_mask_events(program, cache["suffix_maps"], widx, variant)
@@ -839,7 +834,7 @@ def _flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
 
 
 def _variant_mask_events(
-    program, suffix_maps: Dict[int, Tuple[object, object]], widx: int, variant: object
+    program, suffix_maps: Dict[int, Tuple[object, object]], widx: int, variant: Optional[str]
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """``(probs, end-propagated X-masks)`` of one (window, variant)'s ops.
 
@@ -1062,7 +1057,7 @@ class StabilizerFrameEngine(ExecutionEngine):
         are padded with cumulative 2.0 / zero masks.
         """
         window_cache: Dict[
-            Tuple[int, object], Tuple[List[Tuple[np.ndarray, np.ndarray]], float]
+            Tuple[int, Optional[str]], Tuple[List[Tuple[np.ndarray, np.ndarray]], float]
         ] = program.engine_cache.setdefault("stabilizer_frame_windows", {})
         applied: List[Tuple[np.ndarray, np.ndarray]] = []
         flip_free = float(table["shared_flip_free"])
@@ -1073,8 +1068,6 @@ class StabilizerFrameEngine(ExecutionEngine):
                 continue
             widx = entry[1]
             variant = variants[widx]
-            if variant == "skip":
-                continue
             key = (widx, variant)
             cached = window_cache.get(key)
             if cached is None:

@@ -1,10 +1,12 @@
-"""Boolean-row reference implementation of the packed Clifford stack.
+"""Reference implementations of the packed Clifford stack and the dense engine.
 
 Production keeps one implementation of the stabilizer stack, on bit-packed
 ``uint64`` words.  This test-only package keeps the plain boolean-row
 version of each piece — one ``bool`` per qubit, one column rule per gate,
 one loop iteration per event and trajectory — as the reference the
-differential suites compare against bit for bit.
+differential suites compare against bit for bit.  It also keeps
+:class:`DensityMatrixSimulator`, the one-state, one-Kraus-channel-at-a-time
+reference of the batched superoperator ``density_matrix`` engine.
 
 :func:`installed` swaps the references in through ``monkeypatch`` on the
 production attributes below and counts every call under the key shown, so
@@ -40,11 +42,17 @@ from repro.simulators import engines as engines_module
 from repro.simulators import stabilizer as stabilizer_module
 from repro.workloads import mirror as mirror_module
 
+from .density_matrix import DensityMatrixSimulator
 from .engines import frame_run, mask_results, variant_mask_events
 from .mirror import target_bits
 from .tableau import CliffordTableau, enumerate_probabilities
 
-__all__ = ["CliffordTableau", "enumerate_probabilities", "installed"]
+__all__ = [
+    "CliffordTableau",
+    "DensityMatrixSimulator",
+    "enumerate_probabilities",
+    "installed",
+]
 
 
 def _counted(calls: Counter, key: str, function):

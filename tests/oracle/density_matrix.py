@@ -1,7 +1,9 @@
 """Density-matrix simulator with Kraus-channel support.
 
-This is the noisy engine behind :class:`repro.hardware.execution.NoisyExecutor`.
-The state is stored as a tensor of shape ``(2,)*n + (2,)*n`` where the first
+The reference of the dense execution engine
+(:class:`repro.simulators.engines.DensityMatrixEngine`): one state, one
+Kraus channel at a time, no superoperators and no batching.  The state is
+stored as a tensor of shape ``(2,)*n + (2,)*n`` where the first
 ``n`` axes are row (ket) indices and the last ``n`` axes are column (bra)
 indices; qubit 0 is the most significant bit of output bitstrings, consistent
 with :class:`~repro.simulators.statevector.StatevectorSimulator`.
@@ -13,9 +15,9 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate, gate_matrix
-from .statevector import SimulationError
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate, gate_matrix
+from repro.simulators.statevector import SimulationError
 
 __all__ = ["DensityMatrixSimulator"]
 

@@ -171,8 +171,6 @@ def frame_run(self, program, jobs, trajectories):
                 continue
             widx = entry[1]
             variant = job.variants[widx]
-            if variant == "skip":
-                continue
             key = (widx, variant)
             if key not in window_cache:
                 events = engines._variant_mask_events(

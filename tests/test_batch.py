@@ -133,16 +133,6 @@ class TestCaching:
         NoisyExecutor(london_backend).run_batch(circuit, [BatchJob(shots=32, seed=1)])
         assert process_cache_stats()["gate_matrices"] > 0
 
-    def test_pickling_drops_program_cache(self, london_backend):
-        import pickle
-
-        circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 3)
-        batch = NoisyExecutor(london_backend)
-        batch.run_batch(circuit, [BatchJob(shots=32, seed=1)])
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone._programs == {}
-        assert clone.backend.name == london_backend.name
-
 
 class TestSearchBatchProtocol:
     def test_score_many_is_used_when_available(self):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.hardware.program as program_module
+from oracle import DensityMatrixSimulator
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_matrix, rx_matrix, rz_matrix
 from repro.dd import DDAssignment
@@ -22,7 +23,9 @@ from repro.metrics import fidelity
 from repro.noise import NoiseOp
 from repro.simulators import SimulationError, available_engines, get_engine, select_engine
 from repro.simulators import channels
-from repro.simulators.engines import pauli_twirl_probabilities
+from repro.simulators.engines import EngineJob, pauli_twirl_probabilities
+from repro.transpiler import transpile
+from repro.workloads.suite import get_benchmark
 
 TRAJECTORIES = 200
 
@@ -84,10 +87,7 @@ class TestRegistry:
         assert select_engine("auto", 11, dm_qubit_limit=10) == "trajectories"
         assert select_engine("auto", 4, clifford=True) == "stabilizer"
         # The Clifford fast path yields beyond its convolution limit.
-        assert (
-            select_engine("auto", 13, dm_qubit_limit=10, clifford=True, stabilizer_qubit_limit=12)
-            == "trajectories"
-        )
+        assert select_engine("auto", 13, dm_qubit_limit=10, clifford=True) == "trajectories"
         assert select_engine("density_matrix", 99) == "density_matrix"
 
     def test_executor_rejects_unknown_engine_with_names(self, london_executor):
@@ -157,6 +157,45 @@ class TestEngineMatrix:
                     assert result.probabilities.get(key, 0.0) == pytest.approx(
                         reference.probabilities.get(key, 0.0), abs=1e-9
                     )
+
+
+class TestDenseEngineOracle:
+    """The batched superoperator engine against the one-state Kraus oracle."""
+
+    @pytest.mark.parametrize(
+        "backend_fixture, workload",
+        [
+            ("rome_backend", "BV-4"),
+            ("rome_backend", "ADDER-4"),
+            ("rome_backend", "GHZ:4"),
+            ("guadalupe_backend", "QFT-5"),
+        ],
+    )
+    def test_engine_matches_kraus_replay(self, request, backend_fixture, workload):
+        backend = request.getfixturevalue(backend_fixture)
+        compiled = transpile(get_benchmark(workload).build(), backend)
+        program = NoisyExecutor(backend).compile(compiled.physical_circuit, compiled.gst)
+        active = sorted(compiled.gst.active_qubits())
+        assignments = [
+            DDAssignment.none(),
+            DDAssignment.all(active[::2]),
+            DDAssignment.all(active),
+        ]
+        variants = [program.assignment_variants(a, "xy4") for a in assignments]
+        # One batch of differing variants, so the per-variant sub-batch path runs.
+        batch = get_engine("density_matrix").run(
+            program, [EngineJob(variants=v) for v in variants], 1
+        )
+        for job_variants, probs in zip(variants, batch):
+            reference = DensityMatrixSimulator(program.num_active)
+            for kind, payload in program.template:
+                if kind == "op":
+                    ops = [payload]
+                else:
+                    ops = program.window_ops(payload, job_variants[payload])
+                for op in ops:
+                    reference.apply_kraus(op.kraus, op.positions)
+            assert np.max(np.abs(probs - reference.probabilities())) <= 1e-12
 
 
 class TestStabilizerEngine:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.dd import DDAssignment
-from repro.hardware import Backend, NoisyExecutor
+from repro.dd import DDAssignment, plan_dd
+from repro.hardware import Backend, BatchJob, NoisyExecutor
 from repro.metrics import fidelity
-from repro.simulators import SimulationError
+from repro.simulators import SimulationError, available_engines, get_engine
+from repro.transpiler import transpile
+from repro.workloads.suite import get_benchmark
 
 
 def probe_circuit(num_qubits, idle_qubit, theta, cnot_link, repetitions):
@@ -59,6 +61,30 @@ class TestBasics:
         with pytest.raises(ValueError):
             london_executor.run(circuit, engine="magic")
 
+    def test_unknown_dd_protocol_fails_before_any_engine_run(
+        self, london_backend, monkeypatch
+    ):
+        # A one-byte budget gives every job its own sub-batch: the first job's
+        # engine would run before the bad job's sub-batch is reached.
+        calls = []
+        for name in available_engines():
+            engine_class = type(get_engine(name))
+
+            def spy(self, *args, _run=engine_class.run, **kwargs):
+                calls.append(self.name)
+                return _run(self, *args, **kwargs)
+
+            monkeypatch.setattr(engine_class, "run", spy)
+        executor = NoisyExecutor(london_backend, memory_budget_bytes=1)
+        circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 6)
+        jobs = [
+            BatchJob(seed=1, dd_assignment=DDAssignment.all([0])),
+            BatchJob(seed=2, dd_assignment=DDAssignment.all([0]), dd_sequence="nope"),
+        ]
+        with pytest.raises(KeyError, match="unknown DD sequence 'nope'"):
+            executor.run_batch(circuit, jobs)
+        assert calls == []
+
     def test_only_active_qubits_simulated(self, toronto_backend):
         executor = NoisyExecutor(toronto_backend, seed=0)
         circuit = QuantumCircuit(27).h(0).cx(0, 1).measure(0).measure(1)
@@ -90,13 +116,6 @@ class TestNoiseEffects:
         assert result.probability_of("00") < 0.999
         assert result.probability_of("00") > 0.5
 
-    def test_idle_noise_toggle(self, london_backend):
-        executor = NoisyExecutor(london_backend, seed=11)
-        circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 12)
-        with_idle = executor.run(circuit, shots=2000)
-        without_idle = executor.run(circuit, shots=2000, include_idle_noise=False)
-        assert without_idle.probability_of("0") > with_idle.probability_of("0")
-
     def test_crosstalk_hurts_spectator(self, london_backend):
         executor = NoisyExecutor(london_backend, seed=11)
         short = probe_circuit(5, 0, math.pi / 2, (1, 3), 3)
@@ -121,6 +140,34 @@ class TestNoiseEffects:
         assert result.dd_pulse_count > 0
         baseline = executor.run(circuit, shots=64)
         assert baseline.dd_pulse_count == 0
+
+    @pytest.mark.parametrize("workload", ["BV-7", "QFT-6A", "QFT-6B", "QAOA-8A", "QPEA-5"])
+    def test_dd_accounting_matches_plan_dd(self, toronto_backend, workload):
+        # The executor counts pulses and protected windows from its own
+        # memoized trains; they must equal the plan that builds the DD circuit.
+        compiled = transpile(get_benchmark(workload).build(), toronto_backend)
+        active = sorted(compiled.gst.active_qubits())
+        assignments = [
+            DDAssignment.none(),
+            DDAssignment.all(active[::2]),
+            DDAssignment.all(active),
+        ]
+        executor = NoisyExecutor(toronto_backend)
+        for protocol in ("xy4", "ibmq_dd"):
+            results = executor.run_assignments(
+                compiled.physical_circuit,
+                assignments,
+                dd_sequence=protocol,
+                shots=16,
+                output_qubits=compiled.output_qubits,
+                gst=compiled.gst,
+                seeds=[1, 2, 3],
+            )
+            for assignment, result in zip(assignments, results):
+                plan = plan_dd(compiled.gst, assignment, protocol)
+                assert result.dd_pulse_count == plan.total_pulses
+                assert result.metadata["protected_windows"] == plan.num_protected_windows
+            assert results[2].dd_pulse_count > 0
 
     def test_polar_state_immune_to_dephasing(self, london_backend):
         executor = NoisyExecutor(london_backend, seed=11)

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import DensityMatrixSimulator
 from repro.circuits import QuantumCircuit
-from repro.simulators import (
-    DensityMatrixSimulator,
-    SimulationError,
-    StabilizerSimulator,
-    StatevectorSimulator,
-)
+from repro.simulators import SimulationError, StabilizerSimulator, StatevectorSimulator
 from repro.simulators import channels
 
 from repro.testing import random_single_qubit_circuit
