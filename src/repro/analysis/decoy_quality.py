@@ -53,9 +53,9 @@ def dd_combination_sweep(
 
     All 2^N combinations execute as one shared-program batch: the schedule is
     compiled once and, for Clifford targets (decoy sweeps), ``engine="auto"``
-    resolves to the stabilizer fast path.  Per-combination seeds are drawn
-    from the executor's stream, so a seeded executor yields a reproducible
-    sweep.
+    resolves to the stabilizer fast path.  The jobs are unseeded, so each
+    combination draws its seed from the executor's stream, in order, and a
+    seeded executor yields a reproducible sweep.
     """
     qubits = sorted(compiled.gst.active_qubits())
     if len(qubits) > max_qubits:
@@ -67,7 +67,6 @@ def dd_combination_sweep(
     gst = executor.backend.schedule(target_circuit)
     reference = ideal if ideal is not None else compiled_ideal_distribution(compiled)
     assignments = all_assignments(qubits)
-    seeds = [executor.draw_job_seed() for _ in assignments]
     results = executor.run_assignments(
         target_circuit,
         assignments,
@@ -75,7 +74,6 @@ def dd_combination_sweep(
         shots=shots,
         output_qubits=compiled.output_qubits,
         gst=gst,
-        seeds=seeds,
         engine=engine,
     )
     return [

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from ..core.adapt import AdaptConfig
 from ..core.evaluation import (
     BenchmarkEvaluation,
-    compiled_ideal_distribution,
     evaluate_policies,
     summarize_relative_fidelity,
 )
@@ -101,17 +100,11 @@ def run_policy_comparison(
     )
     policies = standard_policies(
         executor,
-        compiled_ideal_distribution,
-        dd_sequence=config.dd_sequence,
         adapt_config=adapt_config,
         include_runtime_best=config.include_runtime_best,
         seed=config.seed,
-        # One scoring engine for both ADAPT's decoys and the oracle sweep.
-        engine=config.engine,
+        max_evaluations=config.runtime_best_max_evaluations,
     )
-    for policy in policies:
-        if hasattr(policy, "max_evaluations"):
-            policy.max_evaluations = config.runtime_best_max_evaluations
     # The store key is owned by evaluate_policies' default schema (circuit +
     # schedule + calibration + policy describes + runner budgets), so this
     # driver, the sweep runtime and direct API callers all share one cache.

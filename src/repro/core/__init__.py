@@ -2,13 +2,7 @@
 
 from .gst import DurationModel, GateSequenceTable, IdleWindow, ScheduledGate
 from .decoy import DecoyCircuit, clifford_decoy, make_decoy, seeded_decoy, trivial_decoy
-from .search import (
-    ExhaustiveSearch,
-    LocalizedSearch,
-    ScoredAssignment,
-    SearchResult,
-    all_assignments,
-)
+from .search import LocalizedSearch, ScoredAssignment, SearchResult, all_assignments
 from .adapt import Adapt, AdaptConfig, AdaptResult
 from .policies import (
     AdaptPolicy,
@@ -37,7 +31,6 @@ __all__ = [
     "BenchmarkEvaluation",
     "DecoyCircuit",
     "DurationModel",
-    "ExhaustiveSearch",
     "GateSequenceTable",
     "IdleWindow",
     "LocalizedSearch",

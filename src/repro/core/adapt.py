@@ -95,11 +95,10 @@ class AdaptResult:
 
 
 class _DecoyScorer:
-    """Scores DD candidates by decoy fidelity, one batch per ``score_many``.
+    """Scores a batch of DD candidates by decoy fidelity.
 
-    Exposes both the plain callable protocol and ``score_many`` (detected by
-    the search strategies).  Seeds are assigned by global evaluation index,
-    so the scores do not depend on how candidates are grouped into batches.
+    Seeds are assigned by global evaluation index, so the scores do not
+    depend on how candidates are grouped into batches.
     """
 
     def __init__(
@@ -125,10 +124,7 @@ class _DecoyScorer:
         self._counter += count
         return seeds
 
-    def __call__(self, assignment: DDAssignment) -> float:
-        return self.score_many([assignment])[0]
-
-    def score_many(self, assignments: Sequence[DDAssignment]) -> List[float]:
+    def __call__(self, assignments: Sequence[DDAssignment]) -> List[float]:
         config = self._adapt.config
         results = self._adapt.executor.run_assignments(
             self._circuit,

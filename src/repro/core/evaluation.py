@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 from ..circuits.circuit import QuantumCircuit
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity, geometric_mean
+from ..simulators.engines import DM_QUBIT_LIMIT
 from .adapt import evaluation_seed
 from .ideal import PROGRAM_TIERS, ideal_distribution
 from .policies import Policy
@@ -99,12 +100,10 @@ def evaluate_policies(
     executor: "NoisyExecutor",
     dd_sequence: str = "xy4",
     shots: int = 4096,
-    ideal: Optional[Dict[str, float]] = None,
     benchmark_name: Optional[str] = None,
     seed: Optional[int] = None,
     engine: str = "auto_dense",
     store: Optional["ExperimentStore"] = None,
-    store_key: Optional[str] = None,
 ) -> BenchmarkEvaluation:
     """Run every policy on a compiled benchmark and compare fidelities.
 
@@ -120,14 +119,13 @@ def evaluate_policies(
             ``"auto_dense"`` keeps them on the exact dense engines even for
             Clifford benchmarks; decoy scoring inside the policies is where
             the stabilizer fast path applies.
-        store: optional :class:`~repro.store.store.ExperimentStore`.  With a
-            ``store_key`` (build one with
-            :func:`repro.store.keys.evaluation_key`; the default when omitted)
-            the evaluation becomes read-through/write-through: a stored
-            result is returned without executing anything, otherwise the
-            computed result is persisted under the key.  Only sound when the
-            run is deterministic — freshly constructed, explicitly seeded
-            policies and an explicit ``seed`` — which is what
+        store: optional :class:`~repro.store.store.ExperimentStore`.  With
+            one, the evaluation becomes read-through/write-through under its
+            :func:`repro.store.keys.evaluation_key`: a stored result is
+            returned without executing anything, otherwise the computed
+            result is persisted under the key.  Only sound when the run is
+            deterministic — freshly constructed, explicitly seeded policies
+            and an explicit ``seed`` — which is what
             :func:`repro.analysis.evaluation_runs.run_policy_comparison`
             guarantees.
     """
@@ -135,31 +133,28 @@ def evaluate_policies(
         from ..store import evaluation_key
         from ..store.records import decode_evaluation, encode_evaluation
 
-        if store_key is None:
-            # The executor's trajectory budget, dm_qubit_limit and memory
-            # budget determine the result (engine resolution, MC sampling),
-            # so they must be part of the key.
-            store_key = evaluation_key(
-                compiled,
-                executor.backend,
-                policies=[policy.describe() for policy in policies],
-                dd_sequence=dd_sequence,
-                shots=shots,
-                seed=seed,
-                engine=engine,
-                extra={
-                    "trajectories": getattr(executor, "trajectories", None),
-                    "dm_qubit_limit": getattr(executor, "dm_qubit_limit", None),
-                    "memory_budget_bytes": getattr(
-                        executor, "memory_budget_bytes", None
-                    ),
-                },
-            )
+        # The executor's trajectory budget, the dense-engine qubit limit and
+        # the memory budget determine the result (engine resolution, MC
+        # sampling), so they must be part of the key.
+        store_key = evaluation_key(
+            compiled,
+            executor.backend,
+            policies=[policy.describe() for policy in policies],
+            dd_sequence=dd_sequence,
+            shots=shots,
+            seed=seed,
+            engine=engine,
+            extra={
+                "trajectories": getattr(executor, "trajectories", None),
+                "dm_qubit_limit": DM_QUBIT_LIMIT,
+                "memory_budget_bytes": getattr(executor, "memory_budget_bytes", None),
+            },
+        )
         record = store.get(store_key)
         if record is not None:
             return decode_evaluation(record.meta)
 
-    ideal = ideal or compiled_ideal_distribution(compiled)
+    ideal = compiled_ideal_distribution(compiled)
     gst = compiled.gst
     evaluation = BenchmarkEvaluation(
         benchmark=benchmark_name or compiled.logical_circuit.name,
@@ -204,7 +199,7 @@ def evaluate_policies(
     evaluation.baseline_fidelity = baseline_fidelity
     for outcome in evaluation.outcomes.values():
         outcome.relative_fidelity = outcome.fidelity / baseline_fidelity
-    if store is not None and store_key is not None:
+    if store is not None:
         meta, arrays = encode_evaluation(evaluation)
         store.put(store_key, meta, arrays)
     return evaluation

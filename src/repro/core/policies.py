@@ -13,13 +13,14 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity
+from ..simulators.engines import DM_QUBIT_LIMIT
 from .adapt import Adapt, AdaptConfig, evaluation_seed
 from .search import all_assignments
 
@@ -127,7 +128,6 @@ class RuntimeBestPolicy(Policy):
     def __init__(
         self,
         executor: "NoisyExecutor",
-        ideal_distribution: Callable[["CompiledProgram"], Dict[str, float]],
         dd_sequence: str = "xy4",
         shots: int = 2048,
         max_exhaustive_qubits: int = 6,
@@ -136,7 +136,6 @@ class RuntimeBestPolicy(Policy):
         engine: str = "auto",
     ) -> None:
         self.executor = executor
-        self.ideal_distribution = ideal_distribution
         self.dd_sequence = dd_sequence
         self.shots = shots
         self.max_exhaustive_qubits = int(max_exhaustive_qubits)
@@ -157,7 +156,7 @@ class RuntimeBestPolicy(Policy):
             # Engine resolution and the trajectory engine's sampling depend
             # on these executor knobs, so they are result-determining.
             "trajectories": getattr(self.executor, "trajectories", None),
-            "dm_qubit_limit": getattr(self.executor, "dm_qubit_limit", None),
+            "dm_qubit_limit": DM_QUBIT_LIMIT,
             "memory_budget_bytes": getattr(self.executor, "memory_budget_bytes", None),
         }
 
@@ -183,8 +182,11 @@ class RuntimeBestPolicy(Policy):
         return candidates
 
     def decide(self, compiled: "CompiledProgram") -> PolicyDecision:
+        # Function-level import: core.evaluation imports this module.
+        from .evaluation import compiled_ideal_distribution
+
         qubits = compiled.gst.active_qubits()
-        ideal = self.ideal_distribution(compiled)
+        ideal = compiled_ideal_distribution(compiled)
         gst = compiled.gst
         candidates = self._candidate_assignments(qubits)
         # All candidates share the program: submit them as one batch with
@@ -222,25 +224,20 @@ class RuntimeBestPolicy(Policy):
 
 def standard_policies(
     executor: "NoisyExecutor",
-    ideal_distribution: Callable[["CompiledProgram"], Dict[str, float]],
-    dd_sequence: str = "xy4",
     adapt_config: Optional[AdaptConfig] = None,
     include_runtime_best: bool = True,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
+    max_evaluations: int = 64,
 ) -> List[Policy]:
     """The evaluation's four policies, in the paper's order.
 
     ``executor`` is shared by ADAPT's decoy scoring and the Runtime-Best
-    oracle, so both reuse one compiled-program cache.  ``engine`` forces one
-    execution engine for *both* scoring policies (ADAPT's decoys and the
-    oracle sweep); the default keeps ``adapt_config``'s engine for ADAPT and
-    ``"auto"`` for the oracle, so the two rank candidates under the
-    registry's per-program policy.
+    oracle, so both reuse one compiled-program cache.  Both scoring policies
+    take ``adapt_config``'s ``dd_sequence`` and ``engine``, so they rank
+    candidates under one protocol and one engine policy.
+    ``max_evaluations`` is the oracle's candidate budget.
     """
-    config = adapt_config or AdaptConfig(dd_sequence=dd_sequence)
-    if engine is not None:
-        config = replace(config, engine=engine)
+    config = adapt_config or AdaptConfig()
     policies: List[Policy] = [
         NoDDPolicy(),
         AllDDPolicy(),
@@ -250,10 +247,10 @@ def standard_policies(
         policies.append(
             RuntimeBestPolicy(
                 executor,
-                ideal_distribution,
-                dd_sequence=dd_sequence,
+                dd_sequence=config.dd_sequence,
+                max_evaluations=max_evaluations,
                 seed=seed,
-                engine=engine if engine is not None else "auto",
+                engine=config.engine,
             )
         )
     return policies

@@ -1,66 +1,39 @@
 """Search over DD qubit combinations.
 
 The space of DD combinations is 2^N for an N-qubit program (Section 4.3).
-Two strategies are provided:
+:class:`LocalizedSearch` is ADAPT's divide-and-conquer: qubits are split into
+neighbourhoods of (by default) four, each neighbourhood is searched
+exhaustively (16 combinations) while previously fixed neighbourhoods keep
+their selection, and the per-neighbourhood choice is the conservative union
+of the two best-scoring combinations.  Total cost is at most ``4 * N`` decoy
+evaluations — linear in the number of qubits.
 
-* :class:`ExhaustiveSearch` — scores every combination; tractable only for
-  small programs, used by the Figure 8 study and by the Runtime-Best oracle.
-* :class:`LocalizedSearch` — ADAPT's divide-and-conquer: qubits are split into
-  neighbourhoods of (by default) four, each neighbourhood is searched
-  exhaustively (16 combinations) while previously fixed neighbourhoods keep
-  their selection, and the per-neighbourhood choice is the conservative union
-  of the two best-scoring combinations.  Total cost is at most ``4 * N`` decoy
-  evaluations — linear in the number of qubits.
+Callers that need every combination (the Figure 8/9 sweep and the
+Runtime-Best oracle) enumerate it with :func:`all_assignments` and execute
+it as one batch themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dd.insertion import DDAssignment
 
 __all__ = [
     "ScoredAssignment",
     "SearchResult",
-    "ExhaustiveSearch",
     "LocalizedSearch",
     "all_assignments",
-    "score_assignments",
 ]
 
-#: Callable scoring a DD assignment (higher is better, e.g. decoy fidelity).
-#: A scorer may additionally expose ``score_many(assignments) -> List[float]``
-#: to evaluate a whole candidate set as one batch — both search strategies
-#: detect it and hand over entire neighbourhoods at once, so every candidate
-#: of a neighbourhood executes against one cached
-#: :class:`~repro.hardware.program.CompiledNoisyProgram` (the batched decoy
-#: pipeline of :class:`repro.core.adapt.Adapt` relies on this; for Clifford
-#: decoys the whole neighbourhood runs on the stabilizer fast path).
-ScoreFunction = Callable[[DDAssignment], float]
-
-
-def score_assignments(
-    score: ScoreFunction, assignments: Sequence[DDAssignment]
-) -> List[float]:
-    """Score candidates via ``score.score_many`` when available, else one by one.
-
-    Evaluation order is preserved either way, so scorers that derive
-    per-evaluation seeds from a running counter produce identical results on
-    both paths.
-    """
-    batch = getattr(score, "score_many", None)
-    if batch is not None:
-        values = list(batch(list(assignments)))
-        if len(values) != len(assignments):
-            raise ValueError(
-                f"score_many returned {len(values)} scores for {len(assignments)} assignments"
-            )
-        return [float(v) for v in values]
-    return [float(score(assignment)) for assignment in assignments]
+#: Scores a batch of DD assignments (higher is better, e.g. decoy fidelity),
+#: one score per assignment, in order.  The search hands over one whole
+#: neighbourhood per call, so every candidate of a neighbourhood executes
+#: against one cached :class:`~repro.hardware.program.CompiledNoisyProgram`
+#: (for Clifford decoys, on the stabilizer fast path).
+ScoreFunction = Callable[[Sequence[DDAssignment]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -83,15 +56,6 @@ class SearchResult:
     def num_evaluations(self) -> int:
         return len(self.evaluations)
 
-    def ranked(self) -> List[ScoredAssignment]:
-        return sorted(self.evaluations, key=lambda s: -s.score)
-
-    def score_of(self, assignment: DDAssignment) -> Optional[float]:
-        for scored in self.evaluations:
-            if scored.assignment.qubits == assignment.qubits:
-                return scored.score
-        return None
-
 
 def all_assignments(qubits: Sequence[int]) -> List[DDAssignment]:
     """Every subset of ``qubits`` as a DD assignment (2^N entries)."""
@@ -102,51 +66,16 @@ def all_assignments(qubits: Sequence[int]) -> List[DDAssignment]:
     return assignments
 
 
-class ExhaustiveSearch:
-    """Score all 2^N combinations over the given qubits."""
-
-    def __init__(self, max_qubits: int = 12) -> None:
-        self.max_qubits = int(max_qubits)
-
-    def run(self, qubits: Sequence[int], score: ScoreFunction) -> SearchResult:
-        qubits = list(qubits)
-        if len(qubits) > self.max_qubits:
-            raise ValueError(
-                f"exhaustive search over {len(qubits)} qubits exceeds the"
-                f" limit of {self.max_qubits} (use LocalizedSearch)"
-            )
-        candidates = all_assignments(qubits)
-        values = score_assignments(score, candidates)
-        evaluations = [
-            ScoredAssignment(
-                assignment=assignment,
-                score=value,
-                bitstring=assignment.to_bitstring(qubits),
-            )
-            for assignment, value in zip(candidates, values)
-        ]
-        best = max(evaluations, key=lambda s: s.score).assignment
-        return SearchResult(best=best, evaluations=evaluations)
-
-
 class LocalizedSearch:
     """ADAPT's linear-complexity neighbourhood search (Section 4.3)."""
 
-    def __init__(
-        self,
-        group_size: int = 4,
-        top_k_union: int = 2,
-        group_by: str = "idle_time",
-    ) -> None:
+    def __init__(self, group_size: int = 4, top_k_union: int = 2) -> None:
         if group_size < 1:
             raise ValueError("group_size must be at least 1")
         if top_k_union < 1:
             raise ValueError("top_k_union must be at least 1")
-        if group_by not in ("idle_time", "index"):
-            raise ValueError("group_by must be 'idle_time' or 'index'")
         self.group_size = int(group_size)
         self.top_k_union = int(top_k_union)
-        self.group_by = group_by
 
     # ------------------------------------------------------------------
 
@@ -156,11 +85,11 @@ class LocalizedSearch:
         """Partition qubits into neighbourhoods of ``group_size``.
 
         Neighbourhoods are formed in decreasing order of idle time (qubits
-        with the most to gain from DD are decided first); ``group_by="index"``
-        falls back to plain index order.
+        with the most to gain from DD are decided first); without idle times
+        they follow index order.
         """
         qubits = list(qubits)
-        if self.group_by == "idle_time" and idle_time:
+        if idle_time:
             ordered = sorted(qubits, key=lambda q: -idle_time.get(q, 0.0))
         else:
             ordered = sorted(qubits)
@@ -175,15 +104,16 @@ class LocalizedSearch:
         score: ScoreFunction,
         idle_time: Optional[Dict[int, float]] = None,
     ) -> SearchResult:
-        """Run the localized search and return the selected assignment."""
+        """Run the localized search and return the selected assignment.
+
+        ``score`` is called once per neighbourhood with its 2^k candidates.
+        """
         groups = self.group_qubits(qubits, idle_time)
         selected: set = set()
         evaluations: List[ScoredAssignment] = []
         all_qubits = list(qubits)
 
         for group in groups:
-            # Build the whole neighbourhood first so a batch-capable scorer
-            # evaluates its 2^group_size candidates as one shared-program batch.
             subsets: List[frozenset] = []
             candidates: List[DDAssignment] = []
             for bits in itertools.product("01", repeat=len(group)):
@@ -192,7 +122,11 @@ class LocalizedSearch:
                 )
                 subsets.append(group_subset)
                 candidates.append(DDAssignment(frozenset(selected | group_subset)))
-            values = score_assignments(score, candidates)
+            values = [float(v) for v in score(candidates)]
+            if len(values) != len(candidates):
+                raise ValueError(
+                    f"scorer returned {len(values)} scores for {len(candidates)} assignments"
+                )
             group_scores: List[Tuple[float, frozenset]] = []
             for candidate, value, group_subset in zip(candidates, values, subsets):
                 evaluations.append(

@@ -23,9 +23,9 @@ Engines (see :func:`repro.simulators.engines.select_engine` for the shared
 ``"auto"`` policy):
 
 * ``"density_matrix"`` — exact mixed-state evolution; the default for up to
-  ``dm_qubit_limit`` active qubits (10 by default).
+  :data:`~repro.simulators.engines.DM_QUBIT_LIMIT` active qubits (10).
 * ``"trajectories"`` — Monte-Carlo unravelling on statevectors, taking over
-  beyond ``dm_qubit_limit``.
+  beyond that limit.
 * ``"stabilizer"`` — the Clifford fast path, auto-selected for Clifford-only
   programs (decoy scoring, exhaustive-DD sweeps): stabilizer-tableau ideal
   output plus Pauli-twirled noise, with no dense state at all.
@@ -250,7 +250,6 @@ def execute_program_jobs(
     jobs: Sequence[BatchJob],
     *,
     trajectories: int,
-    dm_qubit_limit: int,
     memory_budget_bytes: Optional[int] = None,
 ) -> List[ExecutionResult]:
     """Execute jobs against a compiled program through the engine registry.
@@ -284,7 +283,6 @@ def execute_program_jobs(
         name = select_engine(
             job.engine,
             n,
-            dm_qubit_limit,
             clifford=program.is_clifford,
             memory_budget_bytes=memory_budget_bytes,
             trajectories=trajectories,
@@ -350,10 +348,6 @@ class NoisyExecutor:
         backend: device model + calibration.
         seed: entropy for jobs submitted without a seed (see
             :meth:`draw_job_seed`).
-        dm_qubit_limit: beyond this active-qubit count ``engine="auto"``
-            switches to the trajectory engine (Clifford-only programs take
-            the stabilizer fast path first — see
-            :func:`repro.simulators.engines.select_engine`).
         trajectories: Monte-Carlo trajectories per job for the trajectory
             engine.
         max_cached_programs: capacity of the compile cache.
@@ -367,13 +361,11 @@ class NoisyExecutor:
         self,
         backend: Backend,
         seed: Optional[int] = None,
-        dm_qubit_limit: int = 10,
         trajectories: int = 120,
         max_cached_programs: int = 16,
         memory_budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self.backend = backend
-        self.dm_qubit_limit = int(dm_qubit_limit)
         self.trajectories = int(trajectories)
         self.memory_budget_bytes = (
             None if memory_budget_bytes is None else int(memory_budget_bytes)
@@ -430,9 +422,9 @@ class NoisyExecutor:
     def draw_job_seed(self) -> int:
         """Draw one job seed from the executor's stream.
 
-        This is the unseeded-job convention: callers that pre-draw seeds for
-        a batch (e.g. the Figure 8 sweep) get the same reproducibility-by-
-        call-sequence guarantee as repeated unseeded ``run()`` calls.
+        This is the unseeded-job convention: :meth:`run_batch` draws one seed
+        per unseeded job, in job order, so a seeded executor reproduces a
+        sequence of unseeded batches or ``run()`` calls.
         """
         return int(self._rng.integers(0, 2 ** 63))
 
@@ -461,7 +453,6 @@ class NoisyExecutor:
             program,
             jobs,
             trajectories=self.trajectories,
-            dm_qubit_limit=self.dm_qubit_limit,
             memory_budget_bytes=self.memory_budget_bytes,
         )
         self.stats["jobs_run"] += len(jobs)

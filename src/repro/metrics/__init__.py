@@ -11,7 +11,7 @@ from .fidelity import (
     success_probability,
     total_variation_distance,
 )
-from .correlation import pearson_correlation, rank_agreement, spearman_correlation
+from .correlation import rank_agreement, spearman_correlation
 
 __all__ = [
     "fidelity",
@@ -19,7 +19,6 @@ __all__ = [
     "hellinger_distance",
     "normalize_counts",
     "normalized_entropy",
-    "pearson_correlation",
     "rank_agreement",
     "relative_fidelity",
     "shannon_entropy",

@@ -7,36 +7,43 @@ decoy across all DD combinations (Figure 9, Table 2).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-__all__ = ["spearman_correlation", "pearson_correlation", "rank_agreement"]
+__all__ = ["spearman_correlation", "rank_agreement"]
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # First sorted position of every run of equal values, and the run lengths.
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 def spearman_correlation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman's rho between two equally long sequences."""
+    """Spearman's rho between two equally long sequences.
+
+    The Pearson correlation of the two average-rank vectors (ties share the
+    mean of their ranks); 0.0 when either input is constant or contains NaN.
+    """
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
     if len(a) < 3:
         raise ValueError("need at least three points for a rank correlation")
-    rho, _ = stats.spearmanr(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if np.isnan(rho):
+    values_a = np.asarray(a, dtype=float)
+    values_b = np.asarray(b, dtype=float)
+    if np.isnan(values_a).any() or np.isnan(values_b).any():
         return 0.0
-    return float(rho)
-
-
-def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Pearson's r between two equally long sequences."""
-    if len(a) != len(b):
-        raise ValueError("sequences must have equal length")
-    if len(a) < 3:
-        raise ValueError("need at least three points for a correlation")
-    r, _ = stats.pearsonr(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if np.isnan(r):
+    if (values_a == values_a[0]).all() or (values_b == values_b[0]).all():
         return 0.0
-    return float(r)
+    ranks = np.column_stack((_average_ranks(values_a), _average_ranks(values_b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def _top_set(values: np.ndarray, top_k: int) -> set:

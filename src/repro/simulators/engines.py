@@ -39,7 +39,7 @@ suite's boolean-row oracle (``tests/oracle``) pins them bit for bit.
 
 Engine selection policy lives here too (:func:`select_engine`): ``"auto"``
 picks the stabilizer fast path for Clifford-only programs, the dense density
-matrix up to ``dm_qubit_limit`` active qubits, and trajectories beyond; with
+matrix up to :data:`DM_QUBIT_LIMIT` active qubits, and trajectories beyond; with
 a memory budget, Clifford programs too large for every dense state fall back
 to the frame engine.
 """
@@ -73,11 +73,16 @@ __all__ = [
     "choose_branch",
     "pauli_twirl_probabilities",
     "STABILIZER_AUTO_QUBIT_LIMIT",
+    "DM_QUBIT_LIMIT",
 ]
 
 #: Beyond this many active qubits ``"auto"`` stops preferring the stabilizer
 #: fast path (its 2^n Walsh–Hadamard convolution stops being the cheap option).
 STABILIZER_AUTO_QUBIT_LIMIT = 12
+
+#: Beyond this many active qubits ``"auto"`` stops preferring the dense
+#: density matrix (its 4^n state) and falls to trajectories.
+DM_QUBIT_LIMIT = 10
 
 
 def choose_branch(rng: np.random.Generator, cumulative: np.ndarray) -> int:
@@ -224,7 +229,6 @@ def get_engine(name: str) -> ExecutionEngine:
 def select_engine(
     engine: str,
     num_active: int,
-    dm_qubit_limit: int = 10,
     clifford: bool = False,
     memory_budget_bytes: Optional[int] = None,
     trajectories: int = 1,
@@ -234,7 +238,7 @@ def select_engine(
     ``"auto"`` resolves to the stabilizer fast path when the compiled program
     is Clifford-only (and within :data:`STABILIZER_AUTO_QUBIT_LIMIT` active
     qubits, where the 2^n convolution is the cheap option), otherwise to
-    the dense density matrix up to ``dm_qubit_limit`` active qubits, and to
+    the dense density matrix up to :data:`DM_QUBIT_LIMIT` active qubits, and to
     the trajectory engine beyond.  ``"auto_dense"`` applies the same policy
     but never picks the stabilizer engine — for *measurement* contexts (final
     reported fidelities) where the Pauli-twirl approximation is not wanted,
@@ -263,7 +267,7 @@ def select_engine(
     candidates = []
     if stabilizer_ok and num_active <= STABILIZER_AUTO_QUBIT_LIMIT:
         candidates.append("stabilizer")
-    if num_active <= dm_qubit_limit:
+    if num_active <= DM_QUBIT_LIMIT:
         candidates.append("density_matrix")
     candidates.append("trajectories")
     if stabilizer_ok and "stabilizer" not in candidates:

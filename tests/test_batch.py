@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.core import Adapt, AdaptConfig, ExhaustiveSearch, LocalizedSearch
+from repro.core import Adapt, AdaptConfig, LocalizedSearch
 from repro.core.adapt import evaluation_seed
 from repro.core.evaluation import evaluate_policies
 from repro.core.policies import AllDDPolicy, NoDDPolicy
-from repro.core.search import score_assignments
 from repro.dd import DDAssignment
 from repro.hardware import (
     Backend,
@@ -135,42 +134,20 @@ class TestCaching:
 
 
 class TestSearchBatchProtocol:
-    def test_score_many_is_used_when_available(self):
-        calls = []
-
-        class Scorer:
-            def __call__(self, assignment):
-                raise AssertionError("batch path should be preferred")
-
-            def score_many(self, assignments):
-                calls.append(len(assignments))
-                return [float(len(a.qubits)) for a in assignments]
-
-        result = ExhaustiveSearch().run([0, 1, 2], Scorer())
-        assert calls == [8]
-        assert result.best.qubits == frozenset({0, 1, 2})
-
     def test_localized_search_batches_per_neighbourhood(self):
         batches = []
 
-        class Scorer:
-            def __call__(self, assignment):
-                return self.score_many([assignment])[0]
+        def score(assignments):
+            batches.append(len(assignments))
+            return [0.5] * len(assignments)
 
-            def score_many(self, assignments):
-                batches.append(len(assignments))
-                return [0.5] * len(assignments)
-
-        LocalizedSearch(group_size=2).run(range(4), Scorer())
+        LocalizedSearch(group_size=2).run(range(4), score)
         assert batches == [4, 4]
 
     def test_score_many_length_mismatch_rejected(self):
-        class Broken:
-            def score_many(self, assignments):
-                return [0.0]
-
-        with pytest.raises(ValueError):
-            score_assignments(Broken(), [DDAssignment.none(), DDAssignment.all([1])])
+        """A batch scorer must return one score per candidate."""
+        with pytest.raises(ValueError, match="1 scores for 4 assignments"):
+            LocalizedSearch(group_size=2).run(range(4), lambda assignments: [0.0])
 
 
 class TestAdaptBatched:

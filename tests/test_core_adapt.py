@@ -11,7 +11,6 @@ from repro.core import (
     AdaptConfig,
     AdaptPolicy,
     AllDDPolicy,
-    ExhaustiveSearch,
     LocalizedSearch,
     NoDDPolicy,
     RuntimeBestPolicy,
@@ -27,7 +26,6 @@ from repro.core import (
     trivial_decoy,
 )
 from repro.core.ideal import DECOY_TIERS, PROGRAM_TIERS, ideal_distribution
-from repro.dd import DDAssignment
 from repro.hardware import NoisyExecutor
 from repro.metrics import fidelity
 from repro.simulators import StabilizerSimulator, StatevectorSimulator
@@ -179,31 +177,15 @@ class TestSearch:
     def test_all_assignments_count(self):
         assert len(all_assignments([1, 2, 3])) == 8
 
-    def test_exhaustive_search_finds_optimum(self):
-        qubits = [0, 1, 2, 3]
-        target = frozenset({1, 3})
-
-        def score(assignment):
-            return -len(assignment.qubits ^ target)
-
-        result = ExhaustiveSearch().run(qubits, score)
-        assert result.best.qubits == target
-        assert result.num_evaluations == 16
-        assert result.score_of(DDAssignment(target)) == 0
-
-    def test_exhaustive_search_size_limit(self):
-        with pytest.raises(ValueError):
-            ExhaustiveSearch(max_qubits=3).run(range(5), lambda a: 0.0)
-
     def test_localized_search_is_linear_in_qubits(self):
         search = LocalizedSearch(group_size=4)
         assert search.expected_evaluations(8) == 32
         assert search.expected_evaluations(10) == 2 * 16 + 4
         calls = []
 
-        def score(assignment):
-            calls.append(assignment)
-            return 0.5
+        def score(assignments):
+            calls.extend(assignments)
+            return [0.5] * len(assignments)
 
         search.run(range(8), score)
         assert len(calls) == 32
@@ -211,10 +193,12 @@ class TestSearch:
     def test_localized_search_recovers_clear_optimum(self):
         beneficial = {0, 2, 5}
 
-        def score(assignment):
-            gain = sum(1 for q in assignment.qubits if q in beneficial)
-            penalty = sum(1 for q in assignment.qubits if q not in beneficial)
-            return gain - 2 * penalty
+        def score(assignments):
+            return [
+                sum(1 for q in a.qubits if q in beneficial)
+                - 2 * sum(1 for q in a.qubits if q not in beneficial)
+                for a in assignments
+            ]
 
         result = LocalizedSearch(group_size=4, top_k_union=1).run(range(8), score)
         assert result.best.qubits == frozenset(beneficial)
@@ -224,8 +208,8 @@ class TestSearch:
         # the union {0,1} must be selected (the paper's "1001"+"1011" rule).
         scores = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 0.9, frozenset({0, 1}): 0.5}
 
-        def score(assignment):
-            return scores[frozenset(assignment.qubits)]
+        def score(assignments):
+            return [scores[frozenset(a.qubits)] for a in assignments]
 
         result = LocalizedSearch(group_size=2, top_k_union=2).run([0, 1], score)
         assert result.best.qubits == frozenset({0, 1})
@@ -241,8 +225,6 @@ class TestSearch:
             LocalizedSearch(group_size=0)
         with pytest.raises(ValueError):
             LocalizedSearch(top_k_union=0)
-        with pytest.raises(ValueError):
-            LocalizedSearch(group_by="magic")
 
 
 class TestAdaptAndPolicies:
@@ -274,7 +256,6 @@ class TestAdaptAndPolicies:
     def test_runtime_best_policy_beats_or_matches_no_dd(self, compiled_adder, rome_executor_module):
         policy = RuntimeBestPolicy(
             rome_executor_module,
-            compiled_ideal_distribution,
             shots=512,
             max_exhaustive_qubits=2,
             max_evaluations=6,
@@ -289,7 +270,6 @@ class TestAdaptAndPolicies:
     ):
         policy = RuntimeBestPolicy(
             rome_executor_module,
-            compiled_ideal_distribution,
             max_exhaustive_qubits=2,
             max_evaluations=64,
             seed=5,
@@ -312,13 +292,19 @@ class TestAdaptAndPolicies:
         assert len({c.qubits for c in candidates}) == 8
 
     def test_standard_policies_composition(self, rome_executor_module):
-        policies = standard_policies(rome_executor_module, compiled_ideal_distribution)
+        policies = standard_policies(rome_executor_module)
         names = [policy.name for policy in policies]
         assert names == ["no_dd", "all_dd", "adapt", "runtime_best"]
-        no_rtb = standard_policies(
-            rome_executor_module, compiled_ideal_distribution, include_runtime_best=False
-        )
+        no_rtb = standard_policies(rome_executor_module, include_runtime_best=False)
         assert [p.name for p in no_rtb] == ["no_dd", "all_dd", "adapt"]
+        # Both scoring policies rank under the ADAPT config's protocol and engine.
+        config = AdaptConfig(dd_sequence="ibmq_dd", engine="density_matrix")
+        *_, adapt, oracle = standard_policies(
+            rome_executor_module, adapt_config=config, max_evaluations=5
+        )
+        for field in ("dd_sequence", "engine"):
+            assert oracle.describe()[field] == adapt.describe()[field] == getattr(config, field)
+        assert oracle.describe()["max_evaluations"] == 5
 
 
 class TestEvaluation:

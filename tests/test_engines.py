@@ -83,11 +83,11 @@ class TestRegistry:
             select_engine("magic", 4)
 
     def test_auto_policy(self):
-        assert select_engine("auto", 4, dm_qubit_limit=10) == "density_matrix"
-        assert select_engine("auto", 11, dm_qubit_limit=10) == "trajectories"
+        assert select_engine("auto", 4) == "density_matrix"
+        assert select_engine("auto", 11) == "trajectories"
         assert select_engine("auto", 4, clifford=True) == "stabilizer"
         # The Clifford fast path yields beyond its convolution limit.
-        assert select_engine("auto", 13, dm_qubit_limit=10, clifford=True) == "trajectories"
+        assert select_engine("auto", 13, clifford=True) == "trajectories"
         assert select_engine("density_matrix", 99) == "density_matrix"
 
     def test_executor_rejects_unknown_engine_with_names(self, london_executor):
@@ -320,8 +320,7 @@ class TestMemoryBudgetSelection:
     def test_dense_state_over_budget_degrades_to_trajectories(self):
         # 10 active qubits: the dm state is 16 * 4^10 = 16 MiB.
         name = select_engine(
-            "auto", 10, dm_qubit_limit=10,
-            memory_budget_bytes=1024 * 1024, trajectories=4,
+            "auto", 10, memory_budget_bytes=1024 * 1024, trajectories=4
         )
         assert name == "trajectories"
 

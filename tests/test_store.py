@@ -485,6 +485,12 @@ class TestDriverStoreIntegration:
         # would hit it too.
         evaluations = [r for r in store.ls() if r["kind"] == "benchmark_evaluation"]
         assert len(evaluations) == 1
+        # The key folds in every policy's describe() dict and the executor
+        # knobs; it is pinned so that a change to either fails here instead
+        # of silently orphaning stored evaluations.
+        assert evaluations[0]["key"] == (
+            "5f86e8d51be7b562652e57ceb564d62fa09286ad7d42fbeb815173d3ab66b717"
+        )
 
 
 class TestAggregatedCacheStats:

@@ -1,6 +1,7 @@
 """Tests for the benchmark workloads and the reliability metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from repro.metrics import (
     hellinger_distance,
     normalize_counts,
     normalized_entropy,
-    pearson_correlation,
     rank_agreement,
     relative_fidelity,
     shannon_entropy,
@@ -214,7 +214,29 @@ class TestMetrics:
         with pytest.raises(ValueError):
             spearman_correlation([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
-            pearson_correlation([1, 2], [3, 4])
+            spearman_correlation([1, 2], [3, 4])
+
+    def test_spearman_matches_scipy_bit_for_bit(self):
+        """The decoy correlation of Figure 9 / Table 2 is pinned by stored
+        records, so the numpy ranking must reproduce scipy's rho exactly."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        for trial in range(400):
+            n = int(rng.integers(3, 40))
+            if trial % 2:  # heavy ties
+                a = rng.integers(0, 4, n).astype(float)
+                b = rng.integers(0, 5, n).astype(float)
+            else:
+                a, b = rng.random(n), rng.random(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns on constant input
+                rho = float(stats.spearmanr(a, b)[0])
+            expected = 0.0 if math.isnan(rho) else rho
+            assert spearman_correlation(a, b).hex() == expected.hex()
+
+    def test_spearman_is_zero_for_constant_or_nan_input(self):
+        assert spearman_correlation([1, 1, 1], [1, 2, 3]) == 0.0
+        assert spearman_correlation([1, 2, 3], [float("nan"), 2, 3]) == 0.0
 
     def test_rank_agreement(self):
         a = [0.1, 0.9, 0.5, 0.7]
