@@ -97,10 +97,11 @@ def job_sample_rng(seed: int, trajectories: int) -> np.random.Generator:
 
     Lets engines that never touch the per-trajectory streams (density matrix,
     stabilizer) skip instantiating ``trajectories`` generators while drawing
-    counts from the exact same child stream.
+    counts from the exact same child stream.  ``SeedSequence.spawn`` gives
+    the root's child ``i`` the spawn key ``(i,)``, so that last child is
+    built directly instead of spawning all ``trajectories + 1``.
     """
-    children = np.random.SeedSequence(seed).spawn(trajectories + 1)
-    return np.random.default_rng(children[-1])
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trajectories,)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Four engines are registered by default:
 
 * ``"density_matrix"`` — exact mixed-state evolution; channels are applied as
   superoperators (each built on first use and memoized on its op), one
-  BLAS-backed contraction over the whole stacked batch per event.
+  BLAS-backed contraction per event over a stack holding one state per
+  distinct variant history (jobs share a state until their variants differ).
 * ``"trajectories"`` — vectorized Monte-Carlo unravelling on statevectors;
   every trajectory draws from its own seeded stream via the single-uniform
   :func:`choose_branch` protocol, making results independent of batching.
@@ -300,7 +301,22 @@ def _window_groups(jobs: Sequence[EngineJob], widx: int) -> Dict[Optional[str], 
 
 
 class DensityMatrixEngine(ExecutionEngine):
-    """Exact mixed-state evolution via batched superoperator contractions."""
+    """Exact mixed-state evolution, one state row per distinct variant history.
+
+    The jobs of a batch hold identical states until the first idle window
+    whose variants differ among them, so the engine evolves a ``(rows,
+    4^n)`` stack instead of one state per job: every job starts on one row,
+    and at each window slot a row splits only where its jobs' variants
+    differ.  Rows never exceed the job count, so the executor's per-job
+    memory-budget sizing still bounds the stack.  The jobs of one row get
+    the same read-only probability vector.
+
+    Sharing rows keeps every job's bits: a batched contraction gives each
+    row the result that row gets alone (``tests/test_engines.py`` pins
+    this on ``_apply_operator``), except for an op spanning the whole
+    active space, which leaves one GEMM column per row; those are
+    contracted one row at a time, like a single job.
+    """
 
     name = "density_matrix"
     needs_streams = False
@@ -309,48 +325,68 @@ class DensityMatrixEngine(ExecutionEngine):
         return 16 * (4 ** num_active)
 
     def run(self, program, jobs, trajectories):
+        if not jobs:
+            return []
         n = program.num_active
-        J = len(jobs)
-        state = np.zeros((J,) + (2,) * (2 * n), dtype=complex)
-        state[(slice(None),) + (0,) * (2 * n)] = 1.0
+        state = np.zeros((1,) + (2,) * (2 * n), dtype=complex)
+        state[(0,) + (0,) * (2 * n)] = 1.0
+        row_of = [0] * len(jobs)
 
         def apply_op(target: np.ndarray, op) -> np.ndarray:
-            rows = [1 + p for p in op.positions]
-            cols = [1 + n + p for p in op.positions]
-            return _apply_operator(target, op.superop, rows + cols)
+            legs = [1 + p for p in op.positions] + [1 + n + p for p in op.positions]
+            if len(op.positions) < n or target.shape[0] == 1:
+                return _apply_operator(target, op.superop, legs)
+            # One GEMM column per row: BLAS rounds a one-column product
+            # differently from a wider one, so match the single-job bits.
+            return np.concatenate(
+                [_apply_operator(target[r : r + 1], op.superop, legs) for r in range(len(target))]
+            )
 
         for kind, payload in program.template:
             if kind == "op":
                 state = apply_op(state, payload)
                 continue
             widx: int = payload
-            for variant, members in _window_groups(jobs, widx).items():
+            # New rows, numbered in job order: one per (parent row, variant).
+            splits: Dict[Tuple[int, Optional[str]], int] = {}
+            for j, job in enumerate(jobs):
+                row_of[j] = splits.setdefault((row_of[j], job.variants[widx]), len(splits))
+            parents = [row for row, _ in splits]
+            if parents != list(range(len(state))):
+                state = state[parents]
+            rows_of_variant: Dict[Optional[str], List[int]] = {}
+            for (_, variant), row in splits.items():
+                rows_of_variant.setdefault(variant, []).append(row)
+            for variant, rows in rows_of_variant.items():
                 ops = program.window_ops(widx, variant)
                 if not ops:
                     continue
-                if len(members) == J:
+                if len(rows) == len(state):
                     for op in ops:
                         state = apply_op(state, op)
                 else:
-                    index = np.array(members)
+                    index = np.array(rows)
                     sub = state[index]
                     for op in ops:
                         sub = apply_op(sub, op)
                     state[index] = sub
 
         # Diagonal, clipped and renormalised exactly like the test oracle's
-        # DensityMatrixSimulator.probabilities() (tests/oracle/density_matrix.py).
+        # DensityMatrixSimulator.probabilities() (tests/oracle/density_matrix.py),
+        # once per row; the jobs of a row share its read-only vector.
         diag_labels = [0] + list(range(1, n + 1)) + list(range(1, n + 1))
         diag = np.real(np.einsum(state, diag_labels, [0] + list(range(1, n + 1))))
-        diag = diag.reshape(J, 2 ** n).copy()
+        diag = diag.reshape(len(state), 2 ** n).copy()
         diag[diag < 0] = 0.0
-        results = []
-        for j in range(J):
-            total = diag[j].sum()
+        row_probs = []
+        for row in diag:
+            total = row.sum()
             if total <= 0:
                 raise SimulationError("density matrix has vanished (all-zero diagonal)")
-            results.append(diag[j] / total)
-        return results
+            probs = row / total
+            probs.flags.writeable = False
+            row_probs.append(probs)
+        return [row_probs[row] for row in row_of]
 
 
 # ---------------------------------------------------------------------------

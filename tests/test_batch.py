@@ -15,6 +15,7 @@ from repro.hardware import (
     Backend,
     BatchJob,
     NoisyExecutor,
+    job_sample_rng,
     job_streams,
     process_cache_stats,
 )
@@ -92,6 +93,17 @@ class TestSeededEquivalence:
         for a, b in zip(streams_a, streams_b):
             assert a.random() == b.random()
         assert sample_a.integers(1 << 30) == sample_b.integers(1 << 30)
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**63 - 1])
+    @pytest.mark.parametrize("trajectories", [1, 60, 200])
+    def test_job_sample_rng_is_the_sampling_stream(self, seed, trajectories):
+        _, expected = job_streams(seed, trajectories)
+        sample = job_sample_rng(seed, trajectories)
+        assert np.array_equal(sample.random(16), expected.random(16))
+        assert np.array_equal(
+            sample.multinomial(4096, [0.5, 0.25, 0.25]),
+            expected.multinomial(4096, [0.5, 0.25, 0.25]),
+        )
 
     def test_batch_respects_output_qubit_order(self, london_backend):
         circuit = QuantumCircuit(5).x(1).measure(1).measure(2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.hardware.program as program_module
+import repro.simulators.engines as engines_module
 from oracle import DensityMatrixSimulator
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_matrix, rx_matrix, rz_matrix
@@ -57,8 +58,41 @@ def clifford_probe(num_qubits=5, idle_qubit=0, cnot_link=(1, 3), repetitions=10)
     return circuit
 
 
+def one_qubit_rotations():
+    """One active qubit, so every op spans the whole active space."""
+    return QuantumCircuit(1).rz(0.3, 0).sx(0).rz(1.1, 0).sx(0).measure_all()
+
+
+def two_qubit_rotations():
+    """Two active qubits, so a CX (and its noise) spans the whole active space."""
+    circuit = QuantumCircuit(2).rz(0.1, 0).sx(0).rz(1.1, 0).sx(0)
+    return circuit.cx(0, 1).rz(0.1, 1).sx(1).measure_all()
+
+
 ASSIGNMENTS = [DDAssignment.none(), DDAssignment.all([0]), DDAssignment.all([0, 1, 3])]
 SEEDS = [11, 22, 33]
+
+#: Inputs of the bit-identity test: the Clifford probe for every engine, plus
+#: non-Clifford programs whose ops span the whole active space (on Rome, where
+#: batched and single dense contractions of them once rounded differently).
+BIT_IDENTITY_CASES = [
+    pytest.param(engine, "london_backend", clifford_probe, id=engine)
+    for engine in sorted(ENGINE_TOLERANCE)
+] + [
+    pytest.param(engine, "rome_backend", build, id=f"{engine}-{build.__name__}")
+    for engine in ("density_matrix", "trajectories")
+    for build in (one_qubit_rotations, two_qubit_rotations)
+]
+
+
+def program_and_variants(backend, workload):
+    """A compiled benchmark and the xy4 window variants of three DD subsets:
+    none, every other active qubit, and all active qubits."""
+    compiled = transpile(get_benchmark(workload).build(), backend)
+    program = NoisyExecutor(backend).compile(compiled.physical_circuit, compiled.gst)
+    active = sorted(compiled.gst.active_qubits())
+    assignments = [DDAssignment.none(), DDAssignment.all(active[::2]), DDAssignment.all(active)]
+    return program, [program.assignment_variants(a, "xy4") for a in assignments]
 
 
 class TestRegistry:
@@ -129,14 +163,17 @@ class TestEngineMatrix:
                 f"engine '{engine}' diverges from the DM reference: fidelity {score}"
             )
 
-    @pytest.mark.parametrize("engine", sorted(ENGINE_TOLERANCE))
-    def test_sequential_batch_and_split_are_bit_identical(self, london_backend, engine):
+    @pytest.mark.parametrize("engine, backend_fixture, build", BIT_IDENTITY_CASES)
+    def test_sequential_batch_and_split_are_bit_identical(
+        self, request, engine, backend_fixture, build
+    ):
         """NoisyExecutor.run == one batch == any memory-budget sub-batching."""
-        circuit = clifford_probe()
-        sequential = NoisyExecutor(london_backend, trajectories=40)
-        batch = NoisyExecutor(london_backend, trajectories=40)
+        backend = request.getfixturevalue(backend_fixture)
+        circuit = build()
+        sequential = NoisyExecutor(backend, trajectories=40)
+        batch = NoisyExecutor(backend, trajectories=40)
         # A budget of one byte forces a sub-batch split into batches of one.
-        split = NoisyExecutor(london_backend, trajectories=40, memory_budget_bytes=1)
+        split = NoisyExecutor(backend, trajectories=40, memory_budget_bytes=1)
         batched = batch.run_assignments(
             circuit, ASSIGNMENTS, shots=500, seeds=SEEDS, engine=engine
         )
@@ -149,14 +186,11 @@ class TestEngineMatrix:
             reference = sequential.run(
                 circuit, dd_assignment=assignment, shots=500, seed=seed, engine=engine
             )
+            expected = [(k, v.hex()) for k, v in reference.probabilities.items()]
             for result in (from_batch, from_split):
                 assert result.counts == reference.counts
                 assert result.dd_pulse_count == reference.dd_pulse_count
-                keys = set(reference.probabilities) | set(result.probabilities)
-                for key in keys:
-                    assert result.probabilities.get(key, 0.0) == pytest.approx(
-                        reference.probabilities.get(key, 0.0), abs=1e-9
-                    )
+                assert [(k, v.hex()) for k, v in result.probabilities.items()] == expected
 
 
 class TestDenseEngineOracle:
@@ -172,17 +206,10 @@ class TestDenseEngineOracle:
         ],
     )
     def test_engine_matches_kraus_replay(self, request, backend_fixture, workload):
-        backend = request.getfixturevalue(backend_fixture)
-        compiled = transpile(get_benchmark(workload).build(), backend)
-        program = NoisyExecutor(backend).compile(compiled.physical_circuit, compiled.gst)
-        active = sorted(compiled.gst.active_qubits())
-        assignments = [
-            DDAssignment.none(),
-            DDAssignment.all(active[::2]),
-            DDAssignment.all(active),
-        ]
-        variants = [program.assignment_variants(a, "xy4") for a in assignments]
-        # One batch of differing variants, so the per-variant sub-batch path runs.
+        program, variants = program_and_variants(
+            request.getfixturevalue(backend_fixture), workload
+        )
+        # One batch of differing variants, so rows split at their windows.
         batch = get_engine("density_matrix").run(
             program, [EngineJob(variants=v) for v in variants], 1
         )
@@ -196,6 +223,79 @@ class TestDenseEngineOracle:
                 for op in ops:
                     reference.apply_kraus(op.kraus, op.positions)
             assert np.max(np.abs(probs - reference.probabilities())) <= 1e-12
+
+
+class TestDenseRowSharing:
+    """The dense engine keeps one state row per distinct variant history."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_contraction_is_row_invariant(self, k):
+        """A row's contraction bits do not depend on the rows stacked with it.
+
+        Sharing rows across jobs is bit-exact only because of this; a BLAS
+        whose kernels break it fails here rather than as drifting records.
+        """
+        rng = np.random.default_rng(k)
+        for n in range(k + 1, 7):
+            shape = (2,) * (4 * k)
+            superop = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            positions = [int(p) for p in rng.choice(n, size=k, replace=False)]
+            legs = [1 + p for p in positions] + [1 + n + p for p in positions]
+            for R in (1, 2, 3, 5, 8):
+                state = rng.normal(size=(R,) + (2,) * (2 * n)) + 0j
+                state += 1j * rng.normal(size=state.shape)
+                # The raw stack, then the transposed view a contraction returns
+                # (the layout the engine feeds to the next op).
+                for _ in range(2):
+                    stacked = engines_module._apply_operator(state, superop, legs)
+                    for r in range(R):
+                        alone = engines_module._apply_operator(state[r : r + 1], superop, legs)
+                        assert np.array_equal(stacked[r], alone[0])
+                    subset = rng.permutation(R)[: max(1, R // 2)]
+                    gathered = engines_module._apply_operator(state[subset], superop, legs)
+                    for i, r in enumerate(subset):
+                        assert np.array_equal(gathered[i], stacked[r])
+                    state = stacked
+
+    @staticmethod
+    def _spy_rows(monkeypatch):
+        """Record the row count of every contraction the engine makes."""
+        rows = []
+        original = engines_module._apply_operator
+
+        def spy(state, op_tensor, leg_axes):
+            rows.append(state.shape[0])
+            return original(state, op_tensor, leg_axes)
+
+        monkeypatch.setattr(engines_module, "_apply_operator", spy)
+        return rows
+
+    def test_identical_variants_share_one_row(self, rome_backend, monkeypatch):
+        """The served shape: a batch carrying no DD runs on one row."""
+        program, variants = program_and_variants(rome_backend, "ADDER-4")
+        rows = self._spy_rows(monkeypatch)
+        results = get_engine("density_matrix").run(
+            program, [EngineJob(variants=variants[0]) for _ in range(8)], 1
+        )
+        assert rows and set(rows) == {1}
+        assert len(results) == 8
+        assert all(np.array_equal(result, results[0]) for result in results)
+
+    def test_rows_never_exceed_distinct_histories(self, guadalupe_backend, monkeypatch):
+        program, variants = program_and_variants(guadalupe_backend, "QFT-5")
+        distinct = len({tuple(v) for v in variants})
+        assert distinct > 1
+        engine = get_engine("density_matrix")
+        alone = [engine.run(program, [EngineJob(variants=v)], 1)[0] for v in variants]
+        rows = self._spy_rows(monkeypatch)
+        batch = engine.run(program, [EngineJob(variants=v) for v in variants * 2], 1)
+        first_window = next(
+            i for i, (kind, _) in enumerate(program.template) if kind == "window"
+        )
+        assert rows[:first_window] == [1] * first_window
+        assert max(rows) <= distinct
+        for j, probs in enumerate(batch):
+            assert np.array_equal(probs, alone[j % len(variants)])
 
 
 class TestStabilizerEngine:
