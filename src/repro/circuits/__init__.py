@@ -1,4 +1,4 @@
-"""Circuit intermediate representation: gates, circuits, and dependency DAGs."""
+"""Circuit intermediate representation: gates and circuits."""
 
 from .gates import (
     BASIS_GATE_NAMES,
@@ -11,18 +11,14 @@ from .gates import (
     operator_norm_distance,
 )
 from .circuit import CircuitError, QuantumCircuit
-from .dag import CircuitDAG, DagNode, circuit_layers
 
 __all__ = [
     "BASIS_GATE_NAMES",
     "CLIFFORD_GATE_NAMES",
-    "CircuitDAG",
     "CircuitError",
-    "DagNode",
     "Gate",
     "GateDefinitionError",
     "QuantumCircuit",
-    "circuit_layers",
     "closest_clifford",
     "gate_matrix",
     "is_clifford_name",

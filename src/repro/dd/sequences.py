@@ -69,10 +69,6 @@ class DDPulseTrain:
         return len(self.pulses)
 
     @property
-    def total_pulse_time(self) -> float:
-        return sum(p.duration for p in self.pulses)
-
-    @property
     def average_spacing(self) -> float:
         """Mean gap between consecutive pulse centres (refocusing interval)."""
         if len(self.pulses) <= 1:

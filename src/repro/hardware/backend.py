@@ -84,9 +84,6 @@ class Backend:
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(self._device.edges)
 
-    def coupling_graph(self):
-        return self._device.coupling_graph()
-
     def distance_matrix(self):
         """The device's all-pairs distance array (read-only, built once).
 
@@ -117,8 +114,7 @@ class Backend:
     def adjacency_sets(self) -> Tuple[frozenset, ...]:
         """Physical neighbours of every qubit, as one frozenset per qubit.
 
-        The O(1) adjacency test the transpiler uses instead of building a
-        networkx graph per pass; built once per backend.
+        The transpiler's O(1) adjacency test; built once per backend.
         """
         if self._adjacency is None:
             neighbors = [set() for _ in range(self._device.num_qubits)]

@@ -99,9 +99,6 @@ class DeviceSpec:
     def neighbors(self, qubit: int) -> frozenset:
         return topologies.neighbors(self.edges, qubit)
 
-    def coupling_graph(self):
-        return topologies.coupling_graph(self.edges, self.num_qubits)
-
     def distance(self, a: int, b: int) -> int:
         """Coupling-graph distance, served from the process-wide memo.
 

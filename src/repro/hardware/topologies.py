@@ -26,7 +26,6 @@ import math
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "line",
     "heavy_hex",
     "heavy_hex_num_qubits",
-    "coupling_graph",
     "build_distance_array",
     "clear_distance_cache",
     "device_edges",
@@ -256,14 +254,6 @@ def device_edges(name: str) -> List[Edge]:
 
 def device_num_qubits(name: str) -> int:
     return _NUM_QUBITS[name]
-
-
-def coupling_graph(edges: Sequence[Edge], num_qubits: int) -> nx.Graph:
-    """Undirected coupling graph with all qubits present as nodes."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_qubits))
-    graph.add_edges_from(edges)
-    return graph
 
 
 def neighbors(edges: Sequence[Edge], qubit: int) -> FrozenSet[int]:

@@ -202,27 +202,3 @@ class ServiceClient:
                 return job
             time.sleep(0.1)
         raise TimeoutError(f"job {job_id} did not settle within {timeout_s}s")
-
-    def submit_run_with_backoff(
-        self,
-        params: Dict[str, object],
-        kind: str = "benchmark_run",
-        tenant: str = "default",
-        priority: int = 0,
-        attempts: int = 20,
-        max_wait_s: float = 5.0,
-    ) -> str:
-        """Submit, honouring ``retry_after_s`` on backpressure rejections."""
-        last: Optional[ServiceError] = None
-        for _ in range(max(1, int(attempts))):
-            try:
-                return self.submit_run(
-                    params, kind=kind, tenant=tenant, priority=priority
-                )
-            except ServiceError as exc:
-                if exc.code not in ("queue_full", "quota_exceeded"):
-                    raise
-                last = exc
-                hint = exc.retry_after_s
-                time.sleep(min(float(hint) if hint else 0.5, float(max_wait_s)))
-        raise last if last is not None else RuntimeError("unreachable")

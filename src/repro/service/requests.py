@@ -102,6 +102,8 @@ class RunRequest:
             raise ValueError(
                 f"trajectories must be positive, got {self.trajectories}"
             )
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         spec = get_benchmark(str(self.benchmark))
         object.__setattr__(self, "benchmark", spec.name)
         if self.engine is None:

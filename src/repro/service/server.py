@@ -74,6 +74,10 @@ PROTOCOL_OPS = {
 #: Packable task kind (everything else runs unpacked through run_task).
 _PACKABLE_KIND = "benchmark_run"
 
+#: Longest request line a handler accepts, newline included; a longer line is
+#: answered with ``bad_request`` instead of being buffered whole.
+MAX_REQUEST_BYTES = 1 << 20
+
 
 class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
@@ -83,8 +87,11 @@ class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via the socket
         service: "SweepService" = self.server.service  # type: ignore[attr-defined]
-        line = self.rfile.readline()
+        line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
         if not line:
+            return
+        if len(line) > MAX_REQUEST_BYTES:
+            self._send({"ok": False, "error": "bad_request", "message": "request line too long"})
             return
         try:
             payload = json.loads(line.decode("utf-8"))

@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.backend import Backend
@@ -54,17 +52,18 @@ def trivial_layout(num_logical: int) -> Layout:
     return Layout(tuple(range(num_logical)))
 
 
-def interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
-    """Weighted graph of two-qubit interactions in a program."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
+def interaction_graph(circuit: QuantumCircuit) -> Dict[int, Dict[int, int]]:
+    """Two-qubit interaction counts of a program: ``{qubit: {partner: count}}``.
+
+    Every program qubit is a key, and each qubit's partners appear in the
+    order of their first interaction.
+    """
+    graph: Dict[int, Dict[int, int]] = {q: {} for q in range(circuit.num_qubits)}
     for gate in circuit:
         if gate.is_two_qubit:
             a, b = gate.qubits
-            if graph.has_edge(a, b):
-                graph[a][b]["weight"] += 1
-            else:
-                graph.add_edge(a, b, weight=1)
+            graph[a][b] = graph[a].get(b, 0) + 1
+            graph[b][a] = graph[b].get(a, 0) + 1
     return graph
 
 
@@ -93,11 +92,7 @@ def _readout_error(backend: Backend, qubit: int) -> float:
 
 
 def _select_region(backend: Backend, size: int) -> List[int]:
-    """Grow a connected low-error region of ``size`` physical qubits.
-
-    Adjacency queries ride the backend's cached neighbour sets — no
-    networkx graph is built on this path.
-    """
+    """Grow a connected low-error region of ``size`` physical qubits."""
     edges = list(backend.edges)
     if size == 1:
         best = min(range(backend.num_qubits), key=lambda q: _readout_error(backend, q))
@@ -132,26 +127,19 @@ def _place_program(circuit: QuantumCircuit, backend: Backend, region: List[int])
     """Assign logical qubits to the selected physical region.
 
     Partner distances are O(1) lookups into the backend's memoized all-pairs
-    array (shared with SABRE routing) instead of a fresh BFS per candidate
-    pair — the per-pair ``nx.shortest_path_length`` calls inside this loop
-    were quadratic-repeated work that dominated layout on 100+ qubit devices.
-    Distances are measured on the full coupling graph (routing may leave the
-    region), with unreachable pairs penalized at a large finite cost.
+    array (shared with SABRE routing).  Distances are measured on the full
+    coupling graph (routing may leave the region), with unreachable pairs
+    penalized at a large finite cost.
     """
     program_graph = interaction_graph(circuit)
     adjacency = backend.adjacency_sets()
     distances = backend.distance_matrix()
     far = float(backend.num_qubits)
-    order = sorted(
-        range(circuit.num_qubits),
-        key=lambda q: -sum(d["weight"] for _, _, d in program_graph.edges(q, data=True)),
-    )
+    order = sorted(range(circuit.num_qubits), key=lambda q: -sum(program_graph[q].values()))
     assignment: Dict[int, int] = {}
     used: set = set()
     for logical in order:
-        placed_partners = [
-            assignment[p] for p in program_graph.neighbors(logical) if p in assignment
-        ]
+        placed_partners = [assignment[p] for p in program_graph[logical] if p in assignment]
         candidates = [p for p in region if p not in used]
         if not candidates:
             raise ValueError("region smaller than the program")

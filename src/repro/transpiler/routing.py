@@ -88,12 +88,6 @@ def sabre_route(
             layer.
         max_iterations: safety bound on SWAP insertions (defaults to a
             generous multiple of the gate count).
-
-    The all-pairs distance matrix is served from the backend's memoized
-    array (one graph traversal per topology per process) instead of being
-    recomputed on every invocation — at 127 qubits the per-call rebuild used
-    to dominate routing time.  Adjacency tests ride the backend's cached
-    neighbour sets; no networkx graph is built on this path at all.
     """
     distances = backend.distance_matrix()
     dist_rows = backend.distance_rows()

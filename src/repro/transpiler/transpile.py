@@ -37,10 +37,6 @@ class CompiledProgram:
     _gst: Optional[GateSequenceTable] = field(default=None, repr=False)
 
     @property
-    def num_logical_qubits(self) -> int:
-        return self.logical_circuit.num_qubits
-
-    @property
     def output_qubits(self) -> Tuple[int, ...]:
         """Physical qubit holding each logical qubit at measurement time."""
         return self.final_layout.physical_qubits()
@@ -56,9 +52,6 @@ class CompiledProgram:
         if self._gst is None:
             self._gst = self.backend.schedule(self.physical_circuit)
         return self._gst
-
-    def schedule(self, method: str = "alap") -> GateSequenceTable:
-        return self.backend.schedule(self.physical_circuit, method=method)
 
     # Summary statistics used by the Table 4 harness ------------------------
 

@@ -13,7 +13,6 @@ from .qaoa import (
     qaoa_benchmark,
     qaoa_maxcut,
     qaoa_on_graph,
-    random_regular_graph,
     ring_graph,
 )
 from .qft import qft, qft_benchmark
@@ -23,7 +22,6 @@ from .suite import (
     BenchmarkSpec,
     benchmark_families,
     get_benchmark,
-    list_benchmarks,
     register_resolver,
     table4_suite,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "get_benchmark",
     "ghz",
     "heavy_hex_subgraph",
-    "list_benchmarks",
     "mirror_circuit",
     "mirror_target",
     "path_graph",
@@ -54,7 +51,6 @@ __all__ = [
     "qpe_expected_output",
     "quantum_adder",
     "quantum_phase_estimation",
-    "random_regular_graph",
     "register_resolver",
     "ring_graph",
     "table4_suite",

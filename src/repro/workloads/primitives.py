@@ -8,17 +8,12 @@ vocabulary.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
-
 from ..circuits.circuit import QuantumCircuit
 
 __all__ = [
     "controlled_phase",
-    "controlled_rz",
     "toffoli",
     "prepare_basis_state",
-    "prepare_product_state",
 ]
 
 
@@ -29,14 +24,6 @@ def controlled_phase(circuit: QuantumCircuit, angle: float, control: int, target
     circuit.rz(-angle / 2.0, target)
     circuit.cx(control, target)
     circuit.rz(angle / 2.0, target)
-
-
-def controlled_rz(circuit: QuantumCircuit, angle: float, control: int, target: int) -> None:
-    """Apply a controlled-RZ(angle) rotation."""
-    circuit.rz(angle / 2.0, target)
-    circuit.cx(control, target)
-    circuit.rz(-angle / 2.0, target)
-    circuit.cx(control, target)
 
 
 def toffoli(circuit: QuantumCircuit, a: int, b: int, target: int) -> None:
@@ -71,11 +58,3 @@ def prepare_basis_state(circuit: QuantumCircuit, bits: str) -> None:
             circuit.x(qubit)
         elif bit != "0":
             raise ValueError(f"invalid bit '{bit}' in basis state")
-
-
-def prepare_product_state(circuit: QuantumCircuit, angles: Sequence[float]) -> None:
-    """Prepare a product state with an RY(angle) rotation on each qubit."""
-    if len(angles) > circuit.num_qubits:
-        raise ValueError("more angles than qubits")
-    for qubit, angle in enumerate(angles):
-        circuit.ry(angle, qubit)

@@ -4,16 +4,13 @@ QAOA circuits are the paper's representative variational workloads
 (QAOA-5/8/10, and the 100-qubit SDC scalability check in Table 2).  Each
 layer applies a ZZ cost unitary per graph edge followed by a transverse-field
 mixer, so the CNOT structure is set by the problem graph: sparse ring graphs
-give the shallow "A" instances, denser random-regular graphs the deeper "B"
+give the shallow "A" instances, denser 3-regular graphs the deeper "B"
 instances of Table 4.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 
@@ -21,7 +18,6 @@ __all__ = [
     "qaoa_maxcut",
     "path_graph",
     "ring_graph",
-    "random_regular_graph",
     "heavy_hex_subgraph",
     "qaoa_benchmark",
     "qaoa_on_graph",
@@ -88,10 +84,20 @@ def qaoa_on_graph(num_qubits: int, graph: str, layers: int = 1) -> QuantumCircui
     return circuit
 
 
-def random_regular_graph(num_nodes: int, degree: int = 3, seed: int = 11) -> List[Edge]:
-    """Random d-regular graph edges (the denser QAOA-xB instances)."""
-    graph = nx.random_regular_graph(degree, num_nodes, seed=seed)
-    return [tuple(sorted(edge)) for edge in graph.edges()]
+#: The 3-regular problem graphs of QAOA-8B and QAOA-10B, by node count.  Drawn
+#: once with networkx 3.6.1 as ``random_regular_graph(3, n, seed=n)``, each
+#: edge sorted and networkx's edge order kept: the cost layer follows this
+#: order, so it is part of both circuits' fingerprints.
+_REGULAR_GRAPHS: Dict[int, List[Edge]] = {
+    8: [
+        (0, 7), (0, 3), (0, 2), (1, 5), (1, 4), (1, 6),
+        (2, 4), (2, 3), (3, 7), (4, 6), (5, 7), (5, 6),
+    ],
+    10: [
+        (0, 7), (0, 9), (0, 5), (1, 8), (1, 6), (1, 3), (2, 4), (2, 7),
+        (2, 3), (3, 5), (4, 9), (4, 6), (5, 8), (6, 8), (7, 9),
+    ],
+}
 
 
 def qaoa_maxcut(
@@ -144,7 +150,11 @@ def qaoa_benchmark(num_qubits: int, variant: str = "A", layers: Optional[int] = 
         edges = ring_graph(num_qubits)
         depth = layers if layers is not None else 1
     elif variant == "B":
-        edges = random_regular_graph(num_qubits, degree=3, seed=num_qubits)
+        if num_qubits not in _REGULAR_GRAPHS:
+            raise ValueError(
+                f"'B' instances exist for {sorted(_REGULAR_GRAPHS)} qubits, not {num_qubits}"
+            )
+        edges = _REGULAR_GRAPHS[num_qubits]
         depth = layers if layers is not None else 2
     else:
         raise ValueError("variant must be 'A' or 'B'")

@@ -13,10 +13,10 @@ circuits track fidelity for different state evolutions (Section 5.3).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..circuits.circuit import QuantumCircuit
-from .primitives import controlled_phase, prepare_basis_state, prepare_product_state
+from .primitives import controlled_phase, prepare_basis_state
 
 __all__ = ["qft", "qft_benchmark"]
 

@@ -46,7 +46,6 @@ __all__ = [
     "BENCHMARKS",
     "benchmark_families",
     "get_benchmark",
-    "list_benchmarks",
     "register_resolver",
     "table4_suite",
 ]
@@ -320,13 +319,6 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         f"unknown benchmark '{name}'; known: {sorted(BENCHMARKS)};"
         f" parametric families: {sorted(_FAMILY_GRAMMAR.values())}"
     )
-
-
-def list_benchmarks(table4_only: bool = False) -> List[str]:
-    names = [
-        name for name, spec in BENCHMARKS.items() if spec.in_table4 or not table4_only
-    ]
-    return sorted(names)
 
 
 def table4_suite() -> List[BenchmarkSpec]:

@@ -6,7 +6,9 @@ version of each piece — one ``bool`` per qubit, one column rule per gate,
 one loop iteration per event and trajectory — as the reference the
 differential suites compare against bit for bit.  It also keeps
 :class:`DensityMatrixSimulator`, the one-state, one-Kraus-channel-at-a-time
-reference of the batched superoperator ``density_matrix`` engine.
+reference of the batched superoperator ``density_matrix`` engine, and
+:func:`networkx_graph`, the graph-library reference of the topology and
+layout tests.
 
 :func:`installed` swaps the references in through ``monkeypatch`` on the
 production attributes below and counts every call under the key shown, so
@@ -44,6 +46,7 @@ from repro.workloads import mirror as mirror_module
 
 from .density_matrix import DensityMatrixSimulator
 from .engines import frame_run, mask_results, variant_mask_events
+from .graphs import networkx_graph
 from .mirror import target_bits
 from .tableau import CliffordTableau, enumerate_probabilities
 
@@ -52,6 +55,7 @@ __all__ = [
     "DensityMatrixSimulator",
     "enumerate_probabilities",
     "installed",
+    "networkx_graph",
 ]
 
 

@@ -1,11 +1,11 @@
-"""Unit tests for QuantumCircuit and the dependency DAG."""
+"""Unit tests for QuantumCircuit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.circuits import CircuitDAG, CircuitError, Gate, QuantumCircuit, circuit_layers
+from repro.circuits import CircuitError, Gate, QuantumCircuit
 from repro.simulators import StatevectorSimulator
 
 from repro.testing import random_single_qubit_circuit
@@ -173,38 +173,3 @@ class TestUnitarySemantics:
         state = unitary[:, 0]
         assert np.allclose(np.abs(state) ** 2, [0.5, 0, 0, 0.5])
 
-
-class TestDag:
-    def test_front_layer_contains_independent_gates(self):
-        circuit = QuantumCircuit(3).h(0).h(1).cx(0, 1).h(2)
-        dag = CircuitDAG(circuit)
-        names = sorted(node.gate.name for node in dag.front_layer())
-        assert names == ["h", "h", "h"]
-
-    def test_asap_levels_respect_dependencies(self):
-        circuit = QuantumCircuit(2).h(0).cx(0, 1).h(1)
-        dag = CircuitDAG(circuit)
-        levels = dag.asap_levels()
-        assert levels[0] == 0 and levels[1] == 1 and levels[2] == 2
-
-    def test_longest_path_equals_depth(self, rng):
-        circuit = random_single_qubit_circuit(4, 25, rng)
-        assert CircuitDAG(circuit).longest_path_length() == circuit.depth()
-
-    def test_barrier_orders_gates_without_node(self):
-        circuit = QuantumCircuit(2).h(0).barrier().h(0)
-        dag = CircuitDAG(circuit)
-        assert dag.graph.number_of_nodes() == 2
-        assert dag.graph.number_of_edges() == 1
-
-    def test_circuit_layers_partition_all_gates(self):
-        circuit = QuantumCircuit(3).h(0).h(1).cx(0, 1).cx(1, 2).h(0)
-        layers = circuit_layers(circuit)
-        assert sum(len(layer) for layer in layers) == len(circuit)
-        assert [g.name for g in layers[0]] == ["h", "h"]
-
-    def test_successors_and_predecessors(self):
-        circuit = QuantumCircuit(2).h(0).cx(0, 1)
-        dag = CircuitDAG(circuit)
-        assert [n.gate.name for n in dag.successors(0)] == ["cx"]
-        assert [n.gate.name for n in dag.predecessors(1)] == ["h"]

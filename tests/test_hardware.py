@@ -2,10 +2,12 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import networkx_graph
 
 from repro.circuits import Gate, QuantumCircuit
 from repro.hardware import (
@@ -34,12 +36,9 @@ class TestTopologies:
         assert get_device("ibmq_rome").num_qubits == 5
 
     def test_coupling_graphs_are_connected(self):
-        import networkx as nx
-
         for name in list_devices():
             device = get_device(name)
-            graph = device.coupling_graph()
-            assert nx.is_connected(graph), name
+            assert nx.is_connected(networkx_graph(device.edges, device.num_qubits)), name
 
     def test_line_and_all_to_all(self):
         assert topologies.line(4) == [(0, 1), (1, 2), (2, 3)]
@@ -232,17 +231,15 @@ class TestHeavyHexFamily:
     def test_published_lattice_counts(self, distance, num_qubits, num_edges):
         edges = topologies.heavy_hex(distance)
         assert topologies.heavy_hex_num_qubits(distance) == num_qubits
-        graph = topologies.coupling_graph(edges, num_qubits)
+        graph = networkx_graph(edges, num_qubits)
         assert graph.number_of_nodes() == num_qubits
         assert graph.number_of_edges() == num_edges
 
     @pytest.mark.parametrize("distance", [2, 3, 4, 5])
     def test_degree_bound_and_connectivity(self, distance):
-        import networkx as nx
-
         edges = topologies.heavy_hex(distance)
         n = topologies.heavy_hex_num_qubits(distance)
-        graph = topologies.coupling_graph(edges, n)
+        graph = networkx_graph(edges, n)
         assert nx.is_connected(graph)
         assert max(degree for _, degree in graph.degree) <= 3
 
@@ -328,14 +325,10 @@ class TestDistanceCache:
             array[0, 1] = 99
 
     def test_matches_networkx_reference(self):
-        import networkx as nx
-
         edges = topologies.heavy_hex(3)
         n = 65
         array = topologies.build_distance_array(edges, n)
-        lengths = dict(
-            nx.all_pairs_shortest_path_length(topologies.coupling_graph(edges, n))
-        )
+        lengths = dict(nx.all_pairs_shortest_path_length(networkx_graph(edges, n)))
         for a in range(0, n, 7):
             for b in range(0, n, 5):
                 assert array[a, b] == lengths[a][b]

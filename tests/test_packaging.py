@@ -4,11 +4,14 @@ A fresh environment gets only what ``pyproject.toml`` declares (CI installs
 ``pip install -e ".[test]"``), so an undeclared import breaks ``import repro``
 or test collection there while passing wherever the package happens to be
 installed.  Import names are compared with distribution names after PEP 503
-normalisation.
+normalisation.  numpy is the only runtime dependency, and importing the
+runtime entry points in a fresh interpreter must load nothing else.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +84,30 @@ def test_test_imports_are_declared(project):
         if name not in declared
     }
     assert not undeclared, f"not in [project].dependencies or the test extra: {undeclared}"
+
+
+def _top_level_modules(code: str) -> set:
+    """Top-level module names a fresh interpreter holds after running ``code``."""
+    report = "import sys; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return set(result.stdout.split())
+
+
+def test_runtime_entry_points_load_only_numpy():
+    # The baseline is a bare interpreter in this environment, not the stdlib:
+    # site hooks may preload third-party modules before any user code runs.
+    baseline = _top_level_modules("pass")
+    loaded = _top_level_modules(
+        "import repro.cli, repro.service.server, repro.runtime.orchestrator"
+    )
+    added = {
+        name
+        for name in loaded - baseline
+        if name not in sys.stdlib_module_names and not name.startswith("__")
+    }
+    assert "repro" in added
+    assert added <= {"numpy", "repro"}, f"the runtime imports {sorted(added - {'numpy', 'repro'})}"

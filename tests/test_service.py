@@ -46,6 +46,7 @@ from repro.service import (
     split_shots,
 )
 from repro.service.scheduler import chunk_seeds, expected_batches, packing_stats
+from repro.service.server import MAX_REQUEST_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -395,10 +396,22 @@ class TestDaemon:
             client.submit_run({"device": "ibmq_rome"})
         with pytest.raises(ServiceError, match="unknown benchmark"):
             client.submit_run({**BASE, "seed": 0, "benchmark": "NOPE-9"})
+        with pytest.raises(ServiceError, match="seed"):
+            client.submit_run({**BASE, "seed": -1})
         with pytest.raises(ServiceError, match="sweeps"):
             client.request({"op": "submit", "job": {"type": "sweep"}})
         with pytest.raises(ServiceError, match="unknown op"):
             client.request({"op": "frobnicate"})
+
+    def test_overlong_request_line_is_a_bad_request(self, service):
+        # No newline ever arrives: the handler must stop reading at the bound.
+        with socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM) as sock:
+            sock.settimeout(5.0)
+            sock.connect(service.socket_path)
+            sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+            reply = json.loads(sock.makefile("rb").readline())
+        assert (reply["ok"], reply["error"]) == (False, "bad_request")
+        assert ServiceClient(service.socket_path).ping()["ok"]
 
     def test_cancel_queued_job_never_runs(self, service):
         client = ServiceClient(service.socket_path)

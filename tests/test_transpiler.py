@@ -1,11 +1,14 @@
 """Tests for the transpiler: decomposition, layout, routing, optimization."""
 
 import math
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import networkx_graph
 
 from repro.circuits import Gate, QuantumCircuit
 from repro.simulators import StatevectorSimulator
@@ -21,7 +24,8 @@ from repro.transpiler import (
     trivial_layout,
     zyz_angles,
 )
-from repro.workloads import bernstein_vazirani, ghz, qaoa_benchmark, qft_benchmark
+from repro.transpiler.layout import interaction_graph
+from repro.workloads import bernstein_vazirani, get_benchmark, ghz, qaoa_benchmark, qft_benchmark
 
 from repro.testing import random_single_qubit_circuit
 
@@ -116,12 +120,21 @@ class TestLayout:
         assert all(0 <= q < 27 for q in physical)
 
     def test_layout_region_is_connected(self, toronto_backend):
-        import networkx as nx
-
         circuit = qft_benchmark(6, "A")
         layout = noise_adaptive_layout(circuit, toronto_backend)
-        subgraph = toronto_backend.coupling_graph().subgraph(layout.physical_qubits())
-        assert nx.is_connected(subgraph)
+        graph = networkx_graph(toronto_backend.edges, toronto_backend.num_qubits)
+        assert nx.is_connected(graph.subgraph(layout.physical_qubits()))
+
+    @pytest.mark.parametrize("workload", ["QFT-7B", "QAOA-10B"])
+    def test_interaction_graph_matches_networkx(self, workload):
+        # Same partners in networkx's adjacency order, one count per gate.
+        circuit = decompose_to_basis(get_benchmark(workload).build())
+        pairs = [gate.qubits for gate in circuit if gate.is_two_qubit]
+        reference = networkx_graph(pairs, circuit.num_qubits)
+        graph = interaction_graph(circuit)
+        assert [list(graph[q]) for q in graph] == [list(reference[q]) for q in reference]
+        counts = Counter(frozenset(pair) for pair in pairs)
+        assert {frozenset((a, b)): graph[a][b] for a in graph for b in graph[a]} == counts
 
     def test_program_larger_than_device_rejected(self, rome_backend):
         with pytest.raises(ValueError):

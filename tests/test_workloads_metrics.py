@@ -22,6 +22,7 @@ from repro.metrics import (
     total_variation_distance,
 )
 from repro.simulators import StatevectorSimulator
+from repro.transpiler.layout import interaction_graph
 from repro.workloads import (
     BENCHMARKS,
     adder_expected_output,
@@ -103,6 +104,16 @@ class TestQAOA:
 
     def test_variant_b_has_more_gates(self):
         assert qaoa_benchmark(8, "B").num_gates > qaoa_benchmark(8, "A").num_gates
+
+    @pytest.mark.parametrize("num_qubits", [8, 10])
+    def test_variant_b_graphs_are_3_regular(self, num_qubits):
+        graph = interaction_graph(qaoa_benchmark(num_qubits, "B"))
+        assert sorted(graph) == list(range(num_qubits))
+        assert all(len(partners) == 3 for partners in graph.values())
+
+    def test_variant_b_exists_only_for_table4_sizes(self):
+        with pytest.raises(ValueError, match="'B' instances"):
+            qaoa_benchmark(12, "B")
 
     def test_output_distribution_is_normalised(self):
         probabilities = StatevectorSimulator().probabilities(qaoa_benchmark(6, "A"))
