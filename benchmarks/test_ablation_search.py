@@ -9,8 +9,6 @@
   shot counts (the decoy output is low-entropy by construction).
 """
 
-import numpy as np
-
 from repro.core import Adapt, AdaptConfig, compiled_ideal_distribution
 from repro.hardware import Backend, NoisyExecutor
 from repro.metrics import fidelity

@@ -5,8 +5,6 @@ good but not optimal; for BV, DD-on-all can be counter-productive while some
 selective combination still beats no-DD.
 """
 
-import numpy as np
-
 from repro.analysis import dd_combination_sweep
 from repro.hardware import Backend, NoisyExecutor
 from repro.transpiler import transpile

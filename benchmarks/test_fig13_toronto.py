@@ -5,8 +5,6 @@ Runtime-Best as the upper bound; the improvement is largest for the
 idle-dominated QFT workloads.  Both protocols benefit, XY4 slightly more.
 """
 
-import numpy as np
-
 from repro.analysis import EvaluationConfig, run_machine_evaluation
 from repro.metrics import geometric_mean
 

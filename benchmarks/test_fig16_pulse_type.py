@@ -5,8 +5,6 @@ stays constant) increasingly outperforms the sparse IBMQ-DD pair as the idle
 window grows.
 """
 
-import numpy as np
-
 from repro.analysis import pulse_type_study
 from repro.hardware import Backend
 

@@ -8,8 +8,8 @@ the real CLI (`python -m repro ...`) end to end:
 1. run the built-in smoke sweep into a fresh store (cold: everything executes);
 2. run it again and *require* 100% cache hits (warm: nothing executes);
 3. inspect the store (`ls --stats`) and the sweep journal (`report`);
-4. use the same store from the Python API, where the figure drivers
-   read through it.
+4. drive a sweep from the Python API twice on one store: the second run
+   is served from the records the first one wrote.
 
 Run with:  python examples/quickstart.py
 """
@@ -44,30 +44,39 @@ def run() -> None:
         cli("ls", "--store", store, "--stats")
         cli("report", "--store", store)
 
-        # 4. The same store serves the Python API: drivers accept store= and
-        #    read through it, so regenerating a figure from a warm store
-        #    costs a disk read.  (One ADAPT policy comparison, Figure 13
-        #    style — the second call below does not execute anything.)
-        from repro import Backend, ExperimentStore
-        from repro.analysis.evaluation_runs import (
-            EvaluationConfig,
-            run_policy_comparison,
-        )
+        # 4. The Python API goes through the same task keys: a
+        #    SweepOrchestrator run on the same store executes a Figure 13
+        #    style policy comparison once, and a second run reads it back.
+        from repro import ExperimentStore
+        from repro.runtime import SweepOrchestrator, SweepSpec
 
-        handle = ExperimentStore(store)
-        backend = Backend.from_name("ibmq_rome", cycle=0)
-        config = EvaluationConfig(
-            shots=512, decoy_shots=256, trajectories=40,
-            runtime_best_max_evaluations=8, seed=7,
+        spec = SweepSpec(
+            name="quickstart/adder",
+            kind="policy_comparison",
+            devices=("ibmq_rome",),
+            workloads=("ADDER-4",),
+            seeds=(11,),  # the smoke sweep above already stored seed 7
+            params={
+                "shots": 512,
+                "decoy_shots": 256,
+                "trajectories": 40,
+                "runtime_best_max_evaluations": 8,
+            },
         )
-        evaluation = run_policy_comparison("ADDER-4", backend, config, store=handle)
-        replayed = run_policy_comparison("ADDER-4", backend, config, store=handle)
+        handle = ExperimentStore(store)
+        cold = SweepOrchestrator(handle).run([spec], name="quickstart")
+        warm = SweepOrchestrator(handle).run([spec], name="quickstart")
+        task = next(t for t in cold.tasks if t.kind == "policy_comparison")
+        outcomes = handle.get(task.key).meta["outcomes"]
         print("\nPolicy comparison on ADDER-4 @ ibmq_rome (relative to No-DD):")
-        for name, outcome in evaluation.outcomes.items():
-            print(f"  {name:12s} {outcome.relative_fidelity:5.2f}x")
-        assert replayed.outcomes.keys() == evaluation.outcomes.keys()
-        hits = handle.stats["memory_hits"] + handle.stats["disk_hits"]
-        print(f"store hits this session: {hits} (the replay executed nothing)")
+        for name, outcome in outcomes.items():
+            print(f"  {name:12s} {outcome['relative_fidelity']:5.2f}x")
+        assert len(cold.executed) == len(cold.tasks)
+        assert not warm.executed and len(warm.cached) == len(warm.tasks)
+        print(
+            f"second run: {len(warm.cached)} of {len(warm.tasks)} tasks"
+            " served from the store, none executed"
+        )
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..dd.insertion import DDAssignment
 from ..hardware.backend import Backend
 from ..hardware.execution import NoisyExecutor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import ExperimentStore
 
 __all__ = [
     "CharacterizationRecord",
@@ -151,47 +148,18 @@ def single_qubit_idling_study(
     dd_sequence: str = "xy4",
     shots: int = 2048,
     seed: int = 0,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[Dict[str, float]]:
     """Fidelity of one idle qubit vs theta, with and without DD (Figure 4(c,f))."""
-
-    def compute() -> List[Dict[str, float]]:
-        executor = NoisyExecutor(backend, seed=seed)
-        records = []
-        for theta in thetas:
-            circuit = idle_characterization_circuit(
-                backend, idle_qubit, theta, idle_ns, active_link
-            )
-            free = idle_qubit_fidelity(executor, circuit, idle_qubit, None, shots)
-            with_dd = idle_qubit_fidelity(executor, circuit, idle_qubit, dd_sequence, shots)
-            records.append({"theta": theta, "free": free, "dd": with_dd})
-        return records
-
-    if store is None:
-        return compute()
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import decode_rows, encode_rows, read_through
-
-    key = task_key(
-        "single_qubit_idling",
-        {
-            "calibration": calibration_fingerprint(backend.calibration),
-            "idle_qubit": int(idle_qubit),
-            "active_link": None if active_link is None else sorted(active_link),
-            "idle_ns": float(idle_ns),
-            "thetas": [float(t) for t in thetas],
-            "dd_sequence": dd_sequence,
-            "shots": int(shots),
-            "seed": int(seed),
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda rows: encode_rows("single_qubit_idling", rows),
-        decode=lambda meta, arrays: decode_rows(meta),
-    )
+    executor = NoisyExecutor(backend, seed=seed)
+    records = []
+    for theta in thetas:
+        circuit = idle_characterization_circuit(
+            backend, idle_qubit, theta, idle_ns, active_link
+        )
+        free = idle_qubit_fidelity(executor, circuit, idle_qubit, None, shots)
+        with_dd = idle_qubit_fidelity(executor, circuit, idle_qubit, dd_sequence, shots)
+        records.append({"theta": theta, "free": free, "dd": with_dd})
+    return records
 
 
 def full_device_characterization(
@@ -202,80 +170,39 @@ def full_device_characterization(
     shots: int = 1024,
     max_combinations: Optional[int] = None,
     seed: int = 0,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[CharacterizationRecord]:
     """Probe every (idle qubit, link) combination with and without DD.
 
     Returns two records (free / DD) per combination and theta.  The Figure 4
     (g,h) histograms are the fidelity distributions of the two groups, and the
     Figure 5 histogram is the ratio DD / free per combination.  This is the
-    heaviest characterisation sweep (700 combinations on Toronto), which is
-    exactly why it is store-aware: re-plotting Figures 4/5 costs one read.
+    heaviest characterisation sweep (700 combinations on Toronto); as the
+    ``characterization`` task kind its result is stored, so re-plotting
+    Figures 4/5 costs one read.
     """
-
-    def compute() -> List[CharacterizationRecord]:
-        executor = NoisyExecutor(backend, seed=seed)
-        combinations = backend.device.qubit_link_combinations()
-        if max_combinations is not None:
-            rng = np.random.default_rng(seed)
-            indices = rng.choice(
-                len(combinations),
-                size=min(max_combinations, len(combinations)),
-                replace=False,
+    executor = NoisyExecutor(backend, seed=seed)
+    combinations = backend.device.qubit_link_combinations()
+    if max_combinations is not None:
+        rng = np.random.default_rng(seed)
+        indices = rng.choice(
+            len(combinations),
+            size=min(max_combinations, len(combinations)),
+            replace=False,
+        )
+        combinations = [combinations[i] for i in sorted(indices)]
+    records: List[CharacterizationRecord] = []
+    for qubit, link in combinations:
+        for theta in thetas:
+            circuit = idle_characterization_circuit(backend, qubit, theta, idle_ns, link)
+            free = idle_qubit_fidelity(executor, circuit, qubit, None, shots)
+            with_dd = idle_qubit_fidelity(executor, circuit, qubit, dd_sequence, shots)
+            records.append(
+                CharacterizationRecord(qubit, link, theta, idle_ns, None, free)
             )
-            combinations = [combinations[i] for i in sorted(indices)]
-        records: List[CharacterizationRecord] = []
-        for qubit, link in combinations:
-            for theta in thetas:
-                circuit = idle_characterization_circuit(backend, qubit, theta, idle_ns, link)
-                free = idle_qubit_fidelity(executor, circuit, qubit, None, shots)
-                with_dd = idle_qubit_fidelity(executor, circuit, qubit, dd_sequence, shots)
-                records.append(
-                    CharacterizationRecord(qubit, link, theta, idle_ns, None, free)
-                )
-                records.append(
-                    CharacterizationRecord(qubit, link, theta, idle_ns, dd_sequence, with_dd)
-                )
-        return records
-
-    if store is None:
-        return compute()
-    from dataclasses import asdict
-
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import decode_rows, encode_rows, read_through
-
-    key = task_key(
-        "full_device_characterization",
-        {
-            "calibration": calibration_fingerprint(backend.calibration),
-            "idle_ns": float(idle_ns),
-            "thetas": [float(t) for t in thetas],
-            "dd_sequence": dd_sequence,
-            "shots": int(shots),
-            "max_combinations": max_combinations,
-            "seed": int(seed),
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda records: encode_rows(
-            "full_device_characterization", [asdict(r) for r in records]
-        ),
-        decode=lambda meta, arrays: [
-            CharacterizationRecord(
-                qubit=int(row["qubit"]),
-                link=None if row["link"] is None else tuple(row["link"]),
-                theta=float(row["theta"]),
-                idle_ns=float(row["idle_ns"]),
-                dd_sequence=row["dd_sequence"],
-                fidelity=float(row["fidelity"]),
+            records.append(
+                CharacterizationRecord(qubit, link, theta, idle_ns, dd_sequence, with_dd)
             )
-            for row in decode_rows(meta)
-        ],
-    )
+    return records
 
 
 def relative_dd_fidelity(records: Sequence[CharacterizationRecord]) -> List[float]:
@@ -305,73 +232,31 @@ def calibration_drift_study(
     dd_sequence: str = "xy4",
     shots: int = 2048,
     seed: int = 0,
-    store: Optional["ExperimentStore"] = None,
 ) -> Dict[int, List[Dict[str, float]]]:
     """Relative DD fidelity of one qubit/link across calibration cycles (Figure 6)."""
-
-    def compute() -> Dict[int, List[Dict[str, float]]]:
-        results: Dict[int, List[Dict[str, float]]] = {}
-        for cycle in cycles:
-            backend = Backend.from_name(device_name, cycle=cycle)
-            executor = NoisyExecutor(backend, seed=seed)
-            rows = []
-            for theta in thetas:
-                circuit = idle_characterization_circuit(
-                    backend, idle_qubit, theta, idle_ns, link
-                )
-                free = idle_qubit_fidelity(executor, circuit, idle_qubit, None, shots)
-                with_dd = idle_qubit_fidelity(
-                    executor, circuit, idle_qubit, dd_sequence, shots
-                )
-                rows.append(
-                    {
-                        "theta": theta,
-                        "free": free,
-                        "dd": with_dd,
-                        "relative": with_dd / free if free > 0 else float("nan"),
-                    }
-                )
-            results[cycle] = rows
-        return results
-
-    if store is None:
-        return compute()
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import jsonable, read_through
-
-    # One fingerprint per cycle: the key covers every snapshot probed.
-    fingerprints = [
-        calibration_fingerprint(Backend.from_name(device_name, cycle=cycle).calibration)
-        for cycle in cycles
-    ]
-    key = task_key(
-        "calibration_drift",
-        {
-            "calibrations": fingerprints,
-            "idle_qubit": int(idle_qubit),
-            "link": sorted(link),
-            "idle_ns": float(idle_ns),
-            "thetas": [float(t) for t in thetas],
-            "dd_sequence": dd_sequence,
-            "shots": int(shots),
-            "seed": int(seed),
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda results: (
-            {
-                "kind": "calibration_drift",
-                "cycles": {str(c): jsonable(rows) for c, rows in results.items()},
-            },
-            {},
-        ),
-        decode=lambda meta, arrays: {
-            int(cycle): rows for cycle, rows in meta["cycles"].items()
-        },
-    )
+    results: Dict[int, List[Dict[str, float]]] = {}
+    for cycle in cycles:
+        backend = Backend.from_name(device_name, cycle=cycle)
+        executor = NoisyExecutor(backend, seed=seed)
+        rows = []
+        for theta in thetas:
+            circuit = idle_characterization_circuit(
+                backend, idle_qubit, theta, idle_ns, link
+            )
+            free = idle_qubit_fidelity(executor, circuit, idle_qubit, None, shots)
+            with_dd = idle_qubit_fidelity(
+                executor, circuit, idle_qubit, dd_sequence, shots
+            )
+            rows.append(
+                {
+                    "theta": theta,
+                    "free": free,
+                    "dd": with_dd,
+                    "relative": with_dd / free if free > 0 else float("nan"),
+                }
+            )
+        results[cycle] = rows
+    return results
 
 
 def pulse_type_study(
@@ -383,7 +268,6 @@ def pulse_type_study(
     shots: int = 2048,
     seed: int = 0,
     max_probe_qubits: Optional[int] = 8,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[Dict[str, float]]:
     """Mean fidelity of free / XY4 / IBMQ-DD evolution vs idle time (Figure 16(d)).
 
@@ -391,63 +275,36 @@ def pulse_type_study(
     bounds how many idle qubits are averaged to keep runtimes practical (the
     full sweep is available by passing ``None``).
     """
-    def compute() -> List[Dict[str, float]]:
-        executor = NoisyExecutor(backend, seed=seed)
-        combos = backend.device.qubit_link_combinations()
-        if active_link is not None:
-            combos = [(q, l) for q, l in combos if l == tuple(sorted(active_link))]
-        probes: List[Tuple[int, Tuple[int, int]]] = []
-        seen_qubits = set()
-        for qubit, link in combos:
-            if max_probe_qubits is not None and len(seen_qubits) >= max_probe_qubits:
-                break
-            if qubit in seen_qubits:
-                continue
-            seen_qubits.add(qubit)
-            probes.append((qubit, link))
+    executor = NoisyExecutor(backend, seed=seed)
+    combos = backend.device.qubit_link_combinations()
+    if active_link is not None:
+        combos = [(q, l) for q, l in combos if l == tuple(sorted(active_link))]
+    probes: List[Tuple[int, Tuple[int, int]]] = []
+    seen_qubits = set()
+    for qubit, link in combos:
+        if max_probe_qubits is not None and len(seen_qubits) >= max_probe_qubits:
+            break
+        if qubit in seen_qubits:
+            continue
+        seen_qubits.add(qubit)
+        probes.append((qubit, link))
 
-        rows = []
-        for idle_ns in idle_times_ns:
-            free_values, xy4_values, ibmq_values = [], [], []
-            for qubit, link in probes:
-                circuit = idle_characterization_circuit(backend, qubit, theta, idle_ns, link)
-                free_values.append(idle_qubit_fidelity(executor, circuit, qubit, None, shots))
-                xy4_values.append(idle_qubit_fidelity(executor, circuit, qubit, "xy4", shots))
-                ibmq_values.append(
-                    idle_qubit_fidelity(executor, circuit, qubit, "ibmq_dd", shots)
-                )
-            rows.append(
-                {
-                    "idle_ns": idle_ns,
-                    "free": float(np.mean(free_values)),
-                    "xy4": float(np.mean(xy4_values)),
-                    "ibmq_dd": float(np.mean(ibmq_values)),
-                }
+    rows = []
+    for idle_ns in idle_times_ns:
+        free_values, xy4_values, ibmq_values = [], [], []
+        for qubit, link in probes:
+            circuit = idle_characterization_circuit(backend, qubit, theta, idle_ns, link)
+            free_values.append(idle_qubit_fidelity(executor, circuit, qubit, None, shots))
+            xy4_values.append(idle_qubit_fidelity(executor, circuit, qubit, "xy4", shots))
+            ibmq_values.append(
+                idle_qubit_fidelity(executor, circuit, qubit, "ibmq_dd", shots)
             )
-        return rows
-
-    if store is None:
-        return compute()
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import decode_rows, encode_rows, read_through
-
-    key = task_key(
-        "pulse_type_study",
-        {
-            "calibration": calibration_fingerprint(backend.calibration),
-            "idle_qubit": int(idle_qubit),
-            "active_link": None if active_link is None else sorted(active_link),
-            "idle_times_ns": [float(t) for t in idle_times_ns],
-            "theta": float(theta),
-            "shots": int(shots),
-            "seed": int(seed),
-            "max_probe_qubits": max_probe_qubits,
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda rows: encode_rows("pulse_type_study", rows),
-        decode=lambda meta, arrays: decode_rows(meta),
-    )
+        rows.append(
+            {
+                "idle_ns": idle_ns,
+                "free": float(np.mean(free_values)),
+                "xy4": float(np.mean(xy4_values)),
+                "ibmq_dd": float(np.mean(ibmq_values)),
+            }
+        )
+    return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.decoy import make_decoy
 from ..core.evaluation import compiled_ideal_distribution
@@ -23,9 +23,6 @@ from ..metrics.correlation import spearman_correlation
 from ..metrics.fidelity import fidelity
 from ..transpiler.transpile import CompiledProgram, transpile
 from ..workloads.suite import get_benchmark
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import ExperimentStore
 
 __all__ = [
     "dd_combination_sweep",
@@ -104,45 +101,13 @@ def decoy_correlation_study(
     shots: int = 2048,
     seed: int = 0,
     max_qubits: int = 6,
-    store: Optional["ExperimentStore"] = None,
 ) -> DecoyCorrelation:
     """Figure 9 / Table 2: sweep DD combinations on a benchmark and its decoy.
 
-    With a ``store``, the full 2·2^N-job study (benchmark sweep + decoy sweep)
-    is keyed by the calibration content and budget knobs and replayed from
-    disk on subsequent calls.  ``decoy_sim_time_s`` is then the *recorded*
-    simulation time of the original run — the quantity Table 2 reports.
+    ``decoy_sim_time_s`` is the measured wall-clock of building the decoy and
+    computing its ideal output, the quantity Table 2 reports; it is the one
+    field that differs between two runs of the same study.
     """
-    if store is not None:
-        from ..store import calibration_fingerprint, task_key
-        from ..store.records import (
-            decode_decoy_correlation,
-            encode_decoy_correlation,
-            read_through,
-        )
-
-        key = task_key(
-            "decoy_correlation",
-            {
-                "calibration": calibration_fingerprint(backend.calibration),
-                "benchmark": benchmark,
-                "decoy_kind": decoy_kind,
-                "dd_sequence": dd_sequence,
-                "shots": int(shots),
-                "seed": int(seed),
-                "max_qubits": int(max_qubits),
-            },
-        )
-        return read_through(
-            store,
-            key,
-            lambda: decoy_correlation_study(
-                benchmark, backend, decoy_kind=decoy_kind, dd_sequence=dd_sequence,
-                shots=shots, seed=seed, max_qubits=max_qubits, store=None,
-            ),
-            encode=encode_decoy_correlation,
-            decode=decode_decoy_correlation,
-        )
     # One executor: the benchmark sweep and the decoy sweep each compile
     # their program once and keep it cached across the 2^N jobs.
     executor = NoisyExecutor(backend, seed=seed)
@@ -201,7 +166,6 @@ def decoy_quality_table(
     shots: int = 1024,
     seed: int = 0,
     max_qubits: int = 8,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[Dict[str, object]]:
     """Table 2: CDC vs SDC correlation (and SDC simulation time) per benchmark."""
     rows: List[Dict[str, object]] = []
@@ -209,11 +173,11 @@ def decoy_quality_table(
         backend = Backend.from_name(device)
         cdc = decoy_correlation_study(
             benchmark, backend, decoy_kind="cdc", shots=shots, seed=seed,
-            max_qubits=max_qubits, store=store,
+            max_qubits=max_qubits,
         )
         sdc = decoy_correlation_study(
             benchmark, backend, decoy_kind="sdc", shots=shots, seed=seed,
-            max_qubits=max_qubits, store=store,
+            max_qubits=max_qubits,
         )
         rows.append(
             {

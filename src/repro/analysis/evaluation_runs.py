@@ -11,7 +11,7 @@ shot/trajectory budget; the defaults used by the benchmark harness are the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.adapt import AdaptConfig
 from ..core.evaluation import (
@@ -24,9 +24,6 @@ from ..hardware.backend import Backend
 from ..hardware.execution import NoisyExecutor
 from ..transpiler.transpile import transpile
 from ..workloads.suite import get_benchmark
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import ExperimentStore
 
 __all__ = [
     "EvaluationConfig",
@@ -71,17 +68,12 @@ def run_policy_comparison(
     benchmark: str,
     backend: Backend,
     config: Optional[EvaluationConfig] = None,
-    store: Optional["ExperimentStore"] = None,
 ) -> BenchmarkEvaluation:
     """Evaluate the four policies on one benchmark / backend pair.
 
-    With a ``store``, the evaluation is read-through/write-through: the key
-    (see :func:`repro.store.keys.evaluation_key`) covers the compiled
-    circuit's structure and schedule, the full calibration content, every
-    policy's configuration and seed, and the budget knobs — so a warm store
-    makes the whole comparison (ADAPT search included) a disk read.  The
-    caching is sound because this function constructs fresh, explicitly
-    seeded policies for every call.
+    Every call constructs fresh, explicitly seeded policies, so the result is
+    a pure function of its arguments; the ``policy_comparison`` task kind
+    stores it under the key of those arguments.
     """
     config = config or EvaluationConfig()
     circuit = get_benchmark(benchmark).build()
@@ -105,9 +97,6 @@ def run_policy_comparison(
         seed=config.seed,
         max_evaluations=config.runtime_best_max_evaluations,
     )
-    # The store key is owned by evaluate_policies' default schema (circuit +
-    # schedule + calibration + policy describes + runner budgets), so this
-    # driver, the sweep runtime and direct API callers all share one cache.
     return evaluate_policies(
         compiled,
         policies,
@@ -117,7 +106,6 @@ def run_policy_comparison(
         benchmark_name=benchmark,
         seed=config.seed,
         engine=config.final_engine,
-        store=store,
     )
 
 
@@ -126,21 +114,17 @@ def run_machine_evaluation(
     benchmarks: Sequence[str],
     config: Optional[EvaluationConfig] = None,
     calibration_cycle: int = 0,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[BenchmarkEvaluation]:
     """Figure 13/14/15 driver: all benchmarks of one figure on one machine.
 
-    Benchmarks run one after another; with a ``store`` the already-stored
-    ones are read back instead of executed.  To spread a figure over
-    processes or machines, run it as a sweep (``repro sweep --workers`` or
-    ``--join``) or submit it to ``repro serve``.
+    Benchmarks run one after another.  To store the results, or to spread a
+    figure over processes or machines, run it as a ``policy_comparison``
+    sweep (``repro sweep [--workers N] [--join]``) or submit it to
+    ``repro serve``.
     """
     config = config or EvaluationConfig()
     backend = Backend.from_name(device_name, cycle=calibration_cycle)
-    return [
-        run_policy_comparison(benchmark, backend, config, store=store)
-        for benchmark in benchmarks
-    ]
+    return [run_policy_comparison(benchmark, backend, config) for benchmark in benchmarks]
 
 
 def table5_summary(

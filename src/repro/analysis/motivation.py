@@ -21,9 +21,7 @@ scoring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..circuits.circuit import QuantumCircuit
 from ..core.evaluation import compiled_ideal_distribution
@@ -36,9 +34,6 @@ from ..metrics.fidelity import fidelity
 from ..transpiler.transpile import transpile
 from ..workloads.bv import bernstein_vazirani
 from ..workloads.suite import get_benchmark
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import ExperimentStore
 
 __all__ = [
     "motivation_example_circuit",
@@ -75,62 +70,32 @@ def figure1_motivation_study(
     backend: Optional[Backend] = None,
     shots: int = 4096,
     seed: int = 1,
-    store: Optional["ExperimentStore"] = None,
 ) -> Dict[str, float]:
-    """Relative fidelity of the four DD options of Figure 1(b-e).
-
-    With a ``store``, the study is keyed by the calibration content plus its
-    budget knobs and replayed from disk when already computed.
-    """
+    """Relative fidelity of the four DD options of Figure 1(b-e)."""
     backend = backend or Backend.from_name("ibmq_london")
-
-    def compute() -> Dict[str, float]:
-        executor = NoisyExecutor(backend, seed=seed)
-        compiled = transpile(motivation_example_circuit(), backend)
-        ideal = compiled_ideal_distribution(compiled)
-        qubits = list(compiled.output_qubits)
-        options = {
-            "no_dd": DDAssignment.none(),
-            "dd_all": DDAssignment.all(compiled.gst.active_qubits()),
-            "dd_q0_only": DDAssignment.all([qubits[0]]),
-            "dd_q2_only": DDAssignment.all([qubits[2]]),
-        }
-        fidelities = {}
-        for name, assignment in options.items():
-            result = executor.run(
-                compiled.physical_circuit,
-                dd_assignment=assignment,
-                shots=shots,
-                output_qubits=compiled.output_qubits,
-                gst=compiled.gst,
-                engine="auto_dense",
-            )
-            fidelities[name] = fidelity(ideal, result.probabilities)
-        baseline = max(fidelities["no_dd"], 1e-9)
-        return {name: value / baseline for name, value in fidelities.items()}
-
-    if store is None:
-        return compute()
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import read_through
-
-    key = task_key(
-        "figure1_motivation",
-        {
-            "calibration": calibration_fingerprint(backend.calibration),
-            "shots": int(shots),
-            "seed": int(seed),
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda values: ({"kind": "figure1_motivation", "values": values}, {}),
-        decode=lambda meta, arrays: {
-            str(k): float(v) for k, v in meta["values"].items()
-        },
-    )
+    executor = NoisyExecutor(backend, seed=seed)
+    compiled = transpile(motivation_example_circuit(), backend)
+    ideal = compiled_ideal_distribution(compiled)
+    qubits = list(compiled.output_qubits)
+    options = {
+        "no_dd": DDAssignment.none(),
+        "dd_all": DDAssignment.all(compiled.gst.active_qubits()),
+        "dd_q0_only": DDAssignment.all([qubits[0]]),
+        "dd_q2_only": DDAssignment.all([qubits[2]]),
+    }
+    fidelities = {}
+    for name, assignment in options.items():
+        result = executor.run(
+            compiled.physical_circuit,
+            dd_assignment=assignment,
+            shots=shots,
+            output_qubits=compiled.output_qubits,
+            gst=compiled.gst,
+            engine="auto_dense",
+        )
+        fidelities[name] = fidelity(ideal, result.probabilities)
+    baseline = max(fidelities["no_dd"], 1e-9)
+    return {name: value / baseline for name, value in fidelities.items()}
 
 
 @dataclass(frozen=True)
@@ -161,7 +126,6 @@ def _swap_idle_record(compiled, size: int, topology: str) -> SwapIdleRecord:
 def figure3_swap_idle_study(
     sizes: Sequence[int] = (4, 5, 6, 7, 8),
     device_name: str = "ibmq_toronto",
-    store: Optional["ExperimentStore"] = None,
 ) -> List[SwapIdleRecord]:
     """Idle time of the most-idle qubit for BV circuits: Toronto vs all-to-all.
 
@@ -171,50 +135,22 @@ def figure3_swap_idle_study(
     (Figure 3(b)).
     """
     constrained = Backend.from_name(device_name)
+    records: List[SwapIdleRecord] = []
+    for size in sizes:
+        circuit = bernstein_vazirani(size)
 
-    def compute() -> List[SwapIdleRecord]:
-        records: List[SwapIdleRecord] = []
-        for size in sizes:
-            circuit = bernstein_vazirani(size)
+        compiled = transpile(circuit, constrained)
+        records.append(_swap_idle_record(compiled, size, device_name))
 
-            compiled = transpile(circuit, constrained)
-            records.append(_swap_idle_record(compiled, size, device_name))
-
-            ideal_device = synthetic_device(
-                max(size, 2), name="all-to-all", template=device_name
-            )
-            ideal_backend = Backend(
-                ideal_device, generate_calibration(ideal_device, cycle=0)
-            )
-            compiled_ideal = transpile(circuit, ideal_backend)
-            records.append(_swap_idle_record(compiled_ideal, size, "all-to-all"))
-        return records
-
-    if store is None:
-        return compute()
-    from dataclasses import asdict
-
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import decode_rows, encode_rows, read_through
-
-    key = task_key(
-        "figure3_swap_idle",
-        {
-            "calibration": calibration_fingerprint(constrained.calibration),
-            "sizes": [int(s) for s in sizes],
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda records: encode_rows(
-            "figure3_swap_idle", [asdict(r) for r in records]
-        ),
-        decode=lambda meta, arrays: [
-            SwapIdleRecord(**row) for row in decode_rows(meta)
-        ],
-    )
+        ideal_device = synthetic_device(
+            max(size, 2), name="all-to-all", template=device_name
+        )
+        ideal_backend = Backend(
+            ideal_device, generate_calibration(ideal_device, cycle=0)
+        )
+        compiled_ideal = transpile(circuit, ideal_backend)
+        records.append(_swap_idle_record(compiled_ideal, size, "all-to-all"))
+    return records
 
 
 def table1_idle_fractions(
@@ -222,66 +158,41 @@ def table1_idle_fractions(
     benchmarks: Sequence[str] = ("QFT-5", "QAOA-5", "ADDER-4"),
     shots: int = 4096,
     seed: int = 2,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[Dict[str, object]]:
     """Program latency, per-qubit idle fraction and No-DD / All-DD fidelity."""
     backend = Backend.from_name(device_name)
-
-    def compute() -> List[Dict[str, object]]:
-        executor = NoisyExecutor(backend, seed=seed)
-        rows: List[Dict[str, object]] = []
-        for name in benchmarks:
-            circuit = get_benchmark(name).build()
-            compiled = transpile(circuit, backend)
-            ideal = compiled_ideal_distribution(compiled)
-            idle_fractions = {
-                f"Q{logical}": compiled.gst.idle_fraction(physical)
-                for logical, physical in enumerate(compiled.output_qubits)
+    executor = NoisyExecutor(backend, seed=seed)
+    rows: List[Dict[str, object]] = []
+    for name in benchmarks:
+        circuit = get_benchmark(name).build()
+        compiled = transpile(circuit, backend)
+        ideal = compiled_ideal_distribution(compiled)
+        idle_fractions = {
+            f"Q{logical}": compiled.gst.idle_fraction(physical)
+            for logical, physical in enumerate(compiled.output_qubits)
+        }
+        result_no_dd = executor.run(
+            compiled.physical_circuit,
+            shots=shots,
+            output_qubits=compiled.output_qubits,
+            gst=compiled.gst,
+            engine="auto_dense",
+        )
+        result_all_dd = executor.run(
+            compiled.physical_circuit,
+            dd_assignment=DDAssignment.all(compiled.gst.active_qubits()),
+            shots=shots,
+            output_qubits=compiled.output_qubits,
+            gst=compiled.gst,
+            engine="auto_dense",
+        )
+        rows.append(
+            {
+                "benchmark": name,
+                "latency_us": compiled.latency_us(),
+                "idle_fraction": idle_fractions,
+                "fidelity_no_dd": fidelity(ideal, result_no_dd.probabilities),
+                "fidelity_all_dd": fidelity(ideal, result_all_dd.probabilities),
             }
-            result_no_dd = executor.run(
-                compiled.physical_circuit,
-                shots=shots,
-                output_qubits=compiled.output_qubits,
-                gst=compiled.gst,
-                engine="auto_dense",
-            )
-            result_all_dd = executor.run(
-                compiled.physical_circuit,
-                dd_assignment=DDAssignment.all(compiled.gst.active_qubits()),
-                shots=shots,
-                output_qubits=compiled.output_qubits,
-                gst=compiled.gst,
-                engine="auto_dense",
-            )
-            rows.append(
-                {
-                    "benchmark": name,
-                    "latency_us": compiled.latency_us(),
-                    "idle_fraction": idle_fractions,
-                    "fidelity_no_dd": fidelity(ideal, result_no_dd.probabilities),
-                    "fidelity_all_dd": fidelity(ideal, result_all_dd.probabilities),
-                }
-            )
-        return rows
-
-    if store is None:
-        return compute()
-    from ..store import calibration_fingerprint, task_key
-    from ..store.records import decode_rows, encode_rows, read_through
-
-    key = task_key(
-        "table1_idle_fractions",
-        {
-            "calibration": calibration_fingerprint(backend.calibration),
-            "benchmarks": [str(b) for b in benchmarks],
-            "shots": int(shots),
-            "seed": int(seed),
-        },
-    )
-    return read_through(
-        store,
-        key,
-        compute,
-        encode=lambda rows: encode_rows("table1_idle_fractions", rows),
-        decode=lambda meta, arrays: decode_rows(meta),
-    )
+        )
+    return rows

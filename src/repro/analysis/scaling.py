@@ -27,24 +27,21 @@ probability ~1e-20: the honest headline of scaling without error
 correction).
 
 One record per (device, benchmark); :func:`hardware_scaling_study` sweeps a
-family and is exposed as the ``hardware_scaling`` task kind (``repro run`` /
-``repro sweep``), storing each point under a calibration-content key.
+family, and each of its points is the ``hardware_scaling`` task kind
+(``repro run`` / ``repro sweep``), stored under its task key.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 from ..core.evaluation import compiled_ideal_distribution
 from ..hardware.backend import Backend
 from ..metrics.fidelity import fidelity, success_probability
 from ..transpiler.transpile import transpile
 from ..workloads.suite import get_benchmark
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import ExperimentStore
 
 __all__ = [
     "DEFAULT_SCALING_BENCHMARKS",
@@ -72,7 +69,7 @@ def device_proportional_benchmark(name: str, backend: Backend) -> str:
     ``MIRROR:half@7`` on a 127-qubit lattice becomes ``MIRROR:63@7``; names
     without the token pass through unchanged.  Only the scaling study speaks
     this token — the workload resolver itself takes concrete integer sizes,
-    so store keys always name a concrete circuit.
+    so a resolved name always names a concrete circuit.
     """
     family, sep, rest = name.partition(":")
     if not sep:
@@ -213,76 +210,28 @@ def hardware_scaling_study(
     trajectories: int = 60,
     seed: int = 7,
     engine: Optional[str] = None,
-    store: Optional["ExperimentStore"] = None,
 ) -> List[HardwareScalingRecord]:
     """One scaling record per (device, benchmark), smallest device first.
 
     ``benchmark`` is one name or a sequence of names; device-proportional
     ``half`` tokens are resolved per device, so the default axis runs a
     fixed QFT-6A *and* a mirror workload sized to half of every lattice.
-
-    With a ``store``, every point is read-through cached under its
-    calibration-content key (the device fingerprint is part of it, so a
-    topology change — e.g. a regenerated heavy-hex lattice — invalidates the
-    record automatically).  Keys name the *resolved* benchmark, and
-    parametric builds are deterministic per name, so cold and warm runs are
-    bit-identical.  Wall-clock fields (``transpile_s`` / ``evaluate_s``) are
-    re-measured only when a point is recomputed.
+    Each point is one ``hardware_scaling`` task, which is how a sweep stores
+    it.
     """
-    benchmarks: Sequence[str]
-    if isinstance(benchmark, str):
-        benchmarks = (benchmark,)
-    else:
-        benchmarks = tuple(str(b) for b in benchmark)
+    benchmarks = (benchmark,) if isinstance(benchmark, str) else tuple(benchmark)
     records: List[HardwareScalingRecord] = []
     for name in device_names:
         backend = Backend.from_name(str(name), cycle=int(cycle))
         for requested in benchmarks:
-            resolved = device_proportional_benchmark(str(requested), backend)
-            # Canonical spec name: case-variant spellings of the same
-            # workload must share one store key (and match the record's own
-            # benchmark column).
-            resolved = get_benchmark(resolved).name
-
-            def compute(
-                backend: Backend = backend, resolved: str = resolved
-            ) -> HardwareScalingRecord:
-                return hardware_scaling_point(
+            records.append(
+                hardware_scaling_point(
                     backend,
-                    benchmark=resolved,
+                    benchmark=str(requested),
                     shots=shots,
                     trajectories=trajectories,
                     seed=seed,
                     engine=engine,
-                )
-
-            if store is None:
-                records.append(compute())
-                continue
-            from ..store import calibration_fingerprint, task_key
-            from ..store.records import read_through
-
-            key = task_key(
-                "hardware_scaling_point",
-                {
-                    "calibration": calibration_fingerprint(backend.calibration),
-                    "benchmark": resolved,
-                    "shots": int(shots),
-                    "trajectories": int(trajectories),
-                    "seed": int(seed),
-                    "engine": engine if engine is None else str(engine),
-                },
-            )
-            records.append(
-                read_through(
-                    store,
-                    key,
-                    compute,
-                    encode=lambda record: (
-                        {"kind": "hardware_scaling_point", "row": asdict(record)},
-                        {},
-                    ),
-                    decode=lambda meta, arrays: HardwareScalingRecord(**meta["row"]),
                 )
             )
     records.sort(key=lambda r: (r.num_qubits, r.device, r.benchmark))

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .gates import Gate, GateDefinitionError, gate_matrix
+from .gates import Gate, gate_matrix
 
 __all__ = ["QuantumCircuit", "CircuitError"]
 

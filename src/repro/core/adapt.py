@@ -44,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AdaptConfig", "AdaptResult", "Adapt", "evaluation_seed"]
 
+#: Distinct qubits whose first non-Clifford gate survives in a seeded (SDC)
+#: decoy.
+SDC_SEED_QUBITS = 8
+
 
 def evaluation_seed(base: int, index: int, domain: int = 0) -> int:
     """Deterministic per-evaluation seed from a base seed and eval index.
@@ -67,8 +71,6 @@ class AdaptConfig:
     group_size: int = 4
     top_k_union: int = 2
     decoy_shots: int = 2048
-    max_seed_qubits: int = 8
-    min_idle_window_ns: Optional[float] = None
     #: Engine for decoy executions: ``"auto"`` (default) lets the registry
     #: pick — notably the stabilizer Clifford fast path for CDC decoys — or
     #: any registered engine name to force one.
@@ -172,15 +174,9 @@ class Adapt:
         program_qubits = tuple(sorted(gst.active_qubits()))
         output_qubits = compiled.output_qubits
 
-        decoy = make_decoy(
-            physical,
-            kind=self.config.decoy_kind,
-            **(
-                {"max_seed_qubits": self.config.max_seed_qubits}
-                if self.config.decoy_kind == "sdc"
-                else {}
-            ),
-        )
+        kind = self.config.decoy_kind
+        seeds = {"max_seed_qubits": SDC_SEED_QUBITS} if kind == "sdc" else {}
+        decoy = make_decoy(physical, kind=kind, **seeds)
         decoy_ideal = decoy.ideal_distribution(output_qubits)
         decoy_gst = self.executor.backend.schedule(decoy.circuit)
 
@@ -205,12 +201,7 @@ class Adapt:
     def plan(self, compiled: "CompiledProgram", result: Optional[AdaptResult] = None) -> DDPlan:
         """Build the DD plan for the selected assignment."""
         result = result or self.select(compiled)
-        return plan_dd(
-            compiled.gst,
-            result.assignment,
-            self.config.dd_sequence,
-            min_window_ns=self.config.min_idle_window_ns,
-        )
+        return plan_dd(compiled.gst, result.assignment, self.config.dd_sequence)
 
     def apply(self, compiled: "CompiledProgram") -> QuantumCircuit:
         """Return the executable with DD pulses inserted (Figure 7, step 4)."""

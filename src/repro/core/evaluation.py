@@ -14,14 +14,12 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 from ..circuits.circuit import QuantumCircuit
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity, geometric_mean
-from ..simulators.engines import DM_QUBIT_LIMIT
 from .adapt import evaluation_seed
 from .ideal import PROGRAM_TIERS, ideal_distribution
 from .policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hardware.execution import NoisyExecutor
-    from ..store.store import ExperimentStore
     from ..transpiler.transpile import CompiledProgram
 
 __all__ = [
@@ -103,7 +101,6 @@ def evaluate_policies(
     benchmark_name: Optional[str] = None,
     seed: Optional[int] = None,
     engine: str = "auto_dense",
-    store: Optional["ExperimentStore"] = None,
 ) -> BenchmarkEvaluation:
     """Run every policy on a compiled benchmark and compare fidelities.
 
@@ -119,41 +116,7 @@ def evaluate_policies(
             ``"auto_dense"`` keeps them on the exact dense engines even for
             Clifford benchmarks; decoy scoring inside the policies is where
             the stabilizer fast path applies.
-        store: optional :class:`~repro.store.store.ExperimentStore`.  With
-            one, the evaluation becomes read-through/write-through under its
-            :func:`repro.store.keys.evaluation_key`: a stored result is
-            returned without executing anything, otherwise the computed
-            result is persisted under the key.  Only sound when the run is
-            deterministic — freshly constructed, explicitly seeded policies
-            and an explicit ``seed`` — which is what
-            :func:`repro.analysis.evaluation_runs.run_policy_comparison`
-            guarantees.
     """
-    if store is not None:
-        from ..store import evaluation_key
-        from ..store.records import decode_evaluation, encode_evaluation
-
-        # The executor's trajectory budget, the dense-engine qubit limit and
-        # the memory budget determine the result (engine resolution, MC
-        # sampling), so they must be part of the key.
-        store_key = evaluation_key(
-            compiled,
-            executor.backend,
-            policies=[policy.describe() for policy in policies],
-            dd_sequence=dd_sequence,
-            shots=shots,
-            seed=seed,
-            engine=engine,
-            extra={
-                "trajectories": getattr(executor, "trajectories", None),
-                "dm_qubit_limit": DM_QUBIT_LIMIT,
-                "memory_budget_bytes": getattr(executor, "memory_budget_bytes", None),
-            },
-        )
-        record = store.get(store_key)
-        if record is not None:
-            return decode_evaluation(record.meta)
-
     ideal = compiled_ideal_distribution(compiled)
     gst = compiled.gst
     evaluation = BenchmarkEvaluation(
@@ -199,9 +162,6 @@ def evaluate_policies(
     evaluation.baseline_fidelity = baseline_fidelity
     for outcome in evaluation.outcomes.values():
         outcome.relative_fidelity = outcome.fidelity / baseline_fidelity
-    if store is not None:
-        meta, arrays = encode_evaluation(evaluation)
-        store.put(store_key, meta, arrays)
     return evaluation
 
 

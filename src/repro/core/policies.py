@@ -13,14 +13,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..dd.insertion import DDAssignment
 from ..metrics.fidelity import fidelity
-from ..simulators.engines import DM_QUBIT_LIMIT
 from .adapt import Adapt, AdaptConfig, evaluation_seed
 from .search import all_assignments
 
@@ -61,15 +60,6 @@ class Policy:
     def decide(self, compiled: "CompiledProgram") -> PolicyDecision:
         raise NotImplementedError
 
-    def describe(self) -> Dict[str, object]:
-        """JSON-safe description of everything that determines ``decide``.
-
-        Folded into experiment-store keys
-        (:func:`repro.store.keys.evaluation_key`), so two evaluations share a
-        key only when every policy would decide identically.
-        """
-        return {"policy": self.name}
-
 
 class NoDDPolicy(Policy):
     """Baseline: never apply DD."""
@@ -101,14 +91,10 @@ class AdaptPolicy(Policy):
         config: Optional[AdaptConfig] = None,
         seed: Optional[int] = None,
     ) -> None:
-        self._adapt = Adapt(executor, config=config, seed=seed)
-
-    def describe(self) -> Dict[str, object]:
-        config = asdict(self._adapt.config)
-        return {"policy": self.name, "seed": self._adapt._base_seed, **config}
+        self.adapt = Adapt(executor, config=config, seed=seed)
 
     def decide(self, compiled: "CompiledProgram") -> PolicyDecision:
-        result = self._adapt.select(compiled)
+        result = self.adapt.select(compiled)
         return PolicyDecision(
             policy=self.name,
             assignment=result.assignment,
@@ -143,22 +129,6 @@ class RuntimeBestPolicy(Policy):
         self.engine = engine
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "policy": self.name,
-            "dd_sequence": self.dd_sequence,
-            "shots": self.shots,
-            "max_exhaustive_qubits": self.max_exhaustive_qubits,
-            "max_evaluations": self.max_evaluations,
-            "seed": self._seed,
-            "engine": self.engine,
-            # Engine resolution and the trajectory engine's sampling depend
-            # on these executor knobs, so they are result-determining.
-            "trajectories": getattr(self.executor, "trajectories", None),
-            "dm_qubit_limit": DM_QUBIT_LIMIT,
-            "memory_budget_bytes": getattr(self.executor, "memory_budget_bytes", None),
-        }
 
     def _candidate_assignments(self, qubits: Sequence[int]) -> List[DDAssignment]:
         qubits = list(qubits)

@@ -23,8 +23,7 @@ how well low-frequency noise is refocused) and the minimum window it fits in.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.gates import Gate

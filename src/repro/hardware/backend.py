@@ -9,7 +9,6 @@ The backend answers the questions the rest of the stack needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import topologies

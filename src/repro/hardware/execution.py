@@ -71,7 +71,8 @@ __all__ = [
 
 #: The default active-space memory budget (256 MiB).  Engine selection folds
 #: the budget in (:func:`repro.simulators.engines.select_engine`), so it is
-#: result-determining and part of every evaluation store key.
+#: result-determining: task keys do not name it, and changing it must bump
+#: :data:`repro.store.keys.SCHEMA_VERSION`.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .framework import Finding, Module, Project, Rule, register_rule
 

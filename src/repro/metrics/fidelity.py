@@ -11,7 +11,7 @@ and geometric means for the Table 5 summaries.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 

@@ -10,7 +10,7 @@ CNOT activity and the DD plan rather than on individual gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

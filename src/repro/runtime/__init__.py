@@ -20,7 +20,7 @@ Entry points:
 * ``python -m repro sweep [--join]`` — the CLI front-end (:mod:`repro.cli`).
 """
 
-from .leases import LeaseManager, pack_claims
+from .leases import LeaseManager
 from .orchestrator import SweepOrchestrator, SweepReport, TaskResult, partial_summary
 from .spec import SweepSpec, TaskSpec, expand_sweep, smoke_spec
 from .tasks import available_task_kinds, resolve_task_key, run_task
@@ -34,7 +34,6 @@ __all__ = [
     "TaskSpec",
     "available_task_kinds",
     "expand_sweep",
-    "pack_claims",
     "partial_summary",
     "resolve_task_key",
     "run_task",

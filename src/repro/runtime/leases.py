@@ -33,10 +33,9 @@ owner at a time:
   its record before it releases, and a claimant probes the store again
   after winning a claim, so releases never cause re-runs.
 
-:func:`pack_claims` groups small ready tasks into worker-sized claim units
-(the ``ScheduleItem``/``Scheduler`` packing idiom): one scheduling round
-claims, executes and heartbeats a whole batch, amortizing the ready-scan,
-store probes and lease I/O over ``max_tasks`` tasks instead of one.
+The orchestrator claims ready tasks in worker-sized packs: one scheduling
+round claims, executes and heartbeats a whole pack, amortizing the
+ready-scan, store probes and lease I/O over several tasks instead of one.
 """
 
 from __future__ import annotations
@@ -46,13 +45,12 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..lint.annotations import guarded_by
 
-__all__ = ["ClaimBatch", "LeaseManager", "pack_claims", "worker_identity"]
+__all__ = ["LeaseManager", "worker_identity"]
 
 
 def worker_identity() -> str:
@@ -61,42 +59,6 @@ def worker_identity() -> str:
         c if c.isalnum() or c in "-_" else "-" for c in socket.gethostname()
     )
     return f"{host}-{os.getpid()}-{os.urandom(3).hex()}"
-
-
-@dataclass
-class ClaimBatch:
-    """One worker-sized unit of leased work (the ``ScheduleItem`` idiom:
-    pack heterogeneous small items into a bounded batch, spill the rest)."""
-
-    max_tasks: int
-    tasks: List = field(default_factory=list)
-
-    def add(self, task) -> bool:
-        """Accept ``task`` if there is room; an empty batch always accepts
-        (a single oversized item must still be schedulable somewhere)."""
-        if self.tasks and len(self.tasks) >= self.max_tasks:
-            return False
-        self.tasks.append(task)
-        return True
-
-
-def pack_claims(tasks: Sequence, max_tasks: int) -> List[List]:
-    """Group ``tasks`` into claim batches of at most ``max_tasks`` each.
-
-    Deterministic and order-preserving: every worker packs the same ready
-    list the same way, so batches line up with the progress a reader of the
-    journal expects.
-    """
-    batches: List[ClaimBatch] = []
-    current = ClaimBatch(max_tasks=max(1, int(max_tasks)))
-    for task in tasks:
-        if not current.add(task):
-            batches.append(current)
-            current = ClaimBatch(max_tasks=max(1, int(max_tasks)))
-            current.add(task)
-    if current.tasks:
-        batches.append(current)
-    return [batch.tasks for batch in batches]
 
 
 @guarded_by("_lock", "_held", "_thread")

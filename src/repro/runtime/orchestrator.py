@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..store.keys import fingerprint
 from ..store.store import ExperimentStore
-from .leases import LeaseManager, pack_claims, worker_identity
+from .leases import LeaseManager, worker_identity
 from .spec import SweepSpec, TaskSpec, expand_sweep
 from .tasks import merged_params, run_task
 
@@ -387,13 +387,10 @@ class SweepOrchestrator:
                         # Claim one pack per round, requeue the rest: the
                         # share left in `ready` is what a second joiner
                         # steals its next batch from.
-                        batches = pack_claims(
-                            runnable, self._pack_size(len(runnable))
-                        )
-                        for batch in batches[1:]:
-                            ready.extend(batch)
+                        pack = self._pack_size(len(runnable))
+                        ready.extend(runnable[pack:])
                         claimed: List[TaskSpec] = []
-                        for task in batches[0]:
+                        for task in runnable[:pack]:
                             if not leases.try_claim(task.key, task.task_id):
                                 remote[task.task_id] = task
                             elif not recompute and self.store.contains(task.key):

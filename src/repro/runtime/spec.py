@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["TaskSpec", "SweepSpec", "expand_sweep", "smoke_spec", "load_spec"]
 

@@ -7,9 +7,9 @@ Each registered kind binds three things:
 * ``defaults`` — the kind's budget knobs.  Defaults are merged into the
   parameters *before* key resolution, so an explicit ``shots=4096`` and a
   defaulted one produce the same key;
-* ``execute`` — the driver call.  Drivers receive the store, so their own
-  fine-grained (content-keyed) records are populated alongside the
-  orchestrator's task records.
+* ``execute`` — the driver call, a pure function of the merged parameters.
+  Only ``sweep_summary`` reads the store it is handed: a result is stored
+  once, under its task key, by whoever runs the task.
 
 Task keys are :func:`repro.store.keys.task_key` over the merged parameters
 plus the **calibration content fingerprint** of every ``(device, cycle)``
@@ -171,7 +171,6 @@ def _execute_figure1(params, store):
         backend=_backend(params),
         shots=int(params["shots"]),
         seed=int(params["seed"]),
-        store=store,
     )
     return {"kind": "figure1", "values": values}, {}
 
@@ -196,7 +195,6 @@ def _execute_table1(params, store):
         benchmarks=tuple(params["benchmarks"]),
         shots=int(params["shots"]),
         seed=int(params["seed"]),
-        store=store,
     )
     return encode_rows("table1", rows)
 
@@ -221,7 +219,6 @@ def _execute_swap_idle(params, store):
     records = figure3_swap_idle_study(
         sizes=tuple(int(s) for s in params["sizes"]),
         device_name=str(params["device"]),
-        store=store,
     )
     return encode_rows("swap_idle", [asdict(r) for r in records])
 
@@ -251,7 +248,6 @@ def _execute_idling_study(params, store):
         dd_sequence=str(params["dd_sequence"]),
         shots=int(params["shots"]),
         seed=int(params["seed"]),
-        store=store,
     )
     return encode_rows("idling_study", rows)
 
@@ -289,7 +285,6 @@ def _execute_characterization(params, store):
         shots=int(params["shots"]),
         max_combinations=params.get("max_combinations"),
         seed=int(params["seed"]),
-        store=store,
     )
     return encode_rows("characterization", [asdict(r) for r in records])
 
@@ -326,7 +321,6 @@ def _execute_drift(params, store):
         dd_sequence=str(params["dd_sequence"]),
         shots=int(params["shots"]),
         seed=int(params["seed"]),
-        store=store,
     )
     meta = {
         "kind": "drift",
@@ -372,7 +366,6 @@ def _execute_pulse_type(params, store):
         shots=int(params["shots"]),
         seed=int(params["seed"]),
         max_probe_qubits=params.get("max_probe_qubits"),
-        store=store,
     )
     return encode_rows("pulse_type", rows)
 
@@ -414,7 +407,7 @@ def _execute_policy_comparison(params, store):
         final_engine=str(params["final_engine"]),
     )
     evaluation = run_policy_comparison(
-        str(params["benchmark"]), _backend(params), config, store=store
+        str(params["benchmark"]), _backend(params), config
     )
     meta, arrays = encode_evaluation(evaluation)
     meta["task"] = {
@@ -452,22 +445,17 @@ _register(
 def _execute_hardware_scaling(params, store):
     from dataclasses import asdict
 
-    from ..analysis.scaling import hardware_scaling_study
+    from ..analysis.scaling import hardware_scaling_point
     from ..store.records import encode_rows
 
-    # Route through the study driver so the fine-grained per-device record
-    # (one read-through key per point) is shared between CLI sweeps and
-    # direct hardware_scaling_study(store=...) API calls.
     engine = params.get("engine")
-    (record,) = hardware_scaling_study(
-        device_names=(str(params["device"]),),
+    record = hardware_scaling_point(
+        _backend(params),
         benchmark=str(params["benchmark"]),
-        cycle=int(params.get("cycle", 0)),
         shots=int(params["shots"]),
         trajectories=int(params["trajectories"]),
         seed=int(params["seed"]),
         engine=None if engine is None else str(engine),
-        store=store,
     )
     return encode_rows("hardware_scaling", [asdict(record)])
 
@@ -537,7 +525,6 @@ def _execute_decoy_correlation(params, store):
         shots=int(params["shots"]),
         seed=int(params["seed"]),
         max_qubits=int(params["max_qubits"]),
-        store=store,
     )
     return encode_decoy_correlation(result)
 

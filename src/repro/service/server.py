@@ -78,6 +78,11 @@ _PACKABLE_KIND = "benchmark_run"
 #: answered with ``bad_request`` instead of being buffered whole.
 MAX_REQUEST_BYTES = 1 << 20
 
+#: Seconds a connection may block one socket read or write.  A client that
+#: sends part of a line and stalls, or stops reading a ``watch`` stream, is
+#: disconnected instead of holding its handler thread for ever.
+REQUEST_TIMEOUT_S = 30.0
+
 
 class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
@@ -85,9 +90,14 @@ class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = REQUEST_TIMEOUT_S
+
     def handle(self) -> None:  # pragma: no cover - exercised via the socket
         service: "SweepService" = self.server.service  # type: ignore[attr-defined]
-        line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+        try:
+            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+        except OSError:  # timed out or reset before the line ended
+            return
         if not line:
             return
         if len(line) > MAX_REQUEST_BYTES:
@@ -103,16 +113,19 @@ class _Handler(socketserver.StreamRequestHandler):
             return
         if str(payload.get("op")) == "watch":
             for snapshot in service.watch(payload):
-                try:
-                    self._send(snapshot)
-                except (BrokenPipeError, ConnectionResetError):
+                if not self._send(snapshot):
                     return
             return
         self._send(service.handle(payload))
 
-    def _send(self, payload: dict) -> None:  # pragma: no cover - socket I/O
-        self.wfile.write(json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n")
-        self.wfile.flush()
+    def _send(self, payload: dict) -> bool:  # pragma: no cover - socket I/O
+        """Write one response line; False when the client is gone or stalled."""
+        try:
+            self.wfile.write(json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n")
+            self.wfile.flush()
+        except OSError:  # timed out, broken pipe or reset
+            return False
+        return True
 
 
 @guarded_by("_stats_lock", "_pack_totals", "_jobs_executed")
@@ -133,7 +146,6 @@ class SweepService:
             that do not spell it out.  **Result-determining** (it fixes the
             chunk/seed plan and is part of every request's store key), so
             serial comparisons must use the same value.
-        max_contexts: execution contexts kept warm.
         sweep_workers: worker processes for sweep jobs (1 = inline).
         poll_interval_s: scheduler idle poll / watch streaming cadence.
     """
@@ -146,7 +158,6 @@ class SweepService:
         tenant_quota: int = 16,
         max_experiments: int = DEFAULT_MAX_EXPERIMENTS,
         max_shots: int = DEFAULT_MAX_SHOTS,
-        max_contexts: int = 8,
         sweep_workers: int = 1,
         poll_interval_s: float = 0.05,
         progress=None,
@@ -162,7 +173,7 @@ class SweepService:
         self.max_shots = int(max_shots)
         self.sweep_workers = max(1, int(sweep_workers))
         self.poll_interval_s = max(0.01, float(poll_interval_s))
-        self.contexts = ContextCache(max_contexts=max_contexts)
+        self.contexts = ContextCache()
         self._progress = progress or (lambda line: None)
         self._started_at = time.time()
         self._stop = threading.Event()

@@ -14,7 +14,7 @@ output bitstrings, matching :meth:`QuantumCircuit.to_unitary`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 

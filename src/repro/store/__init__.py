@@ -11,17 +11,18 @@ everything that determines it and replayed from disk forever after.
 Two layers:
 
 * :mod:`repro.store.keys` — canonical fingerprints (circuit structure,
-  ``DeviceSpec``/``Calibration`` content, Gate Sequence Tables, policy
-  configurations) folded into stable SHA-256 task keys, versioned by
+  ``DeviceSpec``/``Calibration`` content) and the stable SHA-256 task keys,
+  versioned by
   :data:`~repro.store.keys.SCHEMA_VERSION`;
 * :mod:`repro.store.store` — :class:`ExperimentStore`, an in-memory LRU tier
   over an on-disk tier of JSON-manifested ``.npz`` artifacts, safe under
   concurrent writers via atomic rename, with corrupt-artifact recovery and
   explicit garbage collection.
 
-:mod:`repro.store.records` holds the encoders/decoders that turn the analysis
-drivers' result objects (``BenchmarkEvaluation``, ``DecoyCorrelation``,
-characterisation rows) into store records and back.
+:mod:`repro.store.records` holds the encoders that turn the analysis drivers'
+result objects (``BenchmarkEvaluation``, ``DecoyCorrelation``,
+characterisation rows) into store records.  Every record lives under the
+task key of :mod:`repro.runtime.tasks` that produced it.
 """
 
 from .keys import (
@@ -30,9 +31,7 @@ from .keys import (
     canonical_json,
     circuit_fingerprint,
     device_fingerprint,
-    evaluation_key,
     fingerprint,
-    gst_fingerprint,
     task_key,
 )
 from .store import ExperimentStore, StoreRecord
@@ -45,8 +44,6 @@ __all__ = [
     "canonical_json",
     "circuit_fingerprint",
     "device_fingerprint",
-    "evaluation_key",
     "fingerprint",
-    "gst_fingerprint",
     "task_key",
 ]

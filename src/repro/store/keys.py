@@ -10,13 +10,15 @@ built exclusively from:
   booleans), hashed with
 * SHA-256 (``hashlib`` — never Python's randomised ``hash()``).
 
-The ingredients the task keys fold in mirror the determinism closure of the
-simulator: circuit structure (:func:`circuit_fingerprint`), the schedule
-(:func:`gst_fingerprint`), the device and calibration content
-(:func:`device_fingerprint` / :func:`calibration_fingerprint` — *content*, not
-the ``(name, cycle)`` that generated it, so a change to the calibration
-generator invalidates keys automatically), policy/engine configuration and
-seeds.
+A task key (:func:`task_key`, resolved by
+:func:`repro.runtime.tasks.resolve_task_key`) folds in the task's merged
+parameters — workload name, policy/engine configuration, budgets, seeds — and
+the calibration content of every device snapshot it touches
+(:func:`calibration_fingerprint`, which embeds :func:`device_fingerprint`):
+*content*, not the ``(name, cycle)`` that generated it, so a change to the
+calibration generator invalidates keys automatically.
+:func:`circuit_fingerprint` names a circuit's structure; the compile pins of
+the test suite hold it fixed for every paper workload.
 
 Every key embeds :data:`SCHEMA_VERSION`.  Bump it when the meaning of stored
 payloads changes (new fields with different semantics, re-interpreted arrays):
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuits.circuit import QuantumCircuit
-    from ..core.gst import GateSequenceTable
     from ..hardware.calibration import Calibration
     from ..hardware.devices import DeviceSpec
 
@@ -40,11 +41,9 @@ __all__ = [
     "canonical_json",
     "fingerprint",
     "circuit_fingerprint",
-    "gst_fingerprint",
     "device_fingerprint",
     "calibration_fingerprint",
     "task_key",
-    "evaluation_key",
 ]
 
 #: Version of the store's key + payload schema.  Part of every key; bumping it
@@ -112,17 +111,6 @@ def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
         "gates": [
             [g.name, list(g.qubits), list(g.params), g.duration, g.label]
             for g in circuit
-        ],
-    }
-    return fingerprint(payload)
-
-
-def gst_fingerprint(gst: "GateSequenceTable") -> str:
-    """Fingerprint of a schedule: the timestamped gate sequence."""
-    payload = {
-        "gates": [
-            [s.gate.name, list(s.gate.qubits), list(s.gate.params), s.start, s.duration]
-            for s in gst.scheduled_gates
         ],
     }
     return fingerprint(payload)
@@ -200,38 +188,3 @@ def task_key(kind: str, params: Mapping[str, object]) -> str:
     fingerprints (circuit/calibration digests) are ordinary strings here.
     """
     return fingerprint({"schema": SCHEMA_VERSION, "kind": str(kind), "params": params})
-
-
-def evaluation_key(
-    compiled,
-    backend,
-    *,
-    policies: Sequence[Mapping[str, object]],
-    dd_sequence: str,
-    shots: int,
-    seed: Optional[int],
-    engine: str,
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """Key of one ``evaluate_policies`` run on one compiled program.
-
-    Folds in exactly what determines the outcome: the physical circuit
-    structure, its schedule, the full calibration content, every policy's
-    configuration (:meth:`repro.core.policies.Policy.describe`), the DD
-    protocol, the shot budget, the evaluation seed and the final-execution
-    engine.
-    """
-    params: Dict[str, object] = {
-        "circuit": circuit_fingerprint(compiled.physical_circuit),
-        "gst": gst_fingerprint(compiled.gst),
-        "calibration": calibration_fingerprint(backend.calibration),
-        "output_qubits": list(compiled.output_qubits),
-        "policies": [dict(p) for p in policies],
-        "dd_sequence": dd_sequence,
-        "shots": int(shots),
-        "seed": None if seed is None else int(seed),
-        "engine": engine,
-    }
-    if extra:
-        params.update(extra)
-    return task_key("evaluate_policies", params)

@@ -1,15 +1,16 @@
-"""Encoders/decoders between driver result objects and store records.
+"""Encoders from driver result objects to store records.
 
 Every encoder returns a ``(meta, arrays)`` pair: ``meta`` is a JSON-safe dict
 (the manifest payload, always carrying a ``kind`` discriminator), ``arrays``
 maps names to numpy arrays for bulk numeric data (fidelity trends, probe
-grids).  Decoders are exact inverses for everything the analysis layer reads
-back; the round-trip is covered by ``tests/test_store.py``.
+grids).  The task kinds of :mod:`repro.runtime.tasks` store these payloads
+under their task keys; readers (``repro report``, ``sweep_summary``) consume
+the payloads as they are, so no decoder exists.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -20,12 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "jsonable",
     "encode_evaluation",
-    "decode_evaluation",
     "encode_decoy_correlation",
-    "decode_decoy_correlation",
     "encode_rows",
-    "decode_rows",
-    "read_through",
 ]
 
 Arrays = Dict[str, np.ndarray]
@@ -79,29 +76,6 @@ def encode_evaluation(evaluation: "BenchmarkEvaluation") -> Tuple[dict, Arrays]:
     return meta, {}
 
 
-def decode_evaluation(meta: dict) -> "BenchmarkEvaluation":
-    from ..core.evaluation import BenchmarkEvaluation, PolicyOutcome
-    from ..dd.insertion import DDAssignment
-
-    evaluation = BenchmarkEvaluation(
-        benchmark=meta["benchmark"],
-        backend=meta["backend"],
-        dd_sequence=meta["dd_sequence"],
-        baseline_fidelity=float(meta["baseline_fidelity"]),
-    )
-    for name, payload in meta["outcomes"].items():
-        evaluation.outcomes[name] = PolicyOutcome(
-            policy=payload["policy"],
-            assignment=DDAssignment.all(payload["dd_qubits"]),
-            fidelity=float(payload["fidelity"]),
-            relative_fidelity=float(payload["relative_fidelity"]),
-            dd_pulse_count=int(payload["dd_pulse_count"]),
-            num_evaluations=int(payload["num_evaluations"]),
-            metadata=dict(payload.get("metadata", {})),
-        )
-    return evaluation
-
-
 # ---------------------------------------------------------------------------
 # DecoyCorrelation (Figure 9 / Table 2)
 # ---------------------------------------------------------------------------
@@ -124,52 +98,11 @@ def encode_decoy_correlation(result: "DecoyCorrelation") -> Tuple[dict, Arrays]:
     return meta, arrays
 
 
-def decode_decoy_correlation(meta: dict, arrays: Arrays) -> "DecoyCorrelation":
-    from ..analysis.decoy_quality import DecoyCorrelation
-
-    return DecoyCorrelation(
-        benchmark=meta["benchmark"],
-        backend=meta["backend"],
-        decoy_kind=meta["decoy_kind"],
-        correlation=float(meta["correlation"]),
-        decoy_sim_time_s=float(meta["decoy_sim_time_s"]),
-        actual_trend=[float(v) for v in arrays["actual_trend"]],
-        decoy_trend=[float(v) for v in arrays["decoy_trend"]],
-        bitstrings=[str(b) for b in meta["bitstrings"]],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generic row tables (motivation / characterization drivers)
 # ---------------------------------------------------------------------------
 
 
-def encode_rows(kind: str, rows: List[dict], extra: Optional[dict] = None) -> Tuple[dict, Arrays]:
+def encode_rows(kind: str, rows: List[dict]) -> Tuple[dict, Arrays]:
     """Encode a list-of-dicts driver result (Table 1 rows, probe studies)."""
-    meta = {"kind": kind, "rows": [jsonable(row) for row in rows]}
-    if extra:
-        meta.update(jsonable(extra))
-    return meta, {}
-
-
-def decode_rows(meta: dict) -> List[dict]:
-    return list(meta.get("rows", []))
-
-
-def read_through(store, key: str, compute, encode, decode):
-    """The one get-or-compute-and-put discipline every driver shares.
-
-    Serve ``key`` from the store when present (``decode(meta, arrays)``),
-    otherwise ``compute()``, persist ``encode(result)`` under the key, and
-    return the result.  ``store=None`` degrades to a plain ``compute()`` so
-    drivers stay usable without a store.
-    """
-    if store is None:
-        return compute()
-    record = store.get(key)
-    if record is not None:
-        return decode(record.meta, record.arrays)
-    result = compute()
-    meta, arrays = encode(result)
-    store.put(key, meta, arrays)
-    return result
+    return {"kind": kind, "rows": [jsonable(row) for row in rows]}, {}

@@ -23,7 +23,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate, gate_matrix
+from ..circuits.gates import Gate
 
 __all__ = ["decompose_to_basis", "zyz_angles", "single_qubit_basis_gates"]
 

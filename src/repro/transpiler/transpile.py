@@ -10,7 +10,7 @@ time, the scheduled Gate Sequence Table and SWAP statistics).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis import (
-    DEFAULT_THETAS,
     benchmark_characteristics_table,
     calibration_drift_study,
     dd_combination_sweep,

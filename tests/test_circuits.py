@@ -1,7 +1,5 @@
 """Unit tests for QuantumCircuit."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -4,8 +4,9 @@ The values below were recorded while the noise-adaptive layout's
 interaction graph and the QAOA-8B/10B problem graphs still came from
 networkx (3.6.1).  They pin that the compile step did not move when the
 runtime dropped that dependency, and they keep it from moving silently
-since: every circuit fingerprint is part of a store key, so a change here
-orphans every stored result over that circuit.
+since: store keys name workloads, not circuits, so a change here would
+change stored results under unchanged keys unless ``SCHEMA_VERSION`` moves
+with it.
 
 ``LOGICAL`` holds the ``circuit_fingerprint`` of each Table 4 build and of
 QAOA-5.  ``COMPILED`` holds, per (device, workload) at calibration cycle 0,

@@ -2,14 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.core import (
     Adapt,
     AdaptConfig,
-    AdaptPolicy,
     AllDDPolicy,
     LocalizedSearch,
     NoDDPolicy,
@@ -302,9 +300,9 @@ class TestAdaptAndPolicies:
         *_, adapt, oracle = standard_policies(
             rome_executor_module, adapt_config=config, max_evaluations=5
         )
-        for field in ("dd_sequence", "engine"):
-            assert oracle.describe()[field] == adapt.describe()[field] == getattr(config, field)
-        assert oracle.describe()["max_evaluations"] == 5
+        assert adapt.adapt.config is config
+        assert (oracle.dd_sequence, oracle.engine) == ("ibmq_dd", "density_matrix")
+        assert oracle.max_evaluations == 5
 
 
 class TestEvaluation:

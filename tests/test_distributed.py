@@ -21,14 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.runtime import (
-    LeaseManager,
-    SweepOrchestrator,
-    SweepSpec,
-    expand_sweep,
-    pack_claims,
-)
-from repro.runtime.leases import ClaimBatch
+from repro.runtime import LeaseManager, SweepOrchestrator, SweepSpec, expand_sweep
 from repro.runtime.orchestrator import partial_summary
 from repro.runtime.tasks import TaskKind, register_task_kind
 from repro.store import ExperimentStore
@@ -79,24 +72,6 @@ def _assert_stores_identical(store_a, store_b, tasks):
         assert sorted(a.arrays) == sorted(b.arrays)
         for name in a.arrays:
             assert np.array_equal(a.arrays[name], b.arrays[name])
-
-
-class TestPackClaims:
-    def test_batches_preserve_order_and_bound(self):
-        assert pack_claims(list(range(10)), 3) == [
-            [0, 1, 2],
-            [3, 4, 5],
-            [6, 7, 8],
-            [9],
-        ]
-
-    def test_single_oversized_item_still_packs(self):
-        assert pack_claims(["big"], 0) == [["big"]]
-        batch = ClaimBatch(max_tasks=1)
-        assert batch.add("a") and not batch.add("b")
-
-    def test_empty_input(self):
-        assert pack_claims([], 4) == []
 
 
 class TestLeaseManager:

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.dd import DDAssignment, plan_dd
-from repro.hardware import Backend, BatchJob, NoisyExecutor
+from repro.hardware import BatchJob, NoisyExecutor
 from repro.metrics import fidelity
 from repro.simulators import SimulationError, available_engines, get_engine
 from repro.transpiler import transpile

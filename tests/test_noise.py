@@ -1,7 +1,5 @@
 """Tests for the gate-level and idle-window noise models."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -9,7 +9,6 @@ device-proportional hardware-scaling study the families feed into.
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
@@ -477,39 +476,54 @@ class TestHardwareScalingWithMirrors:
         assert record.engine in ("density_matrix", "trajectories")
 
     def test_default_study_pairs_qft_with_device_mirror(self, tmp_path):
-        from repro.analysis.scaling import hardware_scaling_study
+        from dataclasses import asdict
+
+        from repro.analysis.scaling import (
+            DEFAULT_SCALING_BENCHMARKS,
+            hardware_scaling_study,
+        )
+        from repro.runtime import SweepOrchestrator, SweepSpec
         from repro.store.store import ExperimentStore
 
-        store = ExperimentStore(tmp_path / "store")
-        cold = hardware_scaling_study(
-            device_names=("ibmq_toronto",),
-            shots=256,
-            trajectories=30,
-            seed=7,
-            store=store,
-        )
-        assert [r.benchmark for r in cold] == ["MIRROR:13@7", "QFT-6A"]
-        warm = hardware_scaling_study(
-            device_names=("ibmq_toronto",),
-            shots=256,
-            trajectories=30,
-            seed=7,
-            store=store,
-        )
-        for first, second in zip(cold, warm):
-            assert first == second  # cached payloads are bit-identical
-        # Case-variant spellings share the canonical key: everything cached.
-        misses_before = store.stats.get("misses", 0)
+        budget = {"shots": 256, "trajectories": 30}
+        study = hardware_scaling_study(device_names=("ibmq_toronto",), seed=7, **budget)
+        assert [r.benchmark for r in study] == ["MIRROR:13@7", "QFT-6A"]
+
+        def rows(records):
+            return [
+                {k: v for k, v in row.items() if k not in ("transpile_s", "evaluate_s")}
+                for row in records
+            ]
+
+        # Case-variant spellings resolve to the same workloads and results.
         lower = hardware_scaling_study(
             device_names=("ibmq_toronto",),
             benchmark=("qft-6a", "mirror:half@7"),
-            shots=256,
-            trajectories=30,
             seed=7,
-            store=store,
+            **budget,
         )
-        assert [r.benchmark for r in lower] == ["MIRROR:13@7", "QFT-6A"]
-        assert store.stats.get("misses", 0) == misses_before
+        assert rows(map(asdict, lower)) == rows(map(asdict, study))
+
+        # As a sweep, each point is one task record equal to the study's row,
+        # and a warm re-run executes nothing.
+        spec = SweepSpec(
+            name="default-scaling",
+            kind="hardware_scaling",
+            devices=("ibmq_toronto",),
+            workloads=DEFAULT_SCALING_BENCHMARKS,
+            seeds=(7,),
+            params=budget,
+        )
+        store = ExperimentStore(tmp_path / "store")
+        cold = SweepOrchestrator(store).run([spec], name="scaling")
+        points = [t for t in cold.tasks if t.kind == "hardware_scaling"]
+        stored = [row for t in points for row in store.get(t.key).meta["rows"]]
+        stored.sort(key=lambda row: row["benchmark"])
+        assert rows(stored) == rows(map(asdict, study))
+        warm = SweepOrchestrator(ExperimentStore(tmp_path / "store")).run(
+            [spec], name="scaling"
+        )
+        assert not warm.executed and len(warm.cached) == len(cold.tasks)
 
     def test_task_kind_accepts_parametric_workloads(self, tmp_path):
         from repro.runtime.tasks import resolve_task_key, run_task

@@ -426,62 +426,6 @@ class TestHardwareScalingKind:
         scaling = next(s for s in specs if s.kind == "hardware_scaling")
         assert "ibm_washington" in scaling.devices
 
-    def test_study_reads_through_store(self, tmp_path):
-        from repro.analysis.scaling import hardware_scaling_study
-
-        store = ExperimentStore(tmp_path / "store")
-        kwargs = dict(
-            device_names=("ibmq_rome",),
-            benchmark="GHZ-5",
-            shots=128,
-            trajectories=20,
-            seed=11,
-            store=store,
-        )
-        cold = hardware_scaling_study(**kwargs)
-        hits_before = store.stats.get("memory_hits", 0) + store.stats.get(
-            "disk_hits", 0
-        )
-        warm = hardware_scaling_study(**kwargs)
-        hits_after = store.stats.get("memory_hits", 0) + store.stats.get(
-            "disk_hits", 0
-        )
-        assert hits_after > hits_before
-        assert [r.device for r in warm] == [r.device for r in cold]
-        assert warm[0].fidelity == cold[0].fidelity
-
-    def test_task_kind_and_api_share_point_records(self, tmp_path):
-        from repro.analysis.scaling import hardware_scaling_study
-        from repro.runtime.tasks import run_task
-
-        store = ExperimentStore(tmp_path / "store")
-        params = {
-            "device": "ibmq_rome",
-            "benchmark": "GHZ-5",
-            "seed": 5,
-            "shots": 128,
-            "trajectories": 20,
-        }
-        run_task("hardware_scaling", params, store)
-        hits_before = store.stats.get("memory_hits", 0) + store.stats.get(
-            "disk_hits", 0
-        )
-        # The API study with the same knobs must be served from the same
-        # fine-grained record the CLI task populated.
-        (record,) = hardware_scaling_study(
-            device_names=("ibmq_rome",),
-            benchmark="GHZ-5",
-            shots=128,
-            trajectories=20,
-            seed=5,
-            store=store,
-        )
-        hits_after = store.stats.get("memory_hits", 0) + store.stats.get(
-            "disk_hits", 0
-        )
-        assert hits_after > hits_before
-        assert record.device == "ibmq_rome"
-
 
 class TestContinuousScheduling:
     """Completion-order settling, journal throttling, blocked reporting."""

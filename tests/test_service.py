@@ -45,6 +45,7 @@ from repro.service import (
     pack_chunks,
     split_shots,
 )
+from repro.service import server as server_module
 from repro.service.scheduler import chunk_seeds, expected_batches, packing_stats
 from repro.service.server import MAX_REQUEST_BYTES
 
@@ -412,6 +413,30 @@ class TestDaemon:
             reply = json.loads(sock.makefile("rb").readline())
         assert (reply["ok"], reply["error"]) == (False, "bad_request")
         assert ServiceClient(service.socket_path).ping()["ok"]
+
+    def test_stalled_request_line_is_disconnected(self, service, monkeypatch, capsys):
+        # The default bound is finite; shrink it so the stall is short.
+        assert server_module._Handler.timeout == server_module.REQUEST_TIMEOUT_S
+        assert 0 < server_module.REQUEST_TIMEOUT_S < float("inf")
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        with socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(service.socket_path)
+            sock.sendall(b'{"op": "pi')  # half a request, then silence
+            start = time.monotonic()
+            assert sock.recv(1) == b""  # the server hung up
+            assert time.monotonic() - start < 5.0
+        assert ServiceClient(service.socket_path).ping()["ok"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_client_leaving_before_the_reply_is_quiet(self, service, capsys):
+        for _ in range(3):
+            with socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM) as sock:
+                sock.connect(service.socket_path)
+                sock.sendall(b'{"op": "stats"}\n')
+        assert ServiceClient(service.socket_path).ping()["ok"]
+        time.sleep(0.2)  # let the abandoned handlers finish their sends
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_cancel_queued_job_never_runs(self, service):
         client = ServiceClient(service.socket_path)

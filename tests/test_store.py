@@ -15,7 +15,9 @@ import pytest
 from repro.core.evaluation import BenchmarkEvaluation, PolicyOutcome
 from repro.dd.insertion import DDAssignment
 from repro.circuits import QuantumCircuit
-from repro.hardware import Backend, calibration_seed, generate_calibration, get_device
+from repro.hardware import calibration_seed, generate_calibration, get_device
+from repro.hardware.execution import NoisyExecutor
+from repro.runtime import SweepOrchestrator, SweepSpec, available_task_kinds, resolve_task_key
 from repro.store import (
     SCHEMA_VERSION,
     ExperimentStore,
@@ -24,15 +26,9 @@ from repro.store import (
     circuit_fingerprint,
     device_fingerprint,
     fingerprint,
-    gst_fingerprint,
     task_key,
 )
-from repro.store.records import (
-    decode_decoy_correlation,
-    decode_evaluation,
-    encode_decoy_correlation,
-    encode_evaluation,
-)
+from repro.store.records import encode_decoy_correlation, encode_evaluation
 
 
 class TestKeys:
@@ -55,16 +51,6 @@ class TestKeys:
         assert circuit_fingerprint(a) == circuit_fingerprint(b)
         b.x(1)
         assert circuit_fingerprint(a) != circuit_fingerprint(b)
-
-    def test_gst_fingerprint_tracks_schedule(self, rome_backend):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.cx(0, 1)
-        circuit.measure_all()
-        alap = rome_backend.schedule(circuit)
-        asap = rome_backend.schedule(circuit, method="asap")
-        assert gst_fingerprint(alap) == gst_fingerprint(rome_backend.schedule(circuit))
-        assert gst_fingerprint(alap) != gst_fingerprint(asap)
 
     def test_calibration_fingerprint_separates_cycles_and_devices(self):
         rome = get_device("ibmq_rome")
@@ -338,8 +324,8 @@ class TestExperimentStore:
         assert cumulative["memory_hits"] + cumulative["disk_hits"] == 2
 
 
-class TestRecordRoundtrips:
-    def test_benchmark_evaluation_roundtrip(self):
+class TestRecordEncoders:
+    def test_benchmark_evaluation_encoding(self):
         evaluation = BenchmarkEvaluation(
             benchmark="QFT-5",
             backend="ibmq_rome",
@@ -348,24 +334,37 @@ class TestRecordRoundtrips:
         )
         evaluation.outcomes["adapt"] = PolicyOutcome(
             policy="adapt",
-            assignment=DDAssignment.all([1, 3]),
+            assignment=DDAssignment.all([3, 1]),
             fidelity=0.9,
             relative_fidelity=2.142857,
             dd_pulse_count=12,
             num_evaluations=17,
-            metadata={"bitstring": "0101", "decoy_kind": "sdc"},
+            metadata={"bitstring": "0101", "decoy_kind": "sdc", "best": np.float64(0.5)},
         )
         meta, arrays = encode_evaluation(evaluation)
-        decoded = decode_evaluation(meta)
-        assert decoded.benchmark == "QFT-5"
-        assert decoded.baseline_fidelity == pytest.approx(0.42)
-        outcome = decoded.outcomes["adapt"]
-        assert outcome.assignment == DDAssignment.all([1, 3])
-        assert outcome.fidelity == pytest.approx(0.9)
-        assert outcome.num_evaluations == 17
-        assert outcome.metadata["bitstring"] == "0101"
+        assert arrays == {}
+        assert meta == {
+            "kind": "benchmark_evaluation",
+            "benchmark": "QFT-5",
+            "backend": "ibmq_rome",
+            "dd_sequence": "xy4",
+            "baseline_fidelity": 0.42,
+            "outcomes": {
+                "adapt": {
+                    "policy": "adapt",
+                    "dd_qubits": [1, 3],
+                    "fidelity": 0.9,
+                    "relative_fidelity": 2.142857,
+                    "dd_pulse_count": 12,
+                    "num_evaluations": 17,
+                    "metadata": {"bitstring": "0101", "decoy_kind": "sdc", "best": 0.5},
+                }
+            },
+        }
+        assert type(meta["outcomes"]["adapt"]["metadata"]["best"]) is float
+        json.dumps(meta, allow_nan=False)  # a manifest payload as it stands
 
-    def test_decoy_correlation_roundtrip(self):
+    def test_decoy_correlation_encoding(self):
         from repro.analysis.decoy_quality import DecoyCorrelation
 
         result = DecoyCorrelation(
@@ -379,72 +378,247 @@ class TestRecordRoundtrips:
             bitstrings=["00", "01", "10"],
         )
         meta, arrays = encode_decoy_correlation(result)
-        decoded = decode_decoy_correlation(meta, arrays)
-        assert decoded == result
+        assert meta == {
+            "kind": "decoy_correlation",
+            "benchmark": "ADDER-4",
+            "backend": "ibmq_rome",
+            "decoy_kind": "cdc",
+            "correlation": 0.87,
+            "decoy_sim_time_s": 0.031,
+            "bitstrings": ["00", "01", "10"],
+        }
+        assert sorted(arrays) == ["actual_trend", "decoy_trend"]
+        assert arrays["actual_trend"].dtype == np.float64
+        assert arrays["actual_trend"].tolist() == [0.1, 0.2, 0.3]
+        assert arrays["decoy_trend"].tolist() == [0.15, 0.25, 0.29]
 
 
-class TestDriverStoreIntegration:
-    def test_figure1_warm_hit_skips_execution(self, tmp_path, london_backend):
-        from repro.analysis.motivation import figure1_motivation_study
+#: One parameter set per registered task kind and the key it resolves to.
+#: Task keys are the only keys results are stored under, so a moved literal
+#: orphans every stored record of that kind.
+PINNED_TASK_KEYS = {
+    "benchmark_run": (
+        {"device": "ibmq_rome", "benchmark": "ADDER-4", "seed": 2},
+        "b85be10c02a123ab88dcf8019eab69f7865ca8396809b1b533374e0257448976",
+    ),
+    "characterization": (
+        {"device": "ibmq_rome", "seed": 1, "shots": 64, "max_combinations": 2},
+        "feb4c40e3ee7a30383a47b8474c153f369678418f8de4acd087e7aae0a60f772",
+    ),
+    "decoy_correlation": (
+        {"device": "ibmq_rome", "benchmark": "ADDER-4", "seed": 0},
+        "245722003d76c04b210d7df737207fcb95b144ec6526600bf30af651aaf082d0",
+    ),
+    "drift": (
+        {"device": "ibmq_rome", "seed": 1, "shots": 64},
+        "181e74e093d51805f03ef29fd3ce184e818b76d0e712ca04cd1eacc5f48fa5a9",
+    ),
+    "figure1": (
+        {"device": "ibmq_london", "seed": 3, "shots": 256},
+        "8199d9dc9fb647dd08d67c7c7bfec3f101f8c2fe04b4d814f397f944a3b38333",
+    ),
+    "hardware_scaling": (
+        {"device": "ibmq_rome", "benchmark": "GHZ:4", "seed": 0},
+        "e0cf3e55d50d9c3ed30baeb47c65f69deaeecee0363a2a8650258ca03f8bf29d",
+    ),
+    "idling_study": (
+        {"device": "ibmq_rome", "seed": 1, "shots": 64, "thetas": [0.0, 1.5707963267948966]},
+        "e7887c31c4dba94fdb70885ff484d3c66d0193f9e8bb58c423fc6129140ba56d",
+    ),
+    "policy_comparison": (
+        {"device": "ibmq_toronto", "benchmark": "QFT-6", "seed": 0},
+        "cc74b86980f42845cacc693dd6419ca012b7c3c9e1741f5bd017a83bb799027e",
+    ),
+    "pulse_type": (
+        {"device": "ibmq_rome", "seed": 1, "shots": 64, "max_probe_qubits": 1},
+        "ec747f41ac7eed7c6f23f1f2ba08ff15c9ded2ae350ee732b3bd761dea0272ba",
+    ),
+    "swap_idle": (
+        {"device": "ibmq_rome", "sizes": [4]},
+        "733e0dfac77239a2364c8846f89b5370040e57053082eda89d56930adb3e7fc3",
+    ),
+    "sweep_summary": (
+        {"tasks": {"a": "0" * 64}},
+        "fe26b5c7019d8660743a1edbdb51d024cbb1283be8c0e93a559ea2328b1636bb",
+    ),
+    "table1": (
+        {"device": "ibmq_toronto", "seed": 1, "benchmarks": ["QFT-5"], "shots": 512},
+        "3ec62c9bbe724269cb871de1828fc635220707398798b7938e09e2daa6305dd7",
+    ),
+}
 
-        store = ExperimentStore(tmp_path / "store")
-        cold = figure1_motivation_study(london_backend, shots=256, seed=3, store=store)
-        writes = store.stats["writes"]
-        warm = figure1_motivation_study(london_backend, shots=256, seed=3, store=store)
-        assert warm == cold
-        assert store.stats["writes"] == writes  # nothing recomputed or rewritten
-        # A different budget is a different experiment.
-        other = figure1_motivation_study(london_backend, shots=128, seed=3, store=store)
-        assert store.stats["writes"] == writes + 1
-        assert set(other) == set(cold)
 
-    def test_every_store_aware_driver_cold_then_warm(self, tmp_path, rome_backend):
-        """Each read-through driver returns identical results on the warm path
-        and performs zero additional writes."""
-        from repro.analysis.characterization import (
-            calibration_drift_study,
-            full_device_characterization,
-            pulse_type_study,
-            single_qubit_idling_study,
-        )
-        from repro.analysis.decoy_quality import decoy_correlation_study
-        from repro.analysis.motivation import figure3_swap_idle_study
+class TestTaskKeyPins:
+    def test_every_registered_kind_is_pinned(self):
+        from repro.runtime.tasks import _get_kind
 
-        drivers = [
-            lambda store: figure3_swap_idle_study(
-                sizes=(4,), device_name="ibmq_rome", store=store
-            ),
-            lambda store: single_qubit_idling_study(
-                rome_backend, idle_ns=600.0, thetas=(1.1,), shots=64, seed=1,
-                store=store,
-            ),
-            lambda store: full_device_characterization(
-                rome_backend, idle_ns=600.0, thetas=(1.1,), shots=64,
-                max_combinations=2, seed=1, store=store,
-            ),
-            lambda store: calibration_drift_study(
-                "ibmq_rome", 0, (1, 2), cycles=(0,), idle_ns=600.0, thetas=(1.1,),
-                shots=64, seed=1, store=store,
-            ),
-            lambda store: pulse_type_study(
-                rome_backend, idle_times_ns=(600.0,), shots=64, seed=1,
-                max_probe_qubits=1, store=store,
-            ),
-            lambda store: decoy_correlation_study(
-                "ADDER-4", rome_backend, shots=64, seed=1, store=store,
-            ),
+        # Test modules register kinds of their own; pin the package's.
+        built_in = [
+            kind
+            for kind in available_task_kinds()
+            if _get_kind(kind).execute.__module__ == "repro.runtime.tasks"
         ]
+        assert sorted(PINNED_TASK_KEYS) == built_in
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_TASK_KEYS))
+    def test_task_key_is_unchanged(self, kind):
+        params, key = PINNED_TASK_KEYS[kind]
+        assert resolve_task_key(kind, params) == key
+
+
+def _count_run_batch(monkeypatch) -> dict:
+    """Count ``NoisyExecutor.run_batch`` calls: every engine run passes it."""
+    calls = {"n": 0}
+    run_batch = NoisyExecutor.run_batch
+
+    def counted(self, *args, **kwargs):
+        calls["n"] += 1
+        return run_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoisyExecutor, "run_batch", counted)
+    return calls
+
+
+def _payloads(store: ExperimentStore, tasks) -> dict:
+    """Record payloads by task id, minus the one wall-clock field."""
+    payloads = {}
+    for task in tasks:
+        record = store.get(task.key)
+        assert record is not None, task.task_id
+        meta = dict(record.meta)
+        meta.pop("decoy_sim_time_s", None)
+        arrays = {name: value.tolist() for name, value in record.arrays.items()}
+        payloads[task.task_id] = json.dumps([meta, arrays], sort_keys=True)
+    return payloads
+
+
+_POLICY_BUDGET = {
+    "shots": 256,
+    "decoy_shots": 128,
+    "trajectories": 20,
+    "runtime_best_max_evaluations": 4,
+}
+_PROBE = {"idle_ns": 600.0, "thetas": [1.1], "shots": 64}
+
+
+def _engine_specs():
+    """Figure 1, a Figure 13 policy comparison and a Figure 9 correlation."""
+    return [
+        SweepSpec(
+            name="t/figure1",
+            kind="figure1",
+            devices=("ibmq_london",),
+            seeds=(3,),
+            params={"shots": 128},
+        ),
+        SweepSpec(
+            name="t/policy",
+            kind="policy_comparison",
+            workloads=("ADDER-4",),
+            seeds=(11,),
+            params=_POLICY_BUDGET,
+        ),
+        SweepSpec(
+            name="t/decoy",
+            kind="decoy_correlation",
+            workloads=("ADDER-4",),
+            seeds=(1,),
+            params={"shots": 64},
+        ),
+    ]
+
+
+def _every_kind_specs():
+    """One cheap task of every built-in leaf kind, on ibmq_rome by default."""
+    return _engine_specs() + [
+        SweepSpec(
+            name="t/table1",
+            kind="table1",
+            seeds=(1,),
+            params={"benchmarks": ["ADDER-4"], "shots": 64},
+        ),
+        SweepSpec(name="t/swap_idle", kind="swap_idle", params={"sizes": [4]}),
+        SweepSpec(name="t/idling", kind="idling_study", seeds=(1,), params=_PROBE),
+        SweepSpec(
+            name="t/characterization",
+            kind="characterization",
+            seeds=(1,),
+            params={**_PROBE, "max_combinations": 2},
+        ),
+        SweepSpec(name="t/drift", kind="drift", seeds=(1,), params={**_PROBE, "cycles": [0]}),
+        SweepSpec(
+            name="t/pulse_type",
+            kind="pulse_type",
+            seeds=(1,),
+            params={"idle_times_ns": [600.0], "shots": 64, "max_probe_qubits": 1},
+        ),
+        SweepSpec(
+            name="t/scaling",
+            kind="hardware_scaling",
+            workloads=("GHZ-5",),
+            seeds=(5,),
+            params={"shots": 128, "trajectories": 20},
+        ),
+        SweepSpec(
+            name="t/run",
+            kind="benchmark_run",
+            workloads=("GHZ:3",),
+            seeds=(2,),
+            params={"shots": 128},
+        ),
+    ]
+
+
+class TestTaskStoreIntegration:
+    """Each result is one record under its task key, and nothing else."""
+
+    def test_warm_run_of_every_kind_executes_nothing(self, tmp_path, monkeypatch):
+        calls = _count_run_batch(monkeypatch)
+        specs = _every_kind_specs()
+        assert {spec.kind for spec in specs} | {"sweep_summary"} == set(PINNED_TASK_KEYS)
         store = ExperimentStore(tmp_path / "store")
-        for driver in drivers:
-            cold = driver(store)
-            writes = store.stats["writes"]
-            warm = driver(store)
-            assert store.stats["writes"] == writes, "warm path must not rewrite"
-            if hasattr(cold, "actual_trend"):  # DecoyCorrelation
-                assert warm.actual_trend == cold.actual_trend
-                assert warm.correlation == cold.correlation
-            else:
-                assert warm == cold
+        cold = SweepOrchestrator(store).run(specs, name="every-kind")
+        assert not cold.failed
+        assert len(cold.executed) == len(cold.tasks) == len(PINNED_TASK_KEYS)
+        # One record per task: no driver writes a second copy of its result.
+        assert sorted(r["key"] for r in store.ls()) == sorted(t.key for t in cold.tasks)
+        cold_payloads = _payloads(store, cold.tasks)
+
+        calls["n"] = 0
+        writes = store.stats["writes"]
+        warm = SweepOrchestrator(ExperimentStore(tmp_path / "store")).run(
+            specs, name="every-kind"
+        )
+        assert len(warm.cached) == len(warm.tasks) and not warm.executed
+        assert calls["n"] == 0
+        assert store.stats["writes"] == writes
+        assert _payloads(store, warm.tasks) == cold_payloads
+
+    def test_recompute_and_healing_run_the_engine_again(self, tmp_path, monkeypatch):
+        """``recompute=True`` and a corrupt task record execute for real and
+        store the cold run's records again."""
+        calls = _count_run_batch(monkeypatch)
+        specs = _engine_specs()
+        store = ExperimentStore(tmp_path / "store")
+        cold = SweepOrchestrator(store).run(specs, name="engine")
+        assert len(cold.executed) == len(cold.tasks) == 4
+        assert calls["n"] > 0
+        cold_payloads = _payloads(store, cold.tasks)
+
+        calls["n"] = 0
+        again = SweepOrchestrator(store).run(specs, name="engine", recompute=True)
+        assert len(again.executed) == len(again.tasks)
+        assert calls["n"] > 0
+        assert _payloads(store, again.tasks) == cold_payloads
+
+        policy = next(t for t in cold.tasks if t.kind == "policy_comparison")
+        store._manifest_path(policy.key).write_text("{ damaged", encoding="utf-8")
+        healer = ExperimentStore(tmp_path / "store")
+        calls["n"] = 0
+        healed = SweepOrchestrator(healer).run(specs, name="engine")
+        assert [t.task_id for t in healed.executed] == [policy.task_id]
+        assert calls["n"] > 0
+        assert _payloads(healer, healed.tasks) == cold_payloads
 
     def test_memory_tier_hits_are_isolated_from_caller_mutation(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
@@ -456,41 +630,6 @@ class TestDriverStoreIntegration:
         assert again.meta["rows"][0]["a"] == 1
         with pytest.raises(ValueError):
             first.arrays["x"][0] = 42  # arrays are frozen, not silently shared
-
-    def test_evaluate_policies_reads_through_store(self, tmp_path, rome_backend):
-        from repro.analysis.evaluation_runs import (
-            EvaluationConfig,
-            run_policy_comparison,
-        )
-
-        store = ExperimentStore(tmp_path / "store")
-        config = EvaluationConfig(
-            shots=256,
-            decoy_shots=128,
-            trajectories=20,
-            runtime_best_max_evaluations=4,
-            seed=11,
-        )
-        cold = run_policy_comparison("ADDER-4", rome_backend, config, store=store)
-        warm = run_policy_comparison("ADDER-4", rome_backend, config, store=store)
-        assert warm.outcomes.keys() == cold.outcomes.keys()
-        for name in cold.outcomes:
-            assert warm.outcomes[name].fidelity == cold.outcomes[name].fidelity
-            assert warm.outcomes[name].assignment == cold.outcomes[name].assignment
-        # Warm call decoded the stored record rather than re-running policies.
-        assert store.stats["memory_hits"] + store.stats["disk_hits"] >= 1
-        # The key schema is owned by evaluate_policies alone, so the two
-        # calls share exactly one benchmark_evaluation record — a direct
-        # evaluate_policies(store=...) call with the same configuration
-        # would hit it too.
-        evaluations = [r for r in store.ls() if r["kind"] == "benchmark_evaluation"]
-        assert len(evaluations) == 1
-        # The key folds in every policy's describe() dict and the executor
-        # knobs; it is pinned so that a change to either fails here instead
-        # of silently orphaning stored evaluations.
-        assert evaluations[0]["key"] == (
-            "5f86e8d51be7b562652e57ceb564d62fa09286ad7d42fbeb815173d3ab66b717"
-        )
 
 
 class TestAggregatedCacheStats:
