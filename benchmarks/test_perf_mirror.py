@@ -37,12 +37,13 @@ MAX_POINT_SECONDS = 60.0
 
 #: Per-width wall-clock ceilings (seconds) for the cold line-device scaling
 #: curve, end to end (device build + transpile + execute + verify).  Measured
-#: on a laptop-class machine: ~2s / ~14s / ~350s; the ceilings leave headroom
-#: for shared CI runners.  The growth along the curve is dominated by the
-#: O(n²) transpiler routing and per-op Python compile work — the packed
-#: symplectic kernels keep the *engine* leg near-linear (the frame state is
-#: trajectories × ceil(n/64) uint64 words).
-SCALING_CURVE_CEILINGS = {63: 30.0, 255: 120.0, 1023: 900.0}
+#: on a 2-vCPU box: 0.5s / 6.0s / 69s, of which transpiling took
+#: 0.06s / 1.0s / 16s; the ceilings leave headroom for shared CI runners.
+#: The growth along the curve is dominated by the transpiler routing and
+#: per-op Python compile work — the packed symplectic kernels keep the
+#: *engine* leg near-linear (the frame state is trajectories × ceil(n/64)
+#: uint64 words).
+SCALING_CURVE_CEILINGS = {63: 30.0, 255: 120.0, 1023: 300.0}
 
 #: Wall-clock fields excluded from the bit-identity comparison.
 _WALL_CLOCK_FIELDS = ("transpile_s", "evaluate_s")

@@ -115,7 +115,7 @@ class GateSequenceTable:
         self._duration_model = duration_model
         self._method = method
         self._scheduled: List[ScheduledGate] = []
-        self._cnot_index: Optional[Tuple[np.ndarray, ...]] = None
+        self._cnot_index: Optional[Tuple] = None
         self._schedule()
 
     # ------------------------------------------------------------------
@@ -272,13 +272,24 @@ class GateSequenceTable:
             totals[window.qubit] += window.duration
         return sum(totals[q] for q in qubits) / len(qubits)
 
+    @property
+    def cnot_links(self) -> Tuple[Tuple[int, int], ...]:
+        """Every link a scheduled CNOT runs on, canonical and sorted.
+
+        :meth:`concurrent_cnots` names links by their index here, so
+        ascending index is ascending link order.
+        """
+        return self._cnot_schedule()[0]
+
     def concurrent_cnots(
         self, start: float, end: float, exclude_qubit: Optional[int] = None
-    ) -> List[Tuple[Tuple[int, int], float]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """CNOT links active during ``[start, end]`` and their overlap in ns.
 
         Used by the noise model to amplify a spectator qubit's idling errors
-        while two-qubit gates run in its vicinity.
+        while two-qubit gates run in its vicinity.  Returns two aligned
+        arrays: the active links as ascending indices into
+        :attr:`cnot_links`, and each link's overlap summed over its CNOTs.
 
         Called once per idle window when a program is compiled, so a naive
         scan over every scheduled gate makes compilation O(windows × gates) —
@@ -286,40 +297,42 @@ class GateSequenceTable:
         sorted by start time; a query bisects to the only slice that can
         overlap ``[start, end]`` (a CNOT starting before ``start - max_dur``
         has necessarily ended, one starting at/after ``end`` has not begun)
-        and evaluates just that slice.  The sort is stable, so iterating the
-        slice preserves schedule order, which keeps the floating-point
-        summation order — and therefore the exact result — of the original
-        scan; CNOTs the slice bounds drop all have overlap ≤ 0 and never
-        contributed.
+        and evaluates just that slice.  The sort is stable, so the slice is
+        in schedule order, and ``np.bincount`` adds each link's overlaps in
+        that order onto ``0.0`` — the running sums of a scan over the whole
+        schedule, bit for bit.  CNOTs the slice bounds drop all have overlap
+        ≤ 0 and never contributed.
         """
-        if self._cnot_index is None:
-            cnots = [s for s in self._scheduled if s.is_cnot]
-            starts = np.array([s.start for s in cnots], dtype=float)
-            order = np.argsort(starts, kind="stable")
-            self._cnot_index = (
-                starts[order],
-                np.array([s.end for s in cnots], dtype=float)[order],
-                np.array([s.qubits[0] for s in cnots], dtype=np.int64)[order],
-                np.array([s.qubits[1] for s in cnots], dtype=np.int64)[order],
-                [cnots[i].link for i in order],
-                float(max((s.duration for s in cnots), default=0.0)),
-            )
-        starts, ends, qubit_a, qubit_b, links, max_duration = self._cnot_index
-        if not len(links):
-            return []
+        links, starts, ends, qubit_a, qubit_b, link_ids, max_duration = self._cnot_schedule()
         lo = int(np.searchsorted(starts, start - max_duration, side="left"))
         hi = int(np.searchsorted(starts, end, side="left"))
-        if lo >= hi:
-            return []
         overlaps = np.minimum(ends[lo:hi], end) - np.maximum(starts[lo:hi], start)
         hits = overlaps > 1e-9
         if exclude_qubit is not None:
             hits &= (qubit_a[lo:hi] != exclude_qubit) & (qubit_b[lo:hi] != exclude_qubit)
-        active: Dict[Tuple[int, int], float] = {}
-        for i in np.nonzero(hits)[0]:
-            link = links[lo + i]
-            active[link] = active.get(link, 0.0) + float(overlaps[i])
-        return sorted(active.items())
+        active = link_ids[lo:hi][hits]
+        present = np.flatnonzero(np.bincount(active, minlength=len(links)))
+        sums = np.bincount(active, weights=overlaps[hits], minlength=len(links))
+        return present, sums[present]
+
+    def _cnot_schedule(self) -> Tuple:
+        """The CNOT subschedule, indexed once and sorted by start time."""
+        if self._cnot_index is None:
+            cnots = [s for s in self._scheduled if s.is_cnot]
+            links = tuple(sorted({s.link for s in cnots}))
+            index_of = {link: i for i, link in enumerate(links)}
+            starts = np.array([s.start for s in cnots], dtype=float)
+            order = np.argsort(starts, kind="stable")
+            self._cnot_index = (
+                links,
+                starts[order],
+                np.array([s.end for s in cnots], dtype=float)[order],
+                np.array([s.qubits[0] for s in cnots], dtype=np.int64)[order],
+                np.array([s.qubits[1] for s in cnots], dtype=np.int64)[order],
+                np.array([index_of[s.link] for s in cnots], dtype=np.intp)[order],
+                float(max((s.duration for s in cnots), default=0.0)),
+            )
+        return self._cnot_index
 
     def gates_on_qubit(self, qubit: int) -> List[ScheduledGate]:
         return [s for s in self._scheduled if qubit in s.qubits]

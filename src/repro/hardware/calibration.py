@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,10 @@ class CrosstalkEntry:
     zz_shift_rate: float          # signed coherent phase accumulation, rad/ns
 
 
+#: The crosstalk of a (qubit, link) pair the calibration has no entry for.
+_NEUTRAL_CROSSTALK = CrosstalkEntry(dephasing_multiplier=1.0, zz_shift_rate=0.0)
+
+
 @dataclass
 class Calibration:
     """A full calibration snapshot of a device."""
@@ -100,8 +104,21 @@ class Calibration:
 
     def crosstalk_on(self, qubit: int, link: Edge) -> CrosstalkEntry:
         """Crosstalk felt by ``qubit`` while a CNOT runs on ``link``."""
-        return self.crosstalk.get(
-            (qubit, _canonical_link(link)), CrosstalkEntry(1.0, 0.0)
+        return self.crosstalk.get((qubit, _canonical_link(link)), _NEUTRAL_CROSSTALK)
+
+    def crosstalk_rows(
+        self, qubit: int, links: Sequence[Edge]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``qubit``'s crosstalk over ``links``, as two aligned arrays.
+
+        The first holds each link's ``dephasing_multiplier - 1.0``, the
+        second its ``zz_shift_rate``: the two factors the idle-noise model
+        multiplies a concurrent CNOT's overlap by.
+        """
+        entries = [self.crosstalk_on(qubit, link) for link in links]
+        return (
+            np.array([e.dephasing_multiplier - 1.0 for e in entries], dtype=float),
+            np.array([e.zz_shift_rate for e in entries], dtype=float),
         )
 
     def cnot_duration(self, a: int, b: int) -> float:

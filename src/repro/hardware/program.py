@@ -283,7 +283,9 @@ class CompiledNoisyProgram:
         self.default_outputs: List[int] = measured or list(self.active)
 
         self.windows: List[IdleWindow] = gst.idle_windows()
-        self.concurrent = [
+        #: Per window, its concurrent CNOTs as ``(link indices into
+        #: gst.cnot_links, summed overlaps)`` arrays.
+        self.concurrent: List[Tuple[np.ndarray, np.ndarray]] = [
             gst.concurrent_cnots(w.start, w.end, exclude_qubit=w.qubit)
             for w in self.windows
         ]
@@ -327,6 +329,7 @@ class CompiledNoisyProgram:
         self._sequences: Dict[str, object] = {}
         self._trains: Dict[Tuple[str, int], Optional[object]] = {}
         self._window_ops: Dict[Tuple[int, Optional[str]], List[ResolvedOp]] = {}
+        self._crosstalk_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: Scratch space for engines to memoize program-derived state
         #: (e.g. the stabilizer engine's ideal spectrum and noise masks).
         self.engine_cache: Dict[str, object] = {}
@@ -370,6 +373,24 @@ class CompiledNoisyProgram:
             self._trains[key] = train
         return self._trains[key]
 
+    def window_crosstalk(self, widx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Window ``widx``'s crosstalk terms for the idle-noise model.
+
+        ``(dephasing_multiplier - 1.0, zz_shift_rate, overlap_ns)`` over the
+        window's concurrent links.  The first two are gathered from its
+        qubit's crosstalk rows over ``gst.cnot_links``, built on first use,
+        so a program looks each (qubit, link) pair up once.
+        """
+        qubit = self.windows[widx].qubit
+        rows = self._crosstalk_rows.get(qubit)
+        if rows is None:
+            rows = self.backend.idle_noise.calibration.crosstalk_rows(
+                qubit, self.gst.cnot_links
+            )
+            self._crosstalk_rows[qubit] = rows
+        links, overlaps = self.concurrent[widx]
+        return rows[0][links], rows[1][links], overlaps
+
     def window_ops(self, widx: int, variant: Optional[str]) -> List[ResolvedOp]:
         """Noise ops of one idle window under one variant.
 
@@ -382,7 +403,7 @@ class CompiledNoisyProgram:
             window = self.windows[widx]
             train = None if variant is None else self.train_for(variant, widx)
             effect = self.backend.idle_noise.window_effect(
-                window.qubit, window.duration, self.concurrent[widx], train
+                window.qubit, window.duration, self.window_crosstalk(widx), train
             )
             ops = [_resolve_noise_op(op, self.index_of) for op in effect.noise_ops()]
             self._window_ops[key] = ops

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..dd.sequences import DDPulseTrain
 from ..hardware.calibration import Calibration
@@ -37,9 +39,6 @@ from ..simulators import channels
 from .model import NoiseOp
 
 __all__ = ["IdleWindowEffect", "IdleNoiseModel"]
-
-Edge = Tuple[int, int]
-
 
 @dataclass(frozen=True)
 class IdleWindowEffect:
@@ -85,6 +84,15 @@ class IdleWindowEffect:
         return self.dd_pulse_count > 0
 
 
+def _fold(seed: float, terms: np.ndarray) -> float:
+    """``seed`` plus each term, added left to right.
+
+    ``np.add.accumulate`` makes the same sequence of IEEE additions as a
+    Python loop; ``np.sum``'s pairwise summation would not.
+    """
+    return float(np.add.accumulate(np.concatenate(((seed,), terms)))[-1])
+
+
 class IdleNoiseModel:
     """Computes :class:`IdleWindowEffect` values from calibration data."""
 
@@ -101,15 +109,18 @@ class IdleNoiseModel:
         self,
         qubit: int,
         duration_ns: float,
-        concurrent_cnots: Sequence[Tuple[Edge, float]] = (),
+        crosstalk: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
         dd_train: Optional[DDPulseTrain] = None,
     ) -> IdleWindowEffect:
         """Noise accumulated by ``qubit`` idling for ``duration_ns``.
 
         Args:
-            concurrent_cnots: ``(link, overlap_ns)`` pairs describing CNOT
-                activity overlapping the window (from
-                :meth:`GateSequenceTable.concurrent_cnots`).
+            crosstalk: the CNOT activity overlapping the window, as three
+                aligned arrays over its links in ascending link order: the
+                ``dephasing_multiplier - 1.0`` and ``zz_shift_rate`` that
+                ``qubit`` feels from each link (a gather of
+                :meth:`Calibration.crosstalk_rows`) and each link's overlap
+                in ns (from :meth:`GateSequenceTable.concurrent_cnots`).
             dd_train: the DD pulse train protecting this window, or ``None``.
         """
         if duration_ns < 0:
@@ -126,10 +137,10 @@ class IdleNoiseModel:
         # an idle qubit ~10x more error prone).
         effective_time = duration
         coherent_phase = cal.background_zz_rate * duration
-        for link, overlap in concurrent_cnots:
-            entry = self._calibration.crosstalk_on(qubit, link)
-            effective_time += (entry.dephasing_multiplier - 1.0) * overlap
-            coherent_phase += entry.zz_shift_rate * overlap
+        if crosstalk is not None:
+            excess, zz_rates, overlaps = crosstalk
+            effective_time = _fold(effective_time, excess * overlaps)
+            coherent_phase = _fold(coherent_phase, zz_rates * overlaps)
         static_std = cal.static_dephasing_rate * effective_time
 
         suppression = 1.0

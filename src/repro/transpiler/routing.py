@@ -248,39 +248,68 @@ def _choose_swap(
     if not candidates:
         raise RuntimeError("no SWAP candidates available; is the device connected?")
 
-    # Scoring is allocation-free: the physical endpoints of every heuristic
-    # gate are resolved once, and each candidate SWAP remaps only its own two
-    # qubits — no trial-mapping dicts are copied per candidate.  Unreachable
+    # Each candidate is scored by a delta from one base cost: a SWAP moves
+    # only its own two endpoints, so only the heuristic pairs touching them
+    # are re-scored.  Every term is a hop count or ``far`` -- an integer-valued
+    # float far below 2**53 -- so ``base - old + new`` equals the full re-sum
+    # bit for bit and the ``sorted`` tie-break is unchanged.  Unreachable
     # look-ahead pairs get a large *finite* penalty so the front-layer term
     # still discriminates between SWAP candidates (truly unroutable front
     # gates fail fast in sabre_route).
     far = float(len(l2p) + 10)
-    front_pairs = [(l2p[g.qubits[0]], l2p[g.qubits[1]]) for g in front]
-    ext_pairs = [(l2p[g.qubits[0]], l2p[g.qubits[1]]) for g in extended]
-    front_norm = max(1, len(front_pairs))
-    ext_norm = len(ext_pairs)
+    front_cost, front_touching = _index_pairs(front, l2p, dist_rows, far)
+    ext_cost, ext_touching = _index_pairs(extended, l2p, dist_rows, far)
+    front_norm = max(1, len(front))
+    ext_norm = len(extended)
+
+    def rescored(
+        base: float, touching: Dict[int, List[Tuple[int, int, float]]], a: int, b: int
+    ) -> float:
+        total = base
+        for pa, pb, old in touching.get(a, ()):
+            pa = b if pa == a else a if pa == b else pa
+            pb = b if pb == a else a if pb == b else pb
+            value = dist_rows[pa][pb]
+            total += (value if math.isfinite(value) else far) - old
+        for pa, pb, old in touching.get(b, ()):
+            if pa == a or pb == a:
+                continue  # touches both endpoints: re-scored above
+            pa = a if pa == b else pa
+            pb = a if pb == b else pb
+            value = dist_rows[pa][pb]
+            total += (value if math.isfinite(value) else far) - old
+        return total
 
     def cost_after(swap: Tuple[int, int]) -> float:
         a, b = swap
-
-        def pair_cost(pairs: Sequence[Tuple[int, int]]) -> float:
-            total = 0.0
-            for pa, pb in pairs:
-                if pa == a:
-                    pa = b
-                elif pa == b:
-                    pa = a
-                if pb == a:
-                    pb = b
-                elif pb == b:
-                    pb = a
-                value = dist_rows[pa][pb]
-                total += value if math.isfinite(value) else far
-            return total
-
-        cost = pair_cost(front_pairs) / front_norm
+        cost = rescored(front_cost, front_touching, a, b) / front_norm
         if ext_norm:
-            cost += lookahead_weight * (pair_cost(ext_pairs) / ext_norm)
+            cost += lookahead_weight * (rescored(ext_cost, ext_touching, a, b) / ext_norm)
         return cost
 
     return min(sorted(candidates), key=cost_after)
+
+
+def _index_pairs(
+    gates: Sequence[Gate],
+    l2p: Dict[int, int],
+    dist_rows: Sequence[Sequence[float]],
+    far: float,
+) -> Tuple[float, Dict[int, List[Tuple[int, int, float]]]]:
+    """Summed distance of the gates' physical pairs, and the pairs by qubit.
+
+    Returns the total (unreachable pairs count ``far``) and, per physical
+    qubit, the ``(a, b, distance)`` of every pair with that endpoint.
+    """
+    total = 0.0
+    touching: Dict[int, List[Tuple[int, int, float]]] = {}
+    for gate in gates:
+        a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
+        value = dist_rows[a][b]
+        if not math.isfinite(value):
+            value = far
+        total += value
+        pair = (a, b, value)
+        touching.setdefault(a, []).append(pair)
+        touching.setdefault(b, []).append(pair)
+    return total, touching

@@ -26,6 +26,11 @@ a test can prove the oracle ran instead of comparing packed with packed:
 ``StabilizerSimulator.probabilities``: a recursive branch walk over the
 tableau's measurements, compared with it directly by the differential suite.
 
+:mod:`oracle.compile` keeps the full-recompute forms of the device-scale
+compile step: SABRE's per-candidate re-sum, the dict-accumulating
+concurrent-CNOT scan and the per-tuple crosstalk fold.
+``tests/test_compile_differential.py`` imports them directly.
+
 The references hand masks and suffix maps back packed by
 :func:`repro.simulators.symplectic.pack_rows`, so production code never sees
 a boolean row.  Compiled programs memoize the mask table in their

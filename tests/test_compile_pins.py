@@ -12,13 +12,23 @@ with it.
 QAOA-5.  ``COMPILED`` holds, per (device, workload) at calibration cycle 0,
 the compiled physical circuit's fingerprint, the initial and final layouts
 and the SWAP count.
+
+``MIRROR`` pins two device-scale mirror points the same way, and adds the
+float hex of their ``hardware_scaling_point(..., seed=7)`` record's
+``flip_free_probability``, ``success_probability`` and ``fidelity``.  At 63
+and 127 qubits the flip-free probability is still a normal float: it is the
+product over every window op's Pauli twirl, so a bit moved anywhere in the
+idle-window noise (crosstalk fold, concurrency overlaps, twirls) shows here.
+At 255 qubits it underflows to 0.0.
 """
 
 import functools
 
 import pytest
 
-from repro.hardware import Backend
+from repro.analysis.scaling import hardware_scaling_point
+from repro.hardware import Backend, topologies
+from repro.hardware.devices import synthetic_device
 from repro.store.keys import circuit_fingerprint
 from repro.transpiler import transpile
 from repro.workloads import get_benchmark
@@ -277,3 +287,78 @@ def test_compiled_program(device, workload):
         compiled.final_layout.logical_to_physical,
         compiled.num_swaps,
     ) == COMPILED[device, workload]
+
+
+MIRROR = {
+    ("heavy_hex:4", "MIRROR:63@7"): (
+        "8049b0e34ac4c4cac630c2742ae3b7e30755a8729720887b7376173b134d3ee1",
+        (
+            19, 25, 24, 34, 43, 18, 2, 16, 8, 7, 6, 5, 15, 1, 14, 53, 60, 59, 41,
+            42, 40, 39, 33, 20, 21, 22, 23, 26, 27, 28, 29, 30, 17, 12, 11, 10, 9,
+            31, 32, 36, 51, 50, 49, 55, 68, 69, 70, 74, 89, 88, 66, 65, 64, 54, 45,
+            46, 47, 35, 48, 67, 63, 44, 0,
+        ),
+        (
+            15, 22, 23, 24, 34, 42, 6, 7, 16, 8, 5, 3, 2, 1, 39, 40, 60, 59, 53,
+            41, 33, 19, 18, 14, 20, 21, 25, 26, 27, 28, 29, 11, 10, 9, 12, 17, 30,
+            31, 32, 36, 51, 50, 55, 68, 67, 69, 70, 74, 89, 88, 87, 86, 63, 44, 43,
+            46, 35, 47, 49, 48, 54, 64, 45,
+        ),
+        90,
+        ("0x1.0d9a76be0c78ep-69", "0x0.0p+0", "0x1.8000000000000p-50"),
+    ),
+    ("line_127", "MIRROR:127@7"): (
+        "ef75849c96ed613f6cbd52be90e9c6bd77147f61395111972fe792d34a49192f",
+        (
+            81, 113, 114, 115, 116, 117, 118, 119, 120, 121, 122, 123, 124, 125,
+            126, 112, 111, 110, 109, 108, 107, 106, 105, 104, 103, 102, 101, 100,
+            99, 98, 97, 96, 95, 94, 93, 92, 91, 90, 89, 80, 74, 31, 32, 33, 34,
+            35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51,
+            52, 75, 76, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+            17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 53, 54, 55,
+            56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72,
+            73, 77, 79, 85, 86, 87, 88, 84, 83, 82, 78,
+        ),
+        (
+            109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119, 120, 126, 125,
+            124, 123, 122, 121, 108, 107, 106, 105, 104, 103, 102, 101, 100, 99,
+            98, 97, 96, 95, 94, 93, 92, 91, 90, 89, 88, 87, 53, 52, 51, 50, 32,
+            33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 70, 71,
+            72, 73, 5, 4, 3, 2, 0, 1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+            18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 48, 49, 54,
+            55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 74, 75,
+            76, 77, 79, 80, 85, 86, 84, 83, 82, 81, 78,
+        ),
+        347,
+        ("0x1.7aadc80bf2543p-197", "0x0.0p+0", "0x1.8000000000000p-50"),
+    ),
+}
+
+
+def _mirror_backend(device: str) -> Backend:
+    if device.startswith("line_"):
+        width = int(device[len("line_"):])
+        return Backend(
+            synthetic_device(width, edges=topologies.line(width), name=device)
+        )
+    return Backend.from_name(device, cycle=0)
+
+
+@pytest.mark.parametrize("device,workload", sorted(MIRROR))
+def test_device_scale_mirror_point(device, workload):
+    backend = _mirror_backend(device)
+    compiled = transpile(get_benchmark(workload).build(), backend)
+    record = hardware_scaling_point(backend, benchmark=workload, seed=7)
+    fingerprint, initial, final, swaps, floats = MIRROR[device, workload]
+    assert (
+        circuit_fingerprint(compiled.physical_circuit),
+        compiled.initial_layout.logical_to_physical,
+        compiled.final_layout.logical_to_physical,
+        compiled.num_swaps,
+    ) == (fingerprint, initial, final, swaps)
+    assert record.num_swaps == swaps and record.mirror_verified
+    assert (
+        record.flip_free_probability.hex(),
+        record.success_probability.hex(),
+        record.fidelity.hex(),
+    ) == floats

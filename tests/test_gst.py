@@ -132,6 +132,12 @@ class TestIdleWindows:
         assert gst.active_qubits() == [2, 7]
 
 
+def link_overlaps(gst, start, end, exclude_qubit=None):
+    """``concurrent_cnots`` as ``(link, overlap)`` pairs."""
+    links, overlaps = gst.concurrent_cnots(start, end, exclude_qubit=exclude_qubit)
+    return [(gst.cnot_links[i], float(o)) for i, o in zip(links, overlaps)]
+
+
 class TestConcurrency:
     def test_concurrent_cnots_reports_overlap(self):
         circuit = QuantumCircuit(3)
@@ -142,14 +148,14 @@ class TestConcurrency:
         circuit.x(0)
         gst = GateSequenceTable(circuit, simple_durations)
         window = gst.idle_windows(0)[0]
-        concurrent = gst.concurrent_cnots(window.start, window.end, exclude_qubit=0)
+        concurrent = link_overlaps(gst, window.start, window.end, exclude_qubit=0)
         assert concurrent == [((1, 2), pytest.approx(400.0))]
 
     def test_exclude_qubit_filters_own_gates(self):
         circuit = QuantumCircuit(2).cx(0, 1)
         gst = GateSequenceTable(circuit, simple_durations)
-        assert gst.concurrent_cnots(0, 400, exclude_qubit=0) == []
-        assert len(gst.concurrent_cnots(0, 400)) == 1
+        assert link_overlaps(gst, 0, 400, exclude_qubit=0) == []
+        assert len(link_overlaps(gst, 0, 400)) == 1
 
     def test_link_is_canonical(self):
         circuit = QuantumCircuit(2).cx(1, 0)

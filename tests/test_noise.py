@@ -82,6 +82,12 @@ class TestGateNoise:
         assert 0 < noisy[1] < 0.2
 
 
+def crosstalk_terms(idle_noise, qubit, link, overlap):
+    """``window_effect``'s crosstalk terms for one CNOT link's overlap."""
+    excess, zz_rates = idle_noise.calibration.crosstalk_rows(qubit, [link])
+    return excess, zz_rates, np.array([overlap])
+
+
 class TestIdleWindowEffect:
     def test_longer_idle_is_worse(self, idle_noise):
         short = idle_noise.window_effect(0, 1000.0)
@@ -93,14 +99,20 @@ class TestIdleWindowEffect:
     def test_crosstalk_amplifies_dephasing(self, idle_noise, calibration):
         free = idle_noise.window_effect(0, 4000.0)
         # link (1, 2) is adjacent to qubit 0 on Guadalupe
-        crosstalk = idle_noise.window_effect(0, 4000.0, [((1, 2), 4000.0)])
+        crosstalk = idle_noise.window_effect(
+            0, 4000.0, crosstalk_terms(idle_noise, 0, (1, 2), 4000.0)
+        )
         assert crosstalk.static_phase_std > free.static_phase_std
         assert idle_noise.fidelity_proxy(crosstalk) <= idle_noise.fidelity_proxy(free)
 
     def test_dd_suppresses_static_noise(self, idle_noise):
         train = XY4Sequence().build_train(0, 0.0, 8000.0)
-        free = idle_noise.window_effect(0, 8000.0, [((1, 2), 8000.0)])
-        protected = idle_noise.window_effect(0, 8000.0, [((1, 2), 8000.0)], train)
+        free = idle_noise.window_effect(
+            0, 8000.0, crosstalk_terms(idle_noise, 0, (1, 2), 8000.0)
+        )
+        protected = idle_noise.window_effect(
+            0, 8000.0, crosstalk_terms(idle_noise, 0, (1, 2), 8000.0), train
+        )
         assert protected.dd_suppression < 1.0
         assert protected.dd_pulse_count == train.num_pulses
         assert protected.dd_pulse_depolarizing > 0
@@ -175,7 +187,9 @@ class TestIdleWindowEffect:
 
     def test_noise_ops_are_well_formed(self, idle_noise):
         train = XY4Sequence().build_train(0, 0.0, 5000.0)
-        effect = idle_noise.window_effect(0, 5000.0, [((1, 2), 2000.0)], train)
+        effect = idle_noise.window_effect(
+            0, 5000.0, crosstalk_terms(idle_noise, 0, (1, 2), 2000.0), train
+        )
         ops = effect.noise_ops()
         assert all(isinstance(op, NoiseOp) for op in ops)
         assert all(op.qubits == (0,) for op in ops)
@@ -195,7 +209,9 @@ class TestIdleWindowEffect:
     @given(duration=st.floats(0.0, 50000.0))
     @settings(max_examples=30, deadline=None)
     def test_fidelity_proxy_is_bounded(self, idle_noise, duration):
-        effect = idle_noise.window_effect(1, duration, [((4, 7), duration / 2)])
+        effect = idle_noise.window_effect(
+            1, duration, crosstalk_terms(idle_noise, 1, (4, 7), duration / 2)
+        )
         assert 0.0 <= idle_noise.fidelity_proxy(effect) <= 1.0
 
     @given(
