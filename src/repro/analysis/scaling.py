@@ -126,23 +126,20 @@ def hardware_scaling_point(
     """Transpile + execute one workload on one backend and measure everything.
 
     ``benchmark`` may carry the device-proportional ``half`` size token.  The
-    default engine depends on the workload: mirror circuits always ride the
-    stabilizer path (``stabilizer`` spectra would also work at small widths,
-    but ``stabilizer_frames`` keeps the per-point metrics — including the
-    exact flip-free probability — uniform across the device axis), while
-    everything else is a measurement context and stays on ``"auto_dense"``
-    (where the executor's memory budget steers large active spaces to the
-    trajectory engine).
+    default engine is the workload's ``BenchmarkSpec.default_engine``: mirror
+    circuits always ride the stabilizer path (``stabilizer`` spectra would
+    also work at small widths, but ``stabilizer_frames`` keeps the per-point
+    metrics — including the exact flip-free probability — uniform across the
+    device axis), while everything else is a measurement context and stays
+    on ``"auto_dense"`` (where the executor's memory budget steers large
+    active spaces to the trajectory engine).
     """
     from ..hardware.execution import NoisyExecutor
 
     benchmark = device_proportional_benchmark(str(benchmark), backend)
     spec = get_benchmark(benchmark)
-    # A spec carrying an analytic expected output is a verification workload
-    # (the mirror family): only the resolver parses names.
-    verifiable = spec.expected_output is not None
     if engine is None:
-        engine = "stabilizer_frames" if verifiable else "auto_dense"
+        engine = spec.default_engine
 
     calibration = backend.calibration
 
@@ -163,16 +160,7 @@ def hardware_scaling_point(
     )
     evaluate_s = time.perf_counter() - start
 
-    target = ""
-    verified = False
-    if verifiable:
-        target = spec.expected_output()
-        # The compiled program's exact ideal output must be the analytic
-        # target, deterministically — this is the verification that makes
-        # the success probability meaningful at any width.
-        verified = (
-            max(ideal, key=ideal.get) == target and ideal[target] > 1.0 - 1e-9
-        )
+    target, verified = spec.verify(ideal)
     flip_free = result.metadata.get("flip_free_probability")
 
     return HardwareScalingRecord(

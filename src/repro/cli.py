@@ -351,6 +351,7 @@ def _cmd_run(args) -> int:
         )
     key = resolve_task_key(args.kind, params)
     if not args.recompute and store.contains(key):
+        store.flush_session_stats()
         print(f"cached    {args.kind}  {key}")
         return 0
     start = time.perf_counter()
@@ -381,6 +382,7 @@ def _cmd_sweep(args) -> int:
     report = orchestrator.run(
         specs, name=name, recompute=args.recompute, max_executions=args.max_tasks
     )
+    store.flush_session_stats()
     total = len(report.tasks)
     hits = len(report.cached)
     print(report.summary_line())
@@ -441,7 +443,7 @@ def _cmd_ls(args) -> int:
         print()
         print("aggregated cache stats")
         cumulative = store.cumulative_stats()
-        session = store.stats
+        session = store.stats.snapshot()
         for counter in sorted(set(cumulative) | set(session)):
             total = int(cumulative.get(counter, 0)) + int(session.get(counter, 0))
             print(f"  store.{counter:20s} {total}")

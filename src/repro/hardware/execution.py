@@ -47,6 +47,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..core.gst import GateSequenceTable
 from ..dd.insertion import DDAssignment
+from ..obs import Counters
 from ..simulators.engines import (
     EngineJob,
     SparseDistribution,
@@ -374,11 +375,7 @@ class NoisyExecutor:
         )
         self._rng = np.random.default_rng(seed)
         self._program_cache = ProgramCache(backend, max_entries=max_cached_programs)
-        self.stats: Dict[str, int] = {
-            "program_compiles": 0,
-            "program_hits": 0,
-            "jobs_run": 0,
-        }
+        self.stats = Counters("program_compiles", "program_hits", "jobs_run")
 
     # -- compile cache -------------------------------------------------
 
@@ -399,7 +396,7 @@ class NoisyExecutor:
         a fresh process and reports the experiment store's cumulative
         hit/miss counters instead.
         """
-        merged = dict(self.stats)
+        merged = self.stats.snapshot()
         merged["cached_programs"] = len(self._program_cache.entries)
         for name, value in process_cache_stats().items():
             merged[f"process_{name}"] = value
@@ -416,7 +413,7 @@ class NoisyExecutor:
         share one compiled template.
         """
         program, hit = self._program_cache.get(circuit, gst)
-        self.stats["program_hits" if hit else "program_compiles"] += 1
+        self.stats.add("program_hits" if hit else "program_compiles")
         return program
 
     # -- execution -----------------------------------------------------
@@ -457,7 +454,7 @@ class NoisyExecutor:
             trajectories=self.trajectories,
             memory_budget_bytes=self.memory_budget_bytes,
         )
-        self.stats["jobs_run"] += len(jobs)
+        self.stats.add("jobs_run", len(jobs))
         return results
 
     def run_assignments(

@@ -28,6 +28,8 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import Counters
+
 __all__ = [
     "COUPLING_MAPS",
     "DISTANCE_CACHE_STATS",
@@ -275,7 +277,7 @@ _DISTANCE_MEMO: Dict[Tuple[int, Tuple[Edge, ...]], np.ndarray] = {}
 #: Cold/warm observability for the memo: ``builds`` counts actual all-pairs
 #: BFS computations, ``hits`` counts memo reuse.  The transpiler regression
 #: test asserts exactly one build per backend topology.
-DISTANCE_CACHE_STATS: Dict[str, int] = {"builds": 0, "hits": 0}
+DISTANCE_CACHE_STATS = Counters("builds", "hits")
 
 
 def build_distance_array(edges: Sequence[Edge], num_qubits: int) -> np.ndarray:
@@ -318,20 +320,20 @@ def distance_array(edges: Sequence[Edge], num_qubits: int) -> np.ndarray:
     key = (int(num_qubits), tuple((int(a), int(b)) for a, b in edges))
     cached = _DISTANCE_MEMO.get(key)
     if cached is None:
-        DISTANCE_CACHE_STATS["builds"] += 1
+        DISTANCE_CACHE_STATS.add("builds")
         cached = build_distance_array(edges, num_qubits)
         cached.setflags(write=False)
         _DISTANCE_MEMO[key] = cached
     else:
-        DISTANCE_CACHE_STATS["hits"] += 1
+        DISTANCE_CACHE_STATS.add("hits")
     return cached
 
 
 def clear_distance_cache() -> None:
-    """Drop the process-wide distance memo (tests and benchmarks only)."""
+    """Drop the process-wide distance memo and its counters (tests only)."""
+    global DISTANCE_CACHE_STATS
     _DISTANCE_MEMO.clear()
-    DISTANCE_CACHE_STATS["builds"] = 0
-    DISTANCE_CACHE_STATS["hits"] = 0
+    DISTANCE_CACHE_STATS = Counters("builds", "hits")
 
 
 def distance_matrix(edges: Sequence[Edge], num_qubits: int) -> Dict[Tuple[int, int], object]:

@@ -464,7 +464,6 @@ class SweepOrchestrator:
             if leases is not None:
                 leases.close()
             write_journal(force=True)
-            self.store.flush_session_stats()
         return report
 
     # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ..hardware.backend import Backend
 from ..hardware.calibration import generate_calibration
 from ..hardware.devices import get_device
 from ..store.keys import calibration_fingerprint, task_key
+from ..workloads.suite import get_benchmark
 from .spec import TaskSpec
 
 __all__ = [
@@ -110,8 +111,19 @@ def required_params(kind: str) -> Tuple[str, ...]:
 
 
 def merged_params(kind: str, params: Dict[str, object]) -> Dict[str, object]:
+    """The kind's defaults overlaid with ``params``.
+
+    ``benchmark`` is spelled as its resolver names it, so ``qft-6a`` and
+    ``QFT-6A`` are one task with one key; a name that does not resolve (the
+    device-proportional ``MIRROR:half@7``, an unknown name) stays as given.
+    """
     merged = dict(_get_kind(kind).defaults)
     merged.update(params)
+    if "benchmark" in merged:
+        try:
+            merged["benchmark"] = get_benchmark(str(merged["benchmark"])).name
+        except (KeyError, ValueError):
+            pass
     return merged
 
 
@@ -468,9 +480,9 @@ _register(
             "cycle": 0,
             "shots": 2048,
             "trajectories": 60,
-            # None = per-workload policy: mirror workloads ride the
-            # stabilizer path, everything else stays a measurement context
-            # on auto_dense (see analysis.scaling.hardware_scaling_point).
+            # None = per-workload policy (BenchmarkSpec.default_engine):
+            # mirror workloads ride the stabilizer path, everything else
+            # stays a measurement context on auto_dense.
             "engine": None,
         },
         execute=_execute_hardware_scaling,

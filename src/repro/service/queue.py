@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..lint.annotations import guarded_by, holds_lock
+from ..obs import Counters
 
 __all__ = ["Job", "JobQueue", "QueueFull", "QuotaExceeded", "ServiceRejection"]
 
@@ -102,16 +103,15 @@ class Job:
         return payload
 
 
-@guarded_by("_lock", "_jobs", "_order", "_last_served", "stats")
+@guarded_by("_lock", "_jobs", "_order", "_last_served")
 class JobQueue:
     """Thread-safe bounded queue with per-tenant quotas and fair dispatch.
 
     Every attribute named in the ``@guarded_by`` annotation above is shared
     between submitter threads (handler side) and the claimer (scheduler
     thread); ``repro lint`` statically verifies each access sits under
-    ``with self._lock:`` or inside a ``@holds_lock`` helper.  Callers who
-    need the counters should use :meth:`stats_snapshot`, not reach into
-    ``stats`` directly.
+    ``with self._lock:`` or inside a ``@holds_lock`` helper.  The admission
+    counters (``stats``) carry their own lock.
     """
 
     def __init__(self, depth: int = 64, tenant_quota: int = 16) -> None:
@@ -127,12 +127,7 @@ class JobQueue:
         self._seq = itertools.count()
         #: last tenant served per priority band (round-robin cursor)
         self._last_served: Dict[int, str] = {}
-        self.stats: Dict[str, int] = {
-            "submitted": 0,
-            "rejected_full": 0,
-            "rejected_quota": 0,
-            "cancelled": 0,
-        }
+        self.stats = Counters("submitted", "rejected_full", "rejected_quota", "cancelled")
 
     # -- admission ------------------------------------------------------
 
@@ -142,14 +137,14 @@ class JobQueue:
             queued = [j for j in self._jobs.values() if j.status == "queued"]
             active = [j for j in self._jobs.values() if j.status in ("queued", "running")]
             if len(queued) >= self.depth:
-                self.stats["rejected_full"] += 1
+                self.stats.add("rejected_full")
                 raise QueueFull(
                     f"queue is full ({self.depth} jobs queued); retry shortly",
                     retry_after_s=self._retry_hint(),
                 )
             tenant_active = sum(1 for j in active if j.tenant == job.tenant)
             if tenant_active >= self.tenant_quota:
-                self.stats["rejected_quota"] += 1
+                self.stats.add("rejected_quota")
                 raise QuotaExceeded(
                     f"tenant {job.tenant!r} already has {tenant_active} active"
                     f" job(s) (quota {self.tenant_quota}); retry when they settle",
@@ -157,7 +152,7 @@ class JobQueue:
                 )
             self._jobs[job.job_id] = job
             self._order[job.job_id] = next(self._seq)
-            self.stats["submitted"] += 1
+            self.stats.add("submitted")
             self._lock.notify_all()
             return job
 
@@ -262,7 +257,7 @@ class JobQueue:
             if job.status == "queued":
                 job.status = "cancelled"
                 job.finished_at = time.time()
-                self.stats["cancelled"] += 1
+                self.stats.add("cancelled")
             elif job.status == "running":
                 job.cancel_requested = True
             return job
@@ -284,11 +279,6 @@ class JobQueue:
             for job in self._jobs.values():
                 counts[job.status] = counts.get(job.status, 0) + 1
             return counts
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Consistent copy of the admission counters, safe to hand out."""
-        with self._lock:
-            return dict(self.stats)
 
     def wait_for_work(self, timeout: float) -> bool:
         """Block until a job is queued (or ``timeout`` elapses)."""

@@ -31,8 +31,9 @@ import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..obs import Counters
 from ..store.keys import fingerprint
-from .scheduler import ShotChunk, chunk_request, pack_chunks, packing_stats
+from .scheduler import ShotChunk, chunk_request, pack_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hardware.execution import ExecutionResult
@@ -68,9 +69,8 @@ class RunRequest:
 
     ``benchmark`` is canonicalised to the resolver's spec name at
     construction, so case-variant spellings share context, key and record.
-    ``engine=None`` applies the per-workload policy of the scaling study:
-    verification (mirror) workloads ride ``stabilizer_frames``, everything
-    else is a measurement context on ``auto_dense``.
+    ``engine=None`` applies the workload's
+    :attr:`~repro.workloads.suite.BenchmarkSpec.default_engine`.
     """
 
     device: str
@@ -106,12 +106,7 @@ class RunRequest:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         spec = get_benchmark(str(self.benchmark))
         object.__setattr__(self, "benchmark", spec.name)
-        if self.engine is None:
-            resolved = (
-                "stabilizer_frames" if spec.expected_output is not None else "auto_dense"
-            )
-        else:
-            resolved = str(self.engine)
+        resolved = spec.default_engine if self.engine is None else str(self.engine)
         object.__setattr__(self, "resolved_engine", resolved)
         if not self.request_id:
             object.__setattr__(self, "request_id", uuid.uuid4().hex[:12])
@@ -222,12 +217,17 @@ class ExecutionContext:
 
 
 class ContextCache:
-    """A bounded LRU of :class:`ExecutionContext` keyed by context key."""
+    """A bounded LRU of :class:`ExecutionContext` keyed by context key, with
+    its build/hit ``stats`` and the ``packing`` totals of the rounds that
+    :func:`execute_run_requests` ran through it."""
 
     def __init__(self, max_contexts: int = 8) -> None:
         self.max_contexts = max(1, int(max_contexts))
         self._contexts: Dict[str, ExecutionContext] = {}
-        self.stats: Dict[str, int] = {"builds": 0, "hits": 0}
+        self.stats = Counters("builds", "hits")
+        self.packing = Counters(
+            "rounds", "requests", "chunks", "batches", "contexts", "total_shots"
+        )
 
     def get(self, request: RunRequest) -> ExecutionContext:
         context = self._contexts.get(request.context_key)
@@ -235,10 +235,10 @@ class ContextCache:
             self._contexts[request.context_key] = self._contexts.pop(
                 request.context_key
             )  # LRU refresh
-            self.stats["hits"] += 1
+            self.stats.add("hits")
             return context
         context = ExecutionContext(request)
-        self.stats["builds"] += 1
+        self.stats.add("builds")
         self._contexts[request.context_key] = context
         while len(self._contexts) > self.max_contexts:
             self._contexts.pop(next(iter(self._contexts)))
@@ -283,14 +283,7 @@ def merge_chunk_results(
                 probabilities.get(bits, 0.0) + weight * float(result.probabilities[bits])
             )
     first = ordered[0][1]
-    target = ""
-    verified = False
-    if context.spec.expected_output is not None:
-        target = context.spec.expected_output()
-        verified = (
-            max(context.ideal, key=context.ideal.get) == target
-            and context.ideal[target] > 1.0 - 1e-9
-        )
+    target, verified = context.spec.verify(context.ideal)
     flip_free = first.metadata.get("flip_free_probability")
     meta = {
         "kind": "benchmark_run",
@@ -343,8 +336,8 @@ def execute_run_requests(
     With a ``store``, every request is first probed by key (a hit settles it
     as ``"cached"`` without executing — identical resubmissions to a warm
     server are pure store reads) and every executed record is checkpointed.
-    Returns one :class:`RunOutcome` per request id; ``pack_stats`` of the
-    round are attached to the function object for the server's counters.
+    Returns one :class:`RunOutcome` per request id; the round's packing
+    totals are added to ``contexts.packing``.
     """
     contexts = contexts if contexts is not None else ContextCache()
     outcomes: Dict[str, RunOutcome] = {}
@@ -379,10 +372,11 @@ def execute_run_requests(
         outcomes[request.request_id] = RunOutcome(
             request.request_id, "executed", key, meta
         )
-    execute_run_requests.last_pack_stats = packing_stats(to_run, batches)
+    packing = contexts.packing
+    packing.add("rounds")
+    packing.add("requests", len(to_run))
+    packing.add("chunks", len(chunks))
+    packing.add("batches", len(batches))
+    packing.add("contexts", len({batch.context_key for batch in batches}))
+    packing.add("total_shots", sum(batch.total_shots for batch in batches))
     return outcomes
-
-
-#: Packing counters of the most recent round (read by the server thread that
-#: just ran it; informational only).
-execute_run_requests.last_pack_stats = {}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -174,20 +174,6 @@ def pack_chunks(
             open_by_context[chunk.context_key] = batch
             batches.append(batch)
     return batches
-
-
-def packing_stats(
-    requests: Sequence[object], batches: Sequence[PackedBatch]
-) -> Dict[str, int]:
-    """Glanceable packing counters (surfaced by the server's ``stats`` op)."""
-    contexts: Tuple[str, ...] = tuple({b.context_key for b in batches})
-    return {
-        "requests": len(requests),
-        "chunks": sum(len(b.chunks) for b in batches),
-        "batches": len(batches),
-        "contexts": len(contexts),
-        "total_shots": sum(b.total_shots for b in batches),
-    }
 
 
 def expected_batches(context_chunk_counts: Sequence[int], max_experiments: int) -> int:

@@ -41,9 +41,8 @@ import socketserver
 import threading
 import time
 import uuid
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..lint.annotations import guarded_by
 from ..store.store import ExperimentStore
 from .queue import Job, JobQueue, ServiceRejection
 from .requests import (
@@ -128,13 +127,8 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
 
-@guarded_by("_stats_lock", "_pack_totals", "_jobs_executed")
 class SweepService:
     """The daemon behind ``repro serve`` (and the in-process test harness).
-
-    The execution counters named above are written by the scheduler thread
-    and read by handler threads (the ``stats`` op), so they live behind
-    ``_stats_lock``; ``repro lint`` verifies every access statically.
 
     Args:
         store_spec: store root or ``write:read[:read...]`` federation spec.
@@ -182,10 +176,6 @@ class SweepService:
         self._idle.set()
         self._server: Optional[_Server] = None
         self._threads: List[threading.Thread] = []
-        # Written by the scheduler thread, read by handler threads (`stats`).
-        self._stats_lock = threading.Lock()
-        self._pack_totals: Dict[str, int] = {}
-        self._jobs_executed = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -423,17 +413,16 @@ class SweepService:
         return {"ok": True, "job": job.to_payload(include_result=False)}
 
     def _op_stats(self, payload: dict) -> dict:
-        with self._stats_lock:
-            jobs_executed = self._jobs_executed
-            packing = dict(self._pack_totals)
+        counts = self.queue.counts()
         return {
             "ok": True,
             "uptime_s": time.time() - self._started_at,
-            "jobs_executed": jobs_executed,
-            "queue": {"counts": self.queue.counts(), **self.queue.stats_snapshot()},
-            "packing": packing,
-            "contexts": dict(self.contexts.stats),
-            "store": dict(self.store.stats),
+            # The queue keeps every job, so its done count is the total.
+            "jobs_executed": counts.get("done", 0),
+            "queue": {"counts": counts, **self.queue.stats.snapshot()},
+            "packing": self.contexts.packing.snapshot(),
+            "contexts": self.contexts.stats.snapshot(),
+            "store": self.store.stats.snapshot(),
         }
 
     def _op_shutdown(self, payload: dict) -> dict:
@@ -530,12 +519,6 @@ class SweepService:
                 )
                 self._journal(job)
             return
-        stats = execute_run_requests.last_pack_stats
-        with self._stats_lock:
-            for counter, value in stats.items():
-                self._pack_totals[counter] = self._pack_totals.get(counter, 0) + int(value)
-            self._pack_totals["rounds"] = self._pack_totals.get("rounds", 0) + 1
-            self._jobs_executed += len(live)
         for job in live:
             outcome = outcomes[job.job_id]
             self.queue.settle(
@@ -545,7 +528,6 @@ class SweepService:
                     "status": outcome.status,
                     "key": outcome.key,
                     "headline": outcome.headline(),
-                    "pack": dict(stats),
                 },
             )
             self._progress(f"[{outcome.status:>8}] job {job.job_id} ({job.tenant})")
@@ -573,8 +555,6 @@ class SweepService:
             self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
             self._journal(job)
             return
-        with self._stats_lock:
-            self._jobs_executed += 1
         self.queue.settle(job.job_id, "done", {"status": status, "key": key})
         self._progress(f"[{status:>8}] job {job.job_id} ({kind})")
         self._journal(job)
@@ -631,8 +611,6 @@ class SweepService:
         elif report.failed:
             self.queue.settle(job.job_id, "failed", result)
         else:
-            with self._stats_lock:
-                self._jobs_executed += 1
             self.queue.settle(job.job_id, "done", result)
         self._progress(f"[{self.queue.get(job.job_id).status:>8}] job {job.job_id} (sweep)")
         self._journal(job)

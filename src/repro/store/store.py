@@ -36,7 +36,9 @@ the store.
 
 The in-memory tier is a per-process LRU over decoded records: sweeps that
 revisit a key (ADAPT re-scoring, report generation after a run) skip the
-JSON/npz decode entirely.
+JSON/npz decode entirely.  It sits behind one lock, because ``repro serve``
+reads a handle from its handler threads while its scheduler thread writes
+it; disk reads and writes stay outside that lock.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +54,8 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..lint.annotations import guarded_by
+from ..obs import Counters
 from .keys import SCHEMA_VERSION
 
 __all__ = ["StoreRecord", "ExperimentStore", "default_store_root"]
@@ -76,6 +81,7 @@ class StoreRecord:
         return str(self.meta.get("kind", "unknown"))
 
 
+@guarded_by("_memory_lock", "_memory")
 class ExperimentStore:
     """Content-addressed result store: in-memory LRU over on-disk artifacts.
 
@@ -96,6 +102,7 @@ class ExperimentStore:
     ) -> None:
         self.root = Path(root if root is not None else default_store_root())
         self.max_memory_entries = max(0, int(max_memory_entries))
+        self._memory_lock = threading.Lock()
         self._memory: Dict[str, StoreRecord] = {}
         self._readonly = False
         self._read_stores: List["ExperimentStore"] = []
@@ -103,17 +110,12 @@ class ExperimentStore:
             child = ExperimentStore(extra, max_memory_entries=0)
             child._readonly = True
             self._read_stores.append(child)
-        #: Session counters: memory/disk hits, misses, writes, corrupt drops.
-        self.stats: Dict[str, int] = {
-            "memory_hits": 0,
-            "disk_hits": 0,
-            "federated_hits": 0,
-            "misses": 0,
-            "writes": 0,
-            "corrupt_dropped": 0,
-            "probe_hits": 0,
-            "probe_misses": 0,
-        }
+        #: This handle's counters: hits per tier, misses, writes, corrupt
+        #: drops and ``contains`` probes.
+        self.stats = Counters(
+            "memory_hits", "disk_hits", "federated_hits", "misses",
+            "writes", "corrupt_dropped", "probe_hits", "probe_misses",
+        )
 
     @classmethod
     def from_spec(cls, spec: Optional[str], max_memory_entries: int = 256) -> "ExperimentStore":
@@ -183,8 +185,6 @@ class ExperimentStore:
         writers (threads, fork workers, independent processes) can never
         collide on the scratch file; uniqueness never relies on shared state.
         """
-        import threading
-
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".tmp-{os.getpid()}-{threading.get_ident():x}"
@@ -234,7 +234,7 @@ class ExperimentStore:
             self._manifest_path(key),
             json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
         )
-        self.stats["writes"] += 1
+        self.stats.add("writes")
         self._remember(record)
         return record
 
@@ -246,22 +246,24 @@ class ExperimentStore:
         memory tier, so repeated reads of a shared-root record cost one
         decode.
         """
-        cached = self._memory.get(key)
+        with self._memory_lock:
+            cached = self._memory.pop(key, None)
+            if cached is not None:
+                self._memory[key] = cached  # LRU refresh
         if cached is not None:
-            self._memory[key] = self._memory.pop(key)  # LRU refresh
-            self.stats["memory_hits"] += 1
+            self.stats.add("memory_hits")
             return self._checkout(cached)
         record = self._read_disk(key)
         if record is None:
             for child in self._read_stores:
                 record = child._read_disk(key)
                 if record is not None:
-                    self.stats["federated_hits"] += 1
+                    self.stats.add("federated_hits")
                     break
         if record is None:
-            self.stats["misses"] += 1
+            self.stats.add("misses")
             return None
-        self.stats["disk_hits"] += 1
+        self.stats.add("disk_hits")
         self._remember(record)
         return record
 
@@ -320,10 +322,12 @@ class ExperimentStore:
         path so ``repro ls --stats`` can report how much of a sweep was
         served from the store.
         """
-        present = key in self._memory or self._valid_manifest(key)
+        with self._memory_lock:
+            present = key in self._memory
+        present = present or self._valid_manifest(key)
         if not present:
             present = any(child._valid_manifest(key) for child in self._read_stores)
-        self.stats["probe_hits" if present else "probe_misses"] += 1
+        self.stats.add("probe_hits" if present else "probe_misses")
         return present
 
     def _valid_manifest(self, key: str) -> bool:
@@ -340,7 +344,8 @@ class ExperimentStore:
     def delete(self, key: str) -> bool:
         """Remove a record from both tiers.  Returns True if anything existed."""
         existed = False
-        self._memory.pop(key, None)
+        with self._memory_lock:
+            self._memory.pop(key, None)
         for path in (self._manifest_path(key), self._arrays_path(key)):
             if path.exists():
                 path.unlink()
@@ -364,8 +369,7 @@ class ExperimentStore:
                 array = array.copy()
                 array.setflags(write=False)
             arrays[name] = array
-        self._memory.pop(record.key, None)
-        self._memory[record.key] = self._checkout(
+        kept = self._checkout(
             StoreRecord(
                 key=record.key,
                 meta=record.meta,
@@ -374,8 +378,11 @@ class ExperimentStore:
                 created_at=record.created_at,
             )
         )
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.pop(next(iter(self._memory)))
+        with self._memory_lock:
+            self._memory.pop(record.key, None)
+            self._memory[record.key] = kept
+            while len(self._memory) > self.max_memory_entries:
+                self._memory.pop(next(iter(self._memory)))
 
     @staticmethod
     def _checkout(record: StoreRecord) -> StoreRecord:
@@ -399,7 +406,7 @@ class ExperimentStore:
         """
         if self._readonly:
             return
-        self.stats["corrupt_dropped"] += 1
+        self.stats.add("corrupt_dropped")
         for path in (self._manifest_path(key), self._arrays_path(key)):
             try:
                 path.unlink()
@@ -524,11 +531,12 @@ class ExperimentStore:
                     _drop(pair, "expired")
         if not dry_run:
             dropped = {p for paths in removed.values() for p in paths}
-            self._memory = {
-                k: r
-                for k, r in self._memory.items()
-                if str(self._manifest_path(k)) not in dropped
-            }
+            with self._memory_lock:
+                self._memory = {
+                    k: r
+                    for k, r in self._memory.items()
+                    if str(self._manifest_path(k)) not in dropped
+                }
         return removed
 
     def disk_bytes(self) -> int:
@@ -546,20 +554,19 @@ class ExperimentStore:
         return self.root / "stats.json"
 
     def flush_session_stats(self) -> Dict[str, int]:
-        """Fold this session's counters into the persistent ``stats.json``.
+        """Fold this handle's counters into the persistent ``stats.json``.
 
+        Called once, by the code that opened the handle, when it is done.
         The read-merge-rename is not transactional across processes; for the
         diagnostic counters it feeds (`repro ls --stats`) last-writer-wins on
         a race is acceptable.
         """
         cumulative = self.cumulative_stats()
-        for name, value in self.stats.items():
-            cumulative[name] = int(cumulative.get(name, 0)) + int(value)
+        for name, value in self.stats.snapshot().items():
+            cumulative[name] = cumulative.get(name, 0) + value
         self._atomic_write(
             self.stats_path, json.dumps(cumulative, sort_keys=True, indent=1).encode()
         )
-        for name in self.stats:
-            self.stats[name] = 0
         return cumulative
 
     def cumulative_stats(self) -> Dict[str, int]:

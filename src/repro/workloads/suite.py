@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from .adder import quantum_adder
@@ -72,6 +72,23 @@ class BenchmarkSpec:
         circuit = self.builder()
         circuit.name = self.name.lower()
         return circuit
+
+    @property
+    def default_engine(self) -> str:
+        """The engine ``engine=None`` runs: a verification (mirror) workload
+        rides ``stabilizer_frames``, anything else is a measurement context
+        on ``auto_dense``."""
+        return "stabilizer_frames" if self.expected_output is not None else "auto_dense"
+
+    def verify(self, ideal: Mapping[str, float]) -> Tuple[str, bool]:
+        """``(target, verified)`` for a compiled program's exact ideal
+        distribution: the analytic target, and whether the ideal lands on it
+        deterministically, which makes a success probability meaningful at
+        any width.  ``("", False)`` for a workload without a target."""
+        if self.expected_output is None:
+            return "", False
+        target = self.expected_output()
+        return target, max(ideal, key=ideal.get) == target and ideal[target] > 1.0 - 1e-9
 
 
 def _spec(

@@ -1,8 +1,9 @@
-"""Stress-style regression tests for :class:`repro.service.queue.JobQueue`.
+"""Stress-style regression tests for the lock-guarded shared state.
 
-Many submitter threads race many claimer threads against one queue and the
-invariants the admission/dispatch policy promises are asserted *under
-contention*, not just serially:
+Many submitter threads race many claimer threads against one
+:class:`repro.service.queue.JobQueue` and the invariants the
+admission/dispatch policy promises are asserted *under contention*, not
+just serially:
 
 * no job is ever claimed twice, and every accepted job is eventually
   claimed exactly once;
@@ -14,17 +15,25 @@ contention*, not just serially:
 
 These are the invariants the ``@guarded_by("_lock", ...)`` annotation on
 ``JobQueue`` encodes; the static check (``repro lint``) proves lock
-discipline, this file proves the locked logic itself.
+discipline, this file proves the locked logic itself.  The same goes for
+:class:`repro.obs.Counters` (exact totals from racing adds) and the
+experiment store's memory tier, which ``repro serve`` reads from handler
+threads while its scheduler thread writes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import random
+import sys
 import threading
 
 import pytest
 
+from repro.obs import Counters
 from repro.service import Job, JobQueue, QuotaExceeded, ServiceRejection
+from repro.store.store import ExperimentStore
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -114,7 +123,7 @@ class TestQueueUnderContention:
         assert len(set(claimed)) == len(claimed)
         assert quota_breaches == []
         # Counter bookkeeping balances (read through the locked snapshot).
-        stats = queue.stats_snapshot()
+        stats = queue.stats.snapshot()
         assert stats["submitted"] == len(accepted)
         assert stats["rejected_quota"] + stats["rejected_full"] == len(rejected)
         counts = queue.counts()
@@ -177,3 +186,94 @@ class TestFairDispatchUnderLoad:
         queue.submit(_job("high", "beta", priority=5))
         first = queue.claim_next(timeout=0.0)
         assert first is not None and first.job_id == "high"
+
+
+@contextlib.contextmanager
+def _rapid_thread_switching():
+    """Switch threads every microsecond, so races that a 5 ms slice hides
+    show up within a few thousand calls."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _race(target, n_threads):
+    """Run ``target(index)`` on ``n_threads`` threads released together;
+    return what they raised."""
+    start = threading.Event()
+    errors = []
+
+    def run(index):
+        start.wait(5.0)
+        try:
+            target(index)
+        except Exception as exc:  # noqa: BLE001 - collected and asserted on
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    start.set()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads), "stress threads wedged"
+    return errors
+
+
+class TestCountersUnderContention:
+    def test_racing_adds_give_exact_totals(self):
+        counters = Counters("hits", "bytes")
+
+        def add(index):
+            for _ in range(5000):
+                counters.add("hits")
+                counters.add("bytes", index + 1)
+
+        with _rapid_thread_switching():
+            assert _race(add, 6) == []
+        assert counters.snapshot() == {"hits": 6 * 5000, "bytes": 5000 * (1 + 6) * 6 // 2}
+
+    def test_snapshot_is_a_copy(self):
+        counters = Counters("hits")
+        snapshot = counters.snapshot()
+        snapshot["hits"] = 99
+        counters.add("hits")
+        assert counters["hits"] == 1 and snapshot == {"hits": 99}
+        with pytest.raises(KeyError):
+            counters.add("typo")
+
+
+class TestStoreMemoryTierUnderContention:
+    N_THREADS = 6
+    CALLS_PER_THREAD = 4000
+
+    def test_racing_gets_and_puts_on_a_small_memory_tier(self, tmp_path):
+        store = ExperimentStore(tmp_path / "store", max_memory_entries=4)
+        keys = [f"{i:064x}" for i in range(8)]
+        for i, key in enumerate(keys):
+            store.put(key, {"kind": "demo", "i": i})
+        before = store.stats.snapshot()
+        gets = [0] * self.N_THREADS
+        puts = [0] * self.N_THREADS
+
+        def hammer(index):
+            rng = random.Random(index)
+            for _ in range(self.CALLS_PER_THREAD):
+                i = rng.randrange(len(keys))
+                if rng.random() < 0.05:
+                    store.put(keys[i], {"kind": "demo", "i": i})
+                    puts[index] += 1
+                else:
+                    assert store.get(keys[i]).meta["i"] == i
+                    gets[index] += 1
+
+        with _rapid_thread_switching():
+            errors = _race(hammer, self.N_THREADS)
+        assert errors == []
+        delta = {k: v - before[k] for k, v in store.stats.snapshot().items()}
+        assert delta["writes"] == sum(puts)
+        assert delta["memory_hits"] + delta["disk_hits"] + delta["misses"] == sum(gets)
+        assert delta["misses"] == 0

@@ -343,6 +343,9 @@ class TestCLI:
             == 0
         )
         assert "cached" in capsys.readouterr().out
+        # Both invocations flushed their handle's counters, the cached one too.
+        cumulative = ExperimentStore(store_arg).cumulative_stats()
+        assert (cumulative["writes"], cumulative["probe_hits"]) == (1, 1)
 
         assert main(["ls", "--store", store_arg, "--stats"]) == 0
         out = capsys.readouterr().out

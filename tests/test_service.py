@@ -32,6 +32,7 @@ import pytest
 
 from repro.service import (
     DEFAULT_MAX_SHOTS,
+    ContextCache,
     Job,
     JobQueue,
     QueueFull,
@@ -46,7 +47,7 @@ from repro.service import (
     split_shots,
 )
 from repro.service import server as server_module
-from repro.service.scheduler import chunk_seeds, expected_batches, packing_stats
+from repro.service.scheduler import chunk_seeds, expected_batches
 from repro.service.server import MAX_REQUEST_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -72,8 +73,10 @@ def _job(job_id, tenant="t", priority=0, job_type="run") -> Job:
 class TestPacker:
     def test_empty_request_set_packs_to_no_batches(self):
         assert pack_chunks([], max_experiments=75) == []
-        assert execute_run_requests([]) == {}
-        assert packing_stats([], []) == {
+        contexts = ContextCache()
+        assert execute_run_requests([], contexts=contexts) == {}
+        assert contexts.packing.snapshot() == {
+            "rounds": 1,
             "requests": 0,
             "chunks": 0,
             "batches": 0,
@@ -254,14 +257,15 @@ class TestBitIdentity:
         # overflow, tiny max_shots forces multi-chunk requests).
         strangers = [_request(seed=s, max_shots=128) for s in (7, 8, 9)]
         crowd = [target, *strangers, _request(benchmark="QFT-5", seed=3)]
-        outcomes = execute_run_requests(crowd, max_experiments=2)
+        contexts = ContextCache()
+        outcomes = execute_run_requests(crowd, contexts=contexts, max_experiments=2)
         packed = outcomes[target.request_id]
         assert packed.status == "executed"
         assert packed.key == target.key
         assert json.dumps(packed.meta, sort_keys=True) == json.dumps(
             serial_meta, sort_keys=True
         )
-        stats = execute_run_requests.last_pack_stats
+        stats = contexts.packing
         assert stats["batches"] < stats["requests"] or stats["chunks"] > stats["requests"]
 
     def test_chunked_request_merges_to_exact_totals(self):
@@ -473,6 +477,53 @@ class TestDaemon:
         # The journal checkpoints the settled job.
         journal = service.store.jobs_dir / f"{job_id}.json"
         assert json.loads(journal.read_text())["status"] == "done"
+
+    def test_stats_op_keeps_every_store_write(self, service):
+        """A run job, a 3-task sweep, a figure1 task and a cached resubmission:
+        the sweep's orchestrator must not zero the daemon's store counters."""
+        client = ServiceClient(service.socket_path)
+        params = {**BASE, "seed": 71}
+        job_ids = [
+            client.submit_run(params),
+            client.submit_sweep(
+                [
+                    {
+                        "name": "stats-sweep",
+                        "kind": "benchmark_run",
+                        "devices": ["ibmq_rome"],
+                        "workloads": ["GHZ:3"],
+                        "seeds": [72, 73],
+                        "params": {"shots": 256},
+                    }
+                ],
+            ),
+            client.submit_run(
+                {"device": "ibmq_london", "seed": 2, "shots": 128}, kind="figure1"
+            ),
+        ]
+        for job_id in job_ids:
+            assert client.wait(job_id, timeout_s=150)["status"] == "done"
+        again = client.wait(client.submit_run(params), timeout_s=120)
+        assert again["result"]["status"] == "cached"
+
+        stats = client.stats()
+        assert stats["store"]["writes"] == 5  # 1 run + 2 sweep leaves + summary + figure1
+        assert stats["jobs_executed"] == 4
+        assert stats["queue"]["counts"] == {"done": 4}
+        assert stats["queue"]["submitted"] == 4
+        # Every key perfbench/run.py reads from the stats op.
+        assert stats["uptime_s"] >= 0.0
+        assert (stats["packing"]["rounds"], stats["packing"]["requests"]) == (2, 1)
+        assert {"batches", "chunks"} <= set(stats["packing"])
+        assert stats["contexts"] == {"builds": 1, "hits": 1}
+        assert {
+            "memory_hits",
+            "disk_hits",
+            "federated_hits",
+            "probe_hits",
+            "misses",
+            "probe_misses",
+        } <= set(stats["store"])
 
     def test_refuses_to_evict_a_live_daemon(self, service, tmp_path):
         with pytest.raises(RuntimeError, match="already serving"):

@@ -466,6 +466,41 @@ class TestTaskKeyPins:
         assert resolve_task_key(kind, params) == key
 
 
+class TestCanonicalWorkloadSpelling:
+    """A workload is keyed by the name its resolver gives it."""
+
+    def test_case_variants_share_one_key(self):
+        params, key = PINNED_TASK_KEYS["policy_comparison"]
+        assert resolve_task_key("policy_comparison", {**params, "benchmark": "qft-6"}) == key
+        point = {"device": "ibmq_toronto", "seed": 7}
+        assert resolve_task_key(
+            "hardware_scaling", {**point, "benchmark": "mirror:13@7"}
+        ) == resolve_task_key("hardware_scaling", {**point, "benchmark": "MIRROR:13@7"})
+
+    @pytest.mark.parametrize("name", ["MIRROR:half@7", "mirror:half@7", "NOPE-9"])
+    def test_unresolved_names_stay_as_given(self, name):
+        from repro.runtime.tasks import merged_params
+
+        assert merged_params("hardware_scaling", {"benchmark": name})["benchmark"] == name
+
+    def test_sweep_over_both_spellings_stores_one_record(self, tmp_path):
+        store = ExperimentStore(tmp_path / "store")
+        spec = SweepSpec(
+            name="t/spellings",
+            kind="policy_comparison",
+            devices=("ibmq_rome",),
+            workloads=("adder-4", "ADDER-4"),
+            seeds=(11,),
+            params=_POLICY_BUDGET,
+        )
+        report = SweepOrchestrator(store).run(spec, name="t/spellings")
+        assert not report.failed
+        assert sorted(row["kind"] for row in store.ls()) == [
+            "benchmark_evaluation",
+            "sweep_summary",
+        ]
+
+
 def _count_run_batch(monkeypatch) -> dict:
     """Count ``NoisyExecutor.run_batch`` calls: every engine run passes it."""
     calls = {"n": 0}
