@@ -36,14 +36,14 @@ from repro.testing import print_section
 MAX_POINT_SECONDS = 60.0
 
 #: Per-width wall-clock ceilings (seconds) for the cold line-device scaling
-#: curve, end to end (device build + transpile + execute + verify).  Measured
-#: on a 2-vCPU box: 0.5s / 6.0s / 69s, of which transpiling took
-#: 0.06s / 1.0s / 16s; the ceilings leave headroom for shared CI runners.
-#: The growth along the curve is dominated by the transpiler routing and
-#: per-op Python compile work — the packed symplectic kernels keep the
-#: *engine* leg near-linear (the frame state is trajectories × ceil(n/64)
-#: uint64 words).
-SCALING_CURVE_CEILINGS = {63: 30.0, 255: 120.0, 1023: 300.0}
+#: curve, end to end (transpile + execute + ideal + verify; the device is
+#: built before the clock starts).  Measured on a 2-vCPU box: 0.24s / 2.9s /
+#: 45s, of which transpiling took 0.05s / 0.7s / 13s; the ceilings leave
+#: headroom for shared CI runners (about 10x at 255 qubits).  The growth
+#: along the curve is dominated by the transpiler routing and per-op Python
+#: compile work — the packed symplectic kernels keep the *engine* leg
+#: near-linear (the frame state is trajectories × ceil(n/64) uint64 words).
+SCALING_CURVE_CEILINGS = {63: 30.0, 255: 30.0, 1023: 300.0}
 
 #: Wall-clock fields excluded from the bit-identity comparison.
 _WALL_CLOCK_FIELDS = ("transpile_s", "evaluate_s")

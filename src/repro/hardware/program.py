@@ -33,7 +33,7 @@ from ..dd.sequences import get_sequence
 from ..noise.model import NoiseOp
 from ..simulators import channels
 from ..simulators.engines import pauli_twirl_probabilities
-from ..simulators.stabilizer import is_tableau_supported
+from ..simulators.stabilizer import StabilizerSimulator, is_tableau_supported
 from ..simulators.statevector import SimulationError
 
 __all__ = [
@@ -296,25 +296,30 @@ class CompiledNoisyProgram:
         order = 0
         clifford = True
         noise_model = backend.gate_noise
+        # Per distinct gate, its matrix and resolved noise ops, keyed by
+        # everything ``gate_noise`` reads: the 255-qubit mirror program
+        # schedules 12,694 gates but only 1,556 distinct ones.
+        resolved_gates: Dict[Tuple[object, ...], Tuple[np.ndarray, List[ResolvedOp]]] = {}
         for scheduled in gst.scheduled_gates:
             gate = scheduled.gate
             if gate.is_measurement or gate.is_barrier or gate.is_delay:
                 continue
             clifford = clifford and is_tableau_supported(gate)
+            key = (gate.name, gate.qubits, gate.params, gate.label)
+            resolved_gate = resolved_gates.get(key)
+            if resolved_gate is None:
+                resolved_gate = (
+                    cached_gate_matrix(gate.name, gate.params),
+                    [_resolve_noise_op(op, self.index_of) for op in noise_model.gate_noise(gate)],
+                )
+                resolved_gates[key] = resolved_gate
+            matrix, noise = resolved_gate
             positions = tuple(self.index_of[q] for q in gate.qubits)
-            matrix = cached_gate_matrix(gate.name, gate.params)
             resolved = ResolvedOp(positions, [matrix], gate=gate)
             entries.append((scheduled.start, GATE_EVENT_PRIORITY, order, ("op", resolved)))
             order += 1
-            for op in noise_model.gate_noise(gate):
-                entries.append(
-                    (
-                        scheduled.start,
-                        GATE_NOISE_PRIORITY,
-                        order,
-                        ("op", _resolve_noise_op(op, self.index_of)),
-                    )
-                )
+            for op in noise:
+                entries.append((scheduled.start, GATE_NOISE_PRIORITY, order, ("op", op)))
                 order += 1
         for widx, window in enumerate(self.windows):
             entries.append((window.end, WINDOW_NOISE_PRIORITY, order, ("window", widx)))
@@ -330,6 +335,7 @@ class CompiledNoisyProgram:
         self._trains: Dict[Tuple[str, int], Optional[object]] = {}
         self._window_ops: Dict[Tuple[int, Optional[str]], List[ResolvedOp]] = {}
         self._crosstalk_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._ideal_support: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Scratch space for engines to memoize program-derived state
         #: (e.g. the stabilizer engine's ideal spectrum and noise masks).
         self.engine_cache: Dict[str, object] = {}
@@ -337,6 +343,25 @@ class CompiledNoisyProgram:
     @property
     def num_active(self) -> int:
         return len(self.active)
+
+    def ideal_support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Affine support ``base ⊕ span(basis)`` of the ideal outcome.
+
+        One tableau pass (:meth:`StabilizerSimulator.support`) over the
+        template's gates in active-space positions, memoized on the program.
+        Both Clifford engines read it, and so does the scaling study's ideal
+        distribution where the tableau tier computes it.  Mirror workloads
+        are fully deterministic, so their basis is empty.
+        """
+        if self._ideal_support is None:
+            circuit = QuantumCircuit(self.num_active)
+            for kind, payload in self.template:
+                if kind == "op" and payload.gate is not None:
+                    circuit.append(
+                        Gate(payload.gate.name, payload.positions, payload.gate.params)
+                    )
+            self._ideal_support = StabilizerSimulator().support(circuit)
+        return self._ideal_support
 
     # -- output resolution ---------------------------------------------
 

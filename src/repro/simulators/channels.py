@@ -75,27 +75,33 @@ def depolarizing(p: float) -> List[np.ndarray]:
     ]
 
 
-@lru_cache(maxsize=4096)
-def _depolarizing_two_qubit_kraus(p: float) -> Tuple[np.ndarray, ...]:
-    """The 16 Kraus matrices for one error probability, built once.
-
-    A device has one two-qubit error rate per *link* but the compiler asks
-    for the channel once per scheduled CNOT, so at device scale the same
-    handful of probabilities would otherwise rebuild the same 16 ``np.kron``
-    products tens of thousands of times — the single largest compile cost of
-    a 255-qubit program before this cache.
-    """
+def _pauli_products() -> Tuple[np.ndarray, ...]:
+    """The 16 two-qubit Pauli products ``a ⊗ b``, ``a`` major, I first."""
     i = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     paulis = [i, x, y, z]
-    kraus: List[np.ndarray] = []
-    for a_idx, a in enumerate(paulis):
-        for b_idx, b in enumerate(paulis):
-            weight = 1 - p if (a_idx, b_idx) == (0, 0) else p / 15
-            kraus.append(math.sqrt(weight) * np.kron(a, b))
-    return tuple(kraus)
+    return tuple(np.kron(a, b) for a in paulis for b in paulis)
+
+
+#: Built once: every entry is 0, ±1 or ±i, so scaling a product by a weight
+#: gives the bytes scaling a fresh ``np.kron`` would.
+_PAULI_PRODUCTS = _pauli_products()
+
+
+@lru_cache(maxsize=4096)
+def _depolarizing_two_qubit_kraus(p: float) -> Tuple[np.ndarray, ...]:
+    """The 16 Kraus matrices for one error probability, built once.
+
+    A device has one two-qubit error rate per *link*, so a device-scale
+    program asks for the same handful of probabilities over and over; each
+    is built once, from the shared unit products.
+    """
+    return tuple(
+        math.sqrt(1 - p if index == 0 else p / 15) * product
+        for index, product in enumerate(_PAULI_PRODUCTS)
+    )
 
 
 def depolarizing_two_qubit(p: float) -> List[np.ndarray]:

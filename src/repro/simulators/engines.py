@@ -49,14 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate
 from . import symplectic
-from .stabilizer import StabilizerSimulator, affine_points
+from .stabilizer import affine_points
 from .statevector import SimulationError
 
 __all__ = [
@@ -646,9 +644,10 @@ class StabilizerEngine(ExecutionEngine):
         # Incremental: only spectra of variants never seen before are computed
         # (through the memoized per-window suffix conjugation maps); the ideal
         # spectrum and the shared gate-noise spectrum are never rebuilt.
-        for widx, variant in sorted(needed - cache["built"], key=repr):
-            self._add_window_variant(program, cache, widx, variant)
-            cache["built"].add((widx, variant))
+        missing = sorted(needed - cache["built"], key=repr)
+        if missing:
+            self._add_window_variants(program, cache, missing)
+            cache["built"].update(missing)
 
         results = []
         for job in jobs:
@@ -674,7 +673,8 @@ class StabilizerEngine(ExecutionEngine):
         frame engine) supplies every shared noise event's branch
         probabilities and end-propagated X-masks; here they are convolved
         into one spectrum, alongside the exact ideal distribution (uniform
-        on the shared :func:`_ideal_support`).
+        on the program's memoized
+        :meth:`~repro.hardware.program.CompiledNoisyProgram.ideal_support`).
         """
         n = program.num_active
         table = _noise_mask_table(program)
@@ -683,7 +683,7 @@ class StabilizerEngine(ExecutionEngine):
             if entry[0] == "noise":
                 _, probs, masks = entry
                 shared *= self._spectrum(probs, self._pack_masks(masks, n), n)
-        base, basis = _ideal_support(program)
+        base, basis = program.ideal_support()
         weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # position 0 = MSB
         ideal = np.zeros(2 ** n, dtype=float)
         ideal[affine_points(base @ weights, basis @ weights)] = 0.5 ** basis.shape[0]
@@ -695,17 +695,22 @@ class StabilizerEngine(ExecutionEngine):
             "built": set(),
         }
 
-    def _add_window_variant(self, program, cache, widx: int, variant: Optional[str]) -> None:
-        """Spectrum of one (window, variant): twirl its ops, map through the
-        memoized suffix conjugation, convolve — no template re-walk."""
-        events = _variant_mask_events(program, cache["suffix_maps"], widx, variant)
-        if not events:
-            return
+    def _add_window_variants(self, program, cache, pairs) -> None:
+        """Spectra of (window, variant) pairs: their ops twirled and masked in
+        one :func:`_window_variant_events` pass through the memoized suffix
+        maps, then convolved event by event — no template re-walk."""
+        events = _window_variant_events(program, cache["suffix_maps"], pairs)
         n = program.num_active
-        spectrum = np.ones(2 ** n, dtype=float)
-        for probs, final_x in events:
-            spectrum *= self._spectrum(probs, self._pack_masks(final_x, n), n)
-        cache["windows"][(widx, variant)] = spectrum
+        for i, pair in enumerate(pairs):
+            rows = range(events.bounds[i], events.bounds[i + 1])
+            if not rows:
+                continue
+            spectrum = np.ones(2 ** n, dtype=float)
+            for e in rows:
+                branches = events.counts[e]
+                masks = self._pack_masks(events.masks[e, :branches], n)
+                spectrum *= self._spectrum(events.probs[e, :branches], masks, n)
+            cache["windows"][pair] = spectrum
 
     @staticmethod
     def _spectrum(probs: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
@@ -732,30 +737,9 @@ class StabilizerEngine(ExecutionEngine):
 
 
 # ---------------------------------------------------------------------------
-# Shared per-program structure (stabilizer + stabilizer_frames): the ideal
-# support and the twirled-mask propagation
+# Shared per-program structure (stabilizer + stabilizer_frames): the
+# twirled-mask propagation and the window-variant builder
 # ---------------------------------------------------------------------------
-
-
-def _ideal_support(program) -> Tuple[np.ndarray, np.ndarray]:
-    """Affine support ``base ⊕ span(basis)`` of the program's ideal outcome.
-
-    One tableau pass (:meth:`StabilizerSimulator.support`) over the
-    template's gates in active-space positions, memoized per program and
-    read by both Clifford engines.  Mirror workloads are fully
-    deterministic, so their basis is empty.
-    """
-    cached = program.engine_cache.get("ideal_support")
-    if cached is None:
-        circuit = QuantumCircuit(program.num_active)
-        for kind, payload in program.template:
-            if kind == "op" and payload.gate is not None:
-                circuit.append(
-                    Gate(payload.gate.name, payload.positions, payload.gate.params)
-                )
-        cached = StabilizerSimulator().support(circuit)
-        program.engine_cache["ideal_support"] = cached
-    return cached
 
 
 def _noise_mask_table(program) -> Dict[str, object]:
@@ -873,24 +857,89 @@ def _flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
     return float(probs[zero_rows].sum())
 
 
-def _variant_mask_events(
-    program, suffix_maps: Dict[int, Tuple[object, object]], widx: int, variant: Optional[str]
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """``(probs, end-propagated X-masks)`` of one (window, variant)'s ops.
+class WindowEvents(NamedTuple):
+    """The twirled events of a list of (window, variant) pairs, as arrays.
 
-    The masks are packed words, read out of the window's suffix map (the
-    window qubit's rows of the images of ``X_q``/``Z_q``).
+    One row per window op, pair by pair and, within a pair, in application
+    order: pair ``i``'s ops are rows ``bounds[i]:bounds[i + 1]``.  A row
+    holds the op's kept twirl branches left-aligned in Pauli order
+    (I, X, Y, Z); columns past ``counts`` are padding.
     """
-    ops = program.window_ops(widx, variant)
-    if not ops:
-        return []
+
+    bounds: np.ndarray     # (pairs + 1,) int64 row offsets
+    probs: np.ndarray      # (ops, 4) branch probabilities, 0.0 padded
+    cum: np.ndarray        # (ops, 4) cumulative probabilities, 2.0 padded
+    counts: np.ndarray     # (ops,) kept branches
+    masks: np.ndarray      # (ops, 4, words) packed end X-masks, zero padded
+    flip_free: np.ndarray  # (pairs,) product of the ops' zero-mask weights
+
+
+def _ragged(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(group, index within group)`` of every item of consecutive groups."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    return group, np.arange(len(group)) - (np.cumsum(sizes) - sizes)[group]
+
+
+def _window_variant_events(
+    program,
+    suffix_maps: Dict[int, Tuple[object, object]],
+    pairs: Sequence[Tuple[int, Optional[str]]],
+) -> WindowEvents:
+    """Twirl, mask and weigh the ops of every (window, variant) pair at once.
+
+    Idle-window ops act on one qubit, so each op's Pauli coefficient
+    ``tr(P K)/2`` is one rounding of a sum of two exact products (every
+    Pauli entry is 0, ±1 or ±i): one ``einsum`` over all ops, their Kraus
+    lists zero-padded to four slots, gives each coefficient the bits of
+    :func:`pauli_twirl_probabilities` on the op alone.  The kept-branch
+    filter, the normalisation over kept branches and every sum run over
+    at most four terms in branch order, where the padding adds exact
+    zeros.  A branch's end X-mask is the row of its Pauli in the window's
+    4-row table ``{0, X, X^Z, Z}``, built from the window qubit's two
+    suffix-map rows.  Each pair's flip-free weight multiplies its ops'
+    zero-mask weights left to right, starting from 1.0.
+    """
     words = symplectic.num_words(max(1, program.num_active))
-    x_of_x, x_of_z = suffix_maps[widx]
-    events: List[Tuple[np.ndarray, np.ndarray]] = []
-    for op in ops:
-        twirl = op.twirl
-        events.append((twirl[0], _end_masks(twirl, op.positions, x_of_x, x_of_z, words)))
-    return events
+    op_lists = [program.window_ops(widx, variant) for widx, variant in pairs]
+    ops = [op for op_list in op_lists for op in op_list]
+    sizes = np.array([len(op_list) for op_list in op_lists], dtype=np.int64)
+    op_pair, op_index = _ragged(sizes)
+
+    x_rows = np.zeros((len(pairs), words), dtype=np.uint64)
+    z_rows = np.zeros((len(pairs), words), dtype=np.uint64)
+    for i, (widx, _) in enumerate(pairs):
+        position = program.index_of[program.windows[widx].qubit]
+        x_rows[i] = suffix_maps[widx][0][position]  # x-part of X's image
+        z_rows[i] = suffix_maps[widx][1][position]  # x-part of Z's image
+    table = np.zeros((len(ops), 4, words), dtype=np.uint64)
+    table[:, 1] = x_rows[op_pair]
+    table[:, 3] = z_rows[op_pair]
+    table[:, 2] = table[:, 1] ^ table[:, 3]
+
+    slots = np.zeros((len(ops), 4, 2, 2), dtype=complex)
+    if ops:
+        owner, slot = _ragged(np.array([len(op.kraus) for op in ops], dtype=np.int64))
+        slots[owner, slot] = np.stack([k for op in ops for k in op.kraus])
+    coefficients = np.einsum("pij,emji->epm", _pauli_basis(1)[0], slots) / 2
+    weights = (np.abs(coefficients) ** 2).sum(axis=2)  # (ops, Paulis)
+    keep = weights > 1e-15
+    kept = np.where(keep, weights, 0.0)
+    counts = keep.sum(axis=1).astype(np.int64)
+    order = np.argsort(~keep, axis=1, kind="stable")  # kept Paulis first, in order
+    live = np.arange(4)[None, :] < counts[:, None]
+    probs = np.take_along_axis(kept, order, axis=1) / kept.sum(axis=1)[:, None]
+    probs[~live] = 0.0
+    masks = np.take_along_axis(table, order[:, :, None], axis=1)
+    masks[~live] = 0
+    cum = np.where(live, np.cumsum(probs, axis=1), 2.0)
+
+    op_weights = np.ones((len(pairs), int(sizes.max(initial=0))), dtype=float)
+    op_weights[op_pair, op_index] = np.where(masks.any(axis=2), 0.0, probs).sum(axis=1)
+    flip_free = np.ones(len(pairs), dtype=float)
+    for column in op_weights.T:
+        flip_free = flip_free * column
+    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    return WindowEvents(bounds, probs, cum, counts, masks, flip_free)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +1000,7 @@ class StabilizerFrameEngine(ExecutionEngine):
         n = program.num_active
         W = symplectic.num_words(max(1, n))
         table = _noise_mask_table(program)
-        base, basis = _ideal_support(program)
+        base, basis = program.ideal_support()
         base_words = symplectic.pack_rows(base, n)
         basis_words = symplectic.pack_rows(basis, n) if basis.shape[0] else None
         stack_cache: Dict[Tuple[object, ...], Dict[str, object]] = (
@@ -1088,53 +1137,53 @@ class StabilizerFrameEngine(ExecutionEngine):
     def _variant_stack(program, table, variants) -> Dict[str, object]:
         """Stack one variant-tuple's applied events into contiguous arrays.
 
-        Walks the table sequence in template order: pure-Z events (no
-        X-component in any branch) are dropped deterministically — they never
-        consume a draw — and window flip-free weights multiply into the
-        running product in encounter order, which fixes the float result bit
-        for bit.  Cached per variants tuple
-        in ``engine_cache["stabilizer_frame_stacks"]``; ragged branch counts
-        are padded with cumulative 2.0 / zero masks.
+        Events keep template order: the applied shared noise events
+        (:meth:`_shared_events`) and, at each window slot, the applied events
+        of that window's variant, taken from the program's window pool
+        (:meth:`_window_pool`).  Pure-Z events (no X-component in any branch)
+        are dropped deterministically — they never consume a draw — and the
+        window flip-free weights multiply into the running product in
+        encounter order, which fixes the float result bit for bit.  Cached
+        per variants tuple in ``engine_cache["stabilizer_frame_stacks"]``;
+        ragged branch counts are padded with cumulative 2.0 / zero masks.
         """
-        window_cache: Dict[
-            Tuple[int, Optional[str]], Tuple[List[Tuple[np.ndarray, np.ndarray]], float]
-        ] = program.engine_cache.setdefault("stabilizer_frame_windows", {})
-        applied: List[Tuple[np.ndarray, np.ndarray]] = []
+        shared = StabilizerFrameEngine._shared_events(program, table)
+        slots = shared["slot_windows"]
+        pairs = [(widx, variants[widx]) for widx in slots]
+        pool = StabilizerFrameEngine._window_pool(program, table, pairs)
+        pair_ids = np.array([pool["index"][pair] for pair in pairs], dtype=np.int64)
         flip_free = float(table["shared_flip_free"])
-        for entry in table["sequence"]:
-            if entry[0] == "noise":
-                if entry[2].any():
-                    applied.append((np.cumsum(entry[1]), entry[2]))
-                continue
-            widx = entry[1]
-            variant = variants[widx]
-            key = (widx, variant)
-            cached = window_cache.get(key)
-            if cached is None:
-                events = _variant_mask_events(
-                    program, table["suffix_maps"], widx, variant
-                )
-                weight = 1.0
-                for probs, masks in events:
-                    weight *= _flip_free_weight(probs, masks)
-                cached = (events, weight)
-                window_cache[key] = cached
-            events, weight = cached
+        for weight in pool["flip_free"][pair_ids].tolist():
             flip_free *= weight
-            for probs, masks in events:
-                if masks.any():
-                    applied.append((np.cumsum(probs), masks))
-        E = len(applied)
+
+        # Output rows: every slot's window events follow the shared events
+        # before it and the window events of the slots before it.
+        lengths = pool["lengths"][pair_ids]
+        window_before = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        shared_rows = np.arange(len(shared["counts"])) + window_before[shared["slots_before"]]
+        slot_of, within = _ragged(lengths)
+        window_rows = shared["before_slot"][slot_of] + window_before[:-1][slot_of] + within
+        pool_rows = pool["starts"][pair_ids][slot_of] + within
+
+        E = len(shared_rows) + len(window_rows)
         W = symplectic.num_words(max(1, program.num_active))
-        B = max((c.shape[0] for c, _ in applied), default=1)
+        counts = np.empty(E, dtype=np.int64)
+        counts[shared_rows] = shared["counts"]
+        counts[window_rows] = pool["counts"][pool_rows]
+        B = int(counts.max(initial=1))
         cum = np.full((E, B), 2.0, dtype=float)
         masks_stack = np.zeros((E, B, W), dtype=np.uint64)
-        counts = np.empty(E, dtype=np.int64)
-        for e, (cumulative, masks) in enumerate(applied):
-            branches = cumulative.shape[0]
-            cum[e, :branches] = cumulative
-            masks_stack[e, :branches] = masks
-            counts[e] = branches
+        cum[shared_rows, : shared["cum"].shape[1]] = shared["cum"]
+        # Shared masks are stacked per branch count straight from the table's
+        # arrays, so the program keeps no second copy of them.
+        for branches in np.unique(shared["counts"]).tolist():
+            members = np.flatnonzero(shared["counts"] == branches)
+            masks_stack[shared_rows[members], :branches] = np.stack(
+                [shared["masks"][e] for e in members.tolist()]
+            )
+        width = min(B, 4)
+        cum[window_rows, :width] = pool["cum"][pool_rows, :width]
+        masks_stack[window_rows, :width] = pool["masks"][pool_rows, :width]
         event_offset = 2.0 * np.arange(E, dtype=float)
         return {
             "cum": cum,
@@ -1155,6 +1204,84 @@ class StabilizerFrameEngine(ExecutionEngine):
             ),
             "flip_free": flip_free,
         }
+
+    @staticmethod
+    def _shared_events(program, table) -> Dict[str, object]:
+        """The applied shared noise events (padded cumulative rows, branch
+        counts and the table's own mask arrays), and where the window slots
+        fall among them; built once per program."""
+        cached = program.engine_cache.get("stabilizer_frame_shared")
+        if cached is not None:
+            return cached
+        applied: List[Tuple[np.ndarray, np.ndarray]] = []
+        slot_windows: List[int] = []
+        before_slot: List[int] = []
+        slots_before: List[int] = []
+        for entry in table["sequence"]:
+            if entry[0] == "noise":
+                if entry[2].any():
+                    applied.append((np.cumsum(entry[1]), entry[2]))
+                    slots_before.append(len(slot_windows))
+                continue
+            slot_windows.append(entry[1])
+            before_slot.append(len(applied))
+        B = max((c.shape[0] for c, _ in applied), default=1)
+        cum = np.full((len(applied), B), 2.0, dtype=float)
+        counts = np.empty(len(applied), dtype=np.int64)
+        for e, (cumulative, _) in enumerate(applied):
+            cum[e, : cumulative.shape[0]] = cumulative
+            counts[e] = cumulative.shape[0]
+        cached = {
+            "cum": cum,
+            "masks": [masks for _, masks in applied],
+            "counts": counts,
+            "slot_windows": slot_windows,
+            "before_slot": np.array(before_slot, dtype=np.int64),
+            "slots_before": np.array(slots_before, dtype=np.int64),
+        }
+        program.engine_cache["stabilizer_frame_shared"] = cached
+        return cached
+
+    @staticmethod
+    def _window_pool(program, table, pairs) -> Dict[str, object]:
+        """The program's window pool, grown by those of ``pairs`` it lacks.
+
+        Every (window, variant) pair the program has run is built once, in
+        one :func:`_window_variant_events` pass per growth, and keeps its
+        applied events (those with an X-component) as a contiguous row range
+        of the pool arrays, plus its flip-free weight.
+        """
+        pool = program.engine_cache.get("stabilizer_frame_windows")
+        if pool is None:
+            W = symplectic.num_words(max(1, program.num_active))
+            pool = {
+                "index": {},
+                "starts": np.zeros(0, dtype=np.int64),
+                "lengths": np.zeros(0, dtype=np.int64),
+                "flip_free": np.zeros(0, dtype=float),
+                "cum": np.zeros((0, 4), dtype=float),
+                "masks": np.zeros((0, 4, W), dtype=np.uint64),
+                "counts": np.zeros(0, dtype=np.int64),
+            }
+            program.engine_cache["stabilizer_frame_windows"] = pool
+        index: Dict[Tuple[int, Optional[str]], int] = pool["index"]
+        missing = [pair for pair in pairs if pair not in index]
+        if not missing:
+            return pool
+        events = _window_variant_events(program, table["suffix_maps"], missing)
+        applied = events.masks.any(axis=(1, 2))
+        applied_before = np.concatenate(([0], np.cumsum(applied))).astype(np.int64)
+        offset = len(pool["counts"])
+        for pair in missing:
+            index[pair] = len(index)
+        first = applied_before[events.bounds]
+        pool["starts"] = np.concatenate((pool["starts"], offset + first[:-1]))
+        pool["lengths"] = np.concatenate((pool["lengths"], np.diff(first)))
+        pool["flip_free"] = np.concatenate((pool["flip_free"], events.flip_free))
+        pool["cum"] = np.concatenate((pool["cum"], events.cum[applied]))
+        pool["masks"] = np.concatenate((pool["masks"], events.masks[applied]))
+        pool["counts"] = np.concatenate((pool["counts"], events.counts[applied]))
+        return pool
 
     # -- per-program structure -----------------------------------------
 

@@ -38,6 +38,7 @@ __all__ = [
     "SUPPORTED_GATE_NAMES",
     "affine_points",
     "is_tableau_supported",
+    "support_probabilities",
 ]
 
 #: Test-only hook invoked on every tableau copy; the support copy-budget
@@ -271,6 +272,24 @@ def _bitstring(bits: np.ndarray) -> str:
     return "".join("1" if bit else "0" for bit in bits)
 
 
+def support_probabilities(
+    base: np.ndarray, basis: np.ndarray, max_outcomes: int = 4096
+) -> Dict[str, float]:
+    """The distribution uniform on the affine support ``base ⊕ span(basis)``.
+
+    Every point at weight ``0.5**k``, in ascending bitstring order (see
+    :func:`affine_points`).  ``max_outcomes`` bounds the ``2**k`` points
+    listed.
+    """
+    k = basis.shape[0]
+    if 2 ** k > max_outcomes:
+        raise SimulationError(
+            "Clifford output support exceeds max_outcomes; sample counts instead"
+        )
+    weight = 0.5 ** k
+    return {_bitstring(point): weight for point in affine_points(base, basis)}
+
+
 class StabilizerSimulator:
     """Circuit-level front-end over :class:`PackedCliffordTableau`."""
 
@@ -342,14 +361,7 @@ class StabilizerSimulator:
         Every point of :meth:`support` at weight ``0.5**k``, in ascending
         bitstring order.  ``max_outcomes`` bounds the ``2**k`` points listed.
         """
-        base, basis = self.support(circuit)
-        k = basis.shape[0]
-        if 2 ** k > max_outcomes:
-            raise SimulationError(
-                "Clifford output support exceeds max_outcomes; sample counts instead"
-            )
-        weight = 0.5 ** k
-        return {_bitstring(point): weight for point in affine_points(base, basis)}
+        return support_probabilities(*self.support(circuit), max_outcomes=max_outcomes)
 
     # ------------------------------------------------------------------
 

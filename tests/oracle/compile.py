@@ -1,9 +1,10 @@
-"""Full-recompute references of the device-scale compile step.
+"""Full-recompute references of the device-scale compile and evaluate steps.
 
-Production scores SABRE's SWAP candidates by a delta from one base cost, and
-carries CNOT concurrency as arrays from the schedule into the crosstalk fold.
-These are the forms they replaced, kept as the references the differential
-suite compares against bit for bit:
+Production scores SABRE's SWAP candidates by a delta from one base cost,
+carries CNOT concurrency as arrays from the schedule into the crosstalk fold,
+and builds the Clifford engines' window variants in one array pass.  These
+are the forms they replaced, kept as the references the differential suite
+compares against bit for bit:
 
 * :func:`choose_swap` re-sums every front-layer and look-ahead pair for
   every candidate SWAP;
@@ -11,7 +12,14 @@ suite compares against bit for bit:
   sums and returns sorted ``(link, overlap_ns)`` tuples;
 * :func:`window_effect` folds those tuples into one idle window's noise,
   with one :meth:`~repro.hardware.calibration.Calibration.crosstalk_on`
-  lookup per tuple.
+  lookup per tuple;
+* :func:`variant_mask_events` twirls one (window, variant)'s ops one at a
+  time (``ResolvedOp.twirl``) and XORs each branch's packed end mask out of
+  the suffix-map rows (:func:`end_masks`); :func:`assemble_window_events`
+  lays such per-op events out as the batched builder's ``WindowEvents``,
+  with each op's flip-free weight (:func:`flip_free_weight`) multiplied in
+  op order;
+* :func:`gate_template` resolves gate noise once per scheduled gate.
 """
 
 from __future__ import annotations
@@ -21,7 +29,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hardware.program import (
+    GATE_EVENT_PRIORITY,
+    GATE_NOISE_PRIORITY,
+    WINDOW_NOISE_PRIORITY,
+)
 from repro.noise.idling import IdleWindowEffect
+from repro.simulators import symplectic
+from repro.simulators.engines import WindowEvents
 
 Edge = Tuple[int, int]
 
@@ -154,3 +169,87 @@ def window_effect(
         dd_pulse_depolarizing=min(1.0, pulse_depolarizing),
         dd_coherent_rotation=coherent_rotation,
     )
+
+
+def end_masks(twirl, positions, x_of_x, x_of_z, words: int) -> np.ndarray:
+    """Packed end X-masks of one twirled op's branches: the XOR of the
+    suffix-map rows its Pauli selects on each position."""
+    _, xbits, zbits = twirl
+    zero = np.uint64(0)
+    final_x = np.zeros((xbits.shape[0], words), dtype=np.uint64)
+    for column, position in enumerate(positions):
+        final_x ^= np.where(xbits[:, column][:, None], x_of_x[position][None, :], zero)
+        final_x ^= np.where(zbits[:, column][:, None], x_of_z[position][None, :], zero)
+    return final_x
+
+
+def flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
+    """The weight of the branches whose packed mask row is all-zero words."""
+    zero_rows = ~masks.any(axis=1)
+    return float(probs[zero_rows].sum())
+
+
+def variant_mask_events(program, suffix_maps, widx: int, variant) -> List[Tuple]:
+    """``(probs, packed end X-masks)`` of one (window, variant)'s ops."""
+    ops = program.window_ops(widx, variant)
+    words = symplectic.num_words(max(1, program.num_active))
+    x_of_x, x_of_z = suffix_maps[widx] if ops else (None, None)
+    return [
+        (op.twirl[0], end_masks(op.twirl, op.positions, x_of_x, x_of_z, words))
+        for op in ops
+    ]
+
+
+def assemble_window_events(program, per_pair: Sequence[List[Tuple]]) -> WindowEvents:
+    """Per-pair ``(probs, masks)`` event lists as one ``WindowEvents``."""
+    words = symplectic.num_words(max(1, program.num_active))
+    rows = [event for events in per_pair for event in events]
+    E = len(rows)
+    probs = np.zeros((E, 4), dtype=float)
+    cum = np.full((E, 4), 2.0, dtype=float)
+    counts = np.zeros(E, dtype=np.int64)
+    masks = np.zeros((E, 4, words), dtype=np.uint64)
+    for e, (branch_probs, branch_masks) in enumerate(rows):
+        branches = len(branch_probs)
+        probs[e, :branches] = branch_probs
+        cum[e, :branches] = np.cumsum(branch_probs)
+        counts[e] = branches
+        masks[e, :branches] = branch_masks
+    flip_free = []
+    for events in per_pair:
+        weight = 1.0
+        for branch_probs, branch_masks in events:
+            weight *= flip_free_weight(branch_probs, branch_masks)
+        flip_free.append(weight)
+    bounds = np.cumsum([0] + [len(events) for events in per_pair])
+    return WindowEvents(bounds, probs, cum, counts, masks, np.array(flip_free, dtype=float))
+
+
+def gate_template(program) -> List[Tuple]:
+    """``program``'s event template with noise resolved per scheduled gate.
+
+    Gates read ``("gate", name, positions, params)``, noise ops
+    ``("noise", kind, positions, Kraus bytes)`` and window slots
+    ``("window", index)``, ordered by the compiler's sort key.
+    """
+    entries = []
+    order = 0
+    for scheduled in program.gst.scheduled_gates:
+        gate = scheduled.gate
+        if gate.is_measurement or gate.is_barrier or gate.is_delay:
+            continue
+        positions = tuple(program.index_of[q] for q in gate.qubits)
+        event = ("gate", gate.name, positions, gate.params)
+        entries.append((scheduled.start, GATE_EVENT_PRIORITY, order, event))
+        order += 1
+        for op in program.backend.gate_noise.gate_noise(gate):
+            kraus = tuple(np.asarray(k, dtype=complex).tobytes() for k in op.payload)
+            positions = tuple(program.index_of[q] for q in op.qubits)
+            event = ("noise", op.kind, positions, kraus)
+            entries.append((scheduled.start, GATE_NOISE_PRIORITY, order, event))
+            order += 1
+    for widx, window in enumerate(program.windows):
+        entries.append((window.end, WINDOW_NOISE_PRIORITY, order, ("window", widx)))
+        order += 1
+    entries.sort(key=lambda entry: entry[:3])
+    return [entry[3] for entry in entries]

@@ -7,6 +7,9 @@
   each later gate (``2n`` basis rows per idle window);
 * :func:`variant_mask_events` — a window variant's masks from the full
   boolean suffix maps;
+* :func:`window_variant_events` — the batched window builder's
+  :class:`~repro.simulators.engines.WindowEvents`, assembled one op at a
+  time from :func:`variant_mask_events`;
 * :func:`frame_run` — :meth:`StabilizerFrameEngine.run` as one loop per
   event and trajectory over boolean frames.
 
@@ -23,6 +26,8 @@ import numpy as np
 
 from repro.simulators import engines, symplectic
 from repro.simulators.engines import SparseDistribution
+
+from .compile import assemble_window_events
 
 
 def conjugate_rows(xparts, zparts, name: str, qubits, params=()) -> None:
@@ -133,6 +138,13 @@ def variant_mask_events(program, suffix_maps, widx: int, variant: object):
     return events
 
 
+def window_variant_events(program, suffix_maps, pairs):
+    """:func:`variant_mask_events` of every pair, as one ``WindowEvents``."""
+    return assemble_window_events(
+        program, [variant_mask_events(program, suffix_maps, widx, v) for widx, v in pairs]
+    )
+
+
 def _apply_events(events, streams, flips: np.ndarray, n: int) -> None:
     """XOR one drawn branch mask per event and trajectory into ``flips``."""
     T = len(streams)
@@ -156,7 +168,7 @@ def frame_run(self, program, jobs, trajectories):
     """
     n = program.num_active
     table = engines._noise_mask_table(program)
-    base, basis = engines._ideal_support(program)
+    base, basis = program.ideal_support()
     readout = self._readout_rates(program)
     window_cache: Dict[Tuple[int, object], Tuple[list, float]] = {}
     results = []
@@ -173,9 +185,11 @@ def frame_run(self, program, jobs, trajectories):
             variant = job.variants[widx]
             key = (widx, variant)
             if key not in window_cache:
-                events = engines._variant_mask_events(
-                    program, table["suffix_maps"], widx, variant
-                )
+                built = engines._window_variant_events(program, table["suffix_maps"], [key])
+                events = [
+                    (built.probs[e, : built.counts[e]], built.masks[e, : built.counts[e]])
+                    for e in range(built.bounds[0], built.bounds[1])
+                ]
                 weight = 1.0
                 for probs, masks in events:
                     weight *= float(probs[~masks.any(axis=1)].sum())

@@ -1,26 +1,41 @@
-"""Differential tests of the device-scale compile step against full recomputes.
+"""Differential tests of the device-scale compile and evaluate steps.
 
-SABRE scores each candidate SWAP by a delta from one base cost, and CNOT
-concurrency reaches the idle-noise fold as arrays.  The ``oracle.compile``
-references re-sum every pair per candidate, accumulate concurrency in a dict
-of ``(link, overlap)`` tuples and fold it with one ``crosstalk_on`` lookup
-per tuple.  Both rewrites claim the same bits, so every comparison here is
-exact: equal SWAPs, equal routed circuits, float hex for the rest.
+SABRE scores each candidate SWAP by a delta from one base cost, CNOT
+concurrency reaches the idle-noise fold as arrays, the Clifford engines
+build window variants in one array pass, and a program resolves gate noise
+once per distinct gate.  The ``oracle.compile`` references re-sum every pair
+per candidate, accumulate concurrency in a dict of ``(link, overlap)``
+tuples and fold it with one ``crosstalk_on`` lookup per tuple, twirl and
+mask one window op at a time, and resolve noise per scheduled gate.  Every
+rewrite claims the same bits, so every comparison here is exact: equal
+SWAPs, equal routed circuits, equal bytes, float hex for the rest.
 """
 
 import dataclasses
 import functools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle.compile import choose_swap, concurrent_cnots, window_effect
+from oracle.compile import (
+    assemble_window_events,
+    choose_swap,
+    concurrent_cnots,
+    gate_template,
+    variant_mask_events,
+    window_effect,
+)
 
 from repro.circuits import Gate, QuantumCircuit
+from repro.circuits.gates import gate_matrix
 from repro.dd import XY4Sequence
 from repro.hardware import Backend, topologies
 from repro.hardware.devices import synthetic_device
-from repro.hardware.program import CompiledNoisyProgram
+from repro.hardware.program import CompiledNoisyProgram, ResolvedOp
+from repro.simulators import channels
+from repro.simulators.engines import _window_variant_events
 from repro.store.keys import circuit_fingerprint
 from repro.transpiler import Layout, sabre_route
 from repro.transpiler import routing
@@ -211,3 +226,159 @@ class TestArrayConcurrency:
         links, overlaps = gst.concurrent_cnots(0.0, 1000.0)
         assert gst.cnot_links == ()
         assert len(links) == len(overlaps) == 0
+
+
+def _bits(array) -> list:
+    """Float hex of every entry, padding included."""
+    return [float(value).hex() for value in np.asarray(array, dtype=float).ravel()]
+
+
+@st.composite
+def one_qubit_channels(draw):
+    """A one-qubit Kraus list of 1-4 operators, from the idle-noise families
+    (two of which drop X and Y) or a random isometry."""
+    kind = draw(st.sampled_from(["phase", "rz", "rx", "t1", "depol", "random"]))
+    if kind == "phase":
+        return channels.phase_damping(draw(st.floats(0.0, 1.0)))
+    if kind == "rz":
+        return [gate_matrix("rz", (draw(st.floats(-4.0, 4.0)),))]
+    if kind == "rx":
+        return [gate_matrix("rx", (draw(st.floats(-4.0, 4.0)),))]
+    if kind == "t1":
+        return channels.amplitude_damping(draw(st.floats(0.0, 1.0)))
+    if kind == "depol":
+        return channels.depolarizing(draw(st.floats(0.0, 1.0)))
+    m = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    isometry, _ = np.linalg.qr(
+        rng.standard_normal((2 * m, 2)) + 1j * rng.standard_normal((2 * m, 2))
+    )
+    return [isometry[2 * i : 2 * i + 2] for i in range(m)]
+
+
+class _WindowStub:
+    """The slice of a compiled program the window builder reads."""
+
+    def __init__(self, num_active, qubits, ops):
+        self.num_active = num_active
+        self.index_of = {q: q for q in range(num_active)}
+        self.windows = [SimpleNamespace(qubit=q) for q in qubits]
+        self._ops = ops
+
+    def window_ops(self, widx, variant):
+        return self._ops[widx, variant]
+
+
+@st.composite
+def window_cases(draw):
+    """Windows on random qubits with random suffix rows (zero, equal X and
+    Z rows, or random words), ops per (window, variant) and a pair list
+    mixing ``None`` and two protocols."""
+    words = draw(st.sampled_from([1, 4, 16]))
+    n = 64 * words - draw(st.integers(0, 63))
+    num_windows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qubits = [draw(st.integers(0, n - 1)) for _ in range(num_windows)]
+    suffix_maps = {}
+    for widx, q in enumerate(qubits):
+        rows = []
+        for _ in range(2):
+            shape = draw(st.sampled_from(["zero", "random", "random"]))
+            row = np.zeros(words, dtype=np.uint64)
+            if shape == "random":
+                row = rng.integers(0, 2 ** 63, size=words, dtype=np.uint64)
+            rows.append(row)
+        if draw(st.booleans()):
+            rows[1] = rows[0].copy()  # Y's mask X^Z vanishes
+        suffix_maps[widx] = ({q: rows[0]}, {q: rows[1]})
+    variants = [None, "xy4", "ibmq_dd"]
+    ops = {}
+    for widx, q in enumerate(qubits):
+        for variant in variants:
+            kraus_lists = draw(st.lists(one_qubit_channels(), max_size=4))
+            ops[widx, variant] = [ResolvedOp((q,), kraus) for kraus in kraus_lists]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, num_windows - 1), st.sampled_from(variants)),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    return _WindowStub(n, qubits, ops), suffix_maps, pairs
+
+
+class TestBatchedWindowVariants:
+    @given(window_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_builder_matches_the_per_op_path(self, case):
+        program, suffix_maps, pairs = case
+        built = _window_variant_events(program, suffix_maps, pairs)
+        reference = assemble_window_events(
+            program, [variant_mask_events(program, suffix_maps, *pair) for pair in pairs]
+        )
+        assert built.bounds.tolist() == reference.bounds.tolist()
+        assert built.counts.tolist() == reference.counts.tolist()
+        assert _bits(built.probs) == _bits(reference.probs)
+        assert _bits(built.cum) == _bits(reference.cum)
+        assert np.array_equal(built.masks, reference.masks)
+        assert _bits(built.flip_free) == _bits(reference.flip_free)
+
+    def test_pure_phase_channels_keep_two_branches(self):
+        """Phase damping and rz have no X or Y component: I and Z only."""
+        ops = {
+            (0, None): [
+                ResolvedOp((3,), channels.phase_damping(0.2)),
+                ResolvedOp((3,), [gate_matrix("rz", (0.3,))]),
+            ]
+        }
+        x_row, z_row = np.array([8], dtype=np.uint64), np.array([5], dtype=np.uint64)
+        built = _window_variant_events(
+            _WindowStub(5, [3], ops), {0: ({3: x_row}, {3: z_row})}, [(0, None)]
+        )
+        assert built.counts.tolist() == [2, 2]
+        assert built.masks[:, :2, 0].tolist() == [[0, 5], [0, 5]]
+        assert _bits(built.cum[:, 2:]) == [(2.0).hex()] * 4
+
+
+class TestGateNoiseMemo:
+    @given(schedules())
+    @settings(max_examples=40, deadline=None)
+    def test_template_equals_per_gate_resolution(self, case):
+        backend, circuit, gst = case
+        program = CompiledNoisyProgram(backend, circuit, gst)
+        assert _described(program.template) == gate_template(program)
+
+    def test_gate_noise_runs_once_per_distinct_gate(self, monkeypatch):
+        backend = _backend("line_9")
+        circuit = QuantumCircuit(3)
+        for _ in range(6):
+            circuit.cx(0, 1).sx(2).cx(1, 2)
+        gst = backend.schedule(circuit)
+        calls = []
+        original = backend.gate_noise.gate_noise
+        monkeypatch.setattr(
+            backend.gate_noise, "gate_noise", lambda gate: calls.append(gate) or original(gate)
+        )
+        program = CompiledNoisyProgram(backend, circuit, gst)
+        assert sorted({(g.name, g.qubits) for g in calls}) == [
+            ("cx", (0, 1)), ("cx", (1, 2)), ("sx", (2,))
+        ]
+        assert len(calls) == 3
+        assert _described(program.template) == gate_template(program)
+
+
+def _described(template) -> list:
+    """The template in :func:`oracle.compile.gate_template`'s terms."""
+    described = []
+    for kind, payload in template:
+        if kind == "window":
+            described.append(("window", payload))
+        elif payload.gate is not None:
+            gate = payload.gate
+            described.append(("gate", gate.name, payload.positions, gate.params))
+        else:
+            kraus = tuple(np.asarray(k, dtype=complex).tobytes() for k in payload.kraus)
+            described.append(("noise", payload.noise.kind, payload.positions, kraus))
+    return described

@@ -243,6 +243,25 @@ class TestChannels:
     def test_two_qubit_depolarizing_is_trace_preserving(self, p):
         assert channels.is_valid_channel(channels.depolarizing_two_qubit(p))
 
+    @pytest.mark.parametrize(
+        "p", [0.0, 1e-300, 1e-9, 0.003, 0.0117, 0.05, 1 / 3, 0.5, 15 / 16, 1 - 1e-12, 1.0]
+    )
+    def test_two_qubit_depolarizing_keeps_the_kron_bytes(self, p):
+        """Scaled shared unit products equal a fresh ``np.kron`` per matrix."""
+        paulis = [
+            np.eye(2, dtype=complex),
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        ]
+        expected = [
+            math.sqrt(1 - p if (a, b) == (0, 0) else p / 15) * np.kron(paulis[a], paulis[b])
+            for a in range(4)
+            for b in range(4)
+        ]
+        got = channels.depolarizing_two_qubit(p)
+        assert [k.tobytes() for k in got] == [k.tobytes() for k in expected]
+
     @given(gamma=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_damping_channels_are_trace_preserving(self, gamma, lam):
