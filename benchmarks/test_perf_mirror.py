@@ -37,13 +37,14 @@ MAX_POINT_SECONDS = 60.0
 
 #: Per-width wall-clock ceilings (seconds) for the cold line-device scaling
 #: curve, end to end (transpile + execute + ideal + verify; the device is
-#: built before the clock starts).  Measured on a 2-vCPU box: 0.24s / 2.9s /
-#: 45s, of which transpiling took 0.05s / 0.7s / 13s; the ceilings leave
-#: headroom for shared CI runners (about 10x at 255 qubits).  The growth
-#: along the curve is dominated by the transpiler routing and per-op Python
-#: compile work — the packed symplectic kernels keep the *engine* leg
-#: near-linear (the frame state is trajectories × ceil(n/64) uint64 words).
-SCALING_CURVE_CEILINGS = {63: 30.0, 255: 30.0, 1023: 300.0}
+#: built before the clock starts).  Measured on a 2-vCPU box: 0.24s / 2.2s /
+#: 26s, of which transpiling took 0.06s / 0.6s / 5.5s; the ceilings leave
+#: headroom for shared CI runners (about 10x at 255 qubits, 4-5x at 1023).
+#: At 1023 qubits most of the rest is per-window and per-gate Python in the
+#: program compile and the idle-window ops; the packed symplectic kernels
+#: keep the *engine* leg near-linear (the frame state is trajectories ×
+#: ceil(n/64) uint64 words).
+SCALING_CURVE_CEILINGS = {63: 30.0, 255: 30.0, 1023: 120.0}
 
 #: Wall-clock fields excluded from the bit-identity comparison.
 _WALL_CLOCK_FIELDS = ("transpile_s", "evaluate_s")

@@ -347,20 +347,19 @@ class CompiledNoisyProgram:
     def ideal_support(self) -> Tuple[np.ndarray, np.ndarray]:
         """Affine support ``base ⊕ span(basis)`` of the ideal outcome.
 
-        One tableau pass (:meth:`StabilizerSimulator.support`) over the
-        template's gates in active-space positions, memoized on the program.
-        Both Clifford engines read it, and so does the scaling study's ideal
-        distribution where the tableau tier computes it.  Mirror workloads
-        are fully deterministic, so their basis is empty.
+        One tableau pass (:meth:`StabilizerSimulator.support_ops`) over the
+        template's gates as ``(name, positions, params)``, memoized on the
+        program.  Both Clifford engines read it, and so does the scaling
+        study's ideal distribution where the tableau tier computes it.
+        Mirror workloads are fully deterministic, so their basis is empty.
         """
         if self._ideal_support is None:
-            circuit = QuantumCircuit(self.num_active)
-            for kind, payload in self.template:
-                if kind == "op" and payload.gate is not None:
-                    circuit.append(
-                        Gate(payload.gate.name, payload.positions, payload.gate.params)
-                    )
-            self._ideal_support = StabilizerSimulator().support(circuit)
+            ops = [
+                (payload.gate.name, payload.positions, payload.gate.params)
+                for kind, payload in self.template
+                if kind == "op" and payload.gate is not None
+            ]
+            self._ideal_support = StabilizerSimulator().support_ops(self.num_active, ops)
         return self._ideal_support
 
     # -- output resolution ---------------------------------------------

@@ -679,10 +679,11 @@ class StabilizerEngine(ExecutionEngine):
         n = program.num_active
         table = _noise_mask_table(program)
         shared = np.ones(2 ** n, dtype=float)
-        for entry in table["sequence"]:
-            if entry[0] == "noise":
-                _, probs, masks = entry
-                shared *= self._spectrum(probs, self._pack_masks(masks, n), n)
+        for k, r in zip(table.width.tolist(), table.row.tolist()):  # template order
+            group = table.groups[k]
+            count = group.counts[r]
+            masks = self._pack_masks(group.masks[r, :count], n)
+            shared *= self._spectrum(group.probs[r, :count], masks, n)
         base, basis = program.ideal_support()
         weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # position 0 = MSB
         ideal = np.zeros(2 ** n, dtype=float)
@@ -690,7 +691,7 @@ class StabilizerEngine(ExecutionEngine):
         return {
             "ideal_wht": _fwht(ideal),
             "shared": shared,
-            "suffix_maps": table["suffix_maps"],
+            "suffix_maps": table.suffix_maps,
             "windows": {},
             "built": set(),
         }
@@ -742,119 +743,204 @@ class StabilizerEngine(ExecutionEngine):
 # ---------------------------------------------------------------------------
 
 
-def _noise_mask_table(program) -> Dict[str, object]:
-    """Template-ordered twirled noise events with end-propagated X-masks.
+class EventGroup(NamedTuple):
+    """A program's shared gate-noise events on ``k`` qubits, as arrays.
 
-    Every shared gate-noise op is Pauli-twirled and its branches propagated
-    through the *subsequent* Clifford gates (phases are irrelevant: only the
-    final X-mask of an error changes computational-basis probabilities), and
-    every idle-window slot records its suffix conjugation map, from which
-    any variant's masks are computed later without walking the template
-    again.
+    One row per event, in template order.  A row holds the event's kept
+    twirl branches left-aligned in Pauli order, padded to ``4**k`` columns.
+    """
 
-    The table is the shared substrate of both Clifford engines — the dense
+    probs: np.ndarray   # (rows, 4**k) branch probabilities, 0.0 padded
+    cum: np.ndarray     # (rows, 4**k) cumulative probabilities, 2.0 padded
+    counts: np.ndarray  # (rows,) kept branches
+    masks: np.ndarray   # (rows, 4**k, words) packed end X-masks, zero padded
+
+
+class MaskTable(NamedTuple):
+    """The twirled, end-propagated shared noise of one compiled program.
+
+    Shared event ``e`` (the ``e``-th gate-noise op of the template) is row
+    ``row[e]`` of ``groups[width[e]]``.  Window slot ``s`` sits after the
+    first ``events_before[s]`` events, and its window's suffix conjugation
+    map is ``suffix_maps[slot_windows[s]]``: the x-parts of the images of
+    ``X_p`` and ``Z_p`` at the window qubit's position ``p``, as
+    ``{p: row}`` dicts.
+    """
+
+    groups: Dict[int, EventGroup]
+    width: np.ndarray          # (events,) qubits of each event
+    row: np.ndarray            # (events,) its row in its group
+    flip_free: np.ndarray      # (events,) weight of its zero-mask branches
+    shared_flip_free: float    # product of ``flip_free`` in template order
+    slot_windows: np.ndarray   # (slots,) window index of each slot
+    events_before: np.ndarray  # (slots,) shared events ahead of each slot
+    suffix_maps: Dict[int, Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]]
+
+
+def _noise_mask_table(program) -> MaskTable:
+    """The program's :class:`MaskTable`, built on first use and memoized.
+
+    The table is the shared substrate of both Clifford engines -- the dense
     ``stabilizer`` engine convolves the masks into 2^n spectra, the sparse
-    ``stabilizer_frames`` engine samples them — and is built once per
-    compiled program.  The build walks the template *backward*, composing
-    one ``(n, W)``-word suffix map a gate at a time
-    (:func:`symplectic.compose_suffix_packed`) and reading each event's
-    masks straight out of the map — O(gates × W) row operations, which is
-    what keeps the mask-table build sub-second at 255 and 1023 qubits where
-    a forward pass pushing 2n basis rows per window spends minutes.
+    ``stabilizer_frames`` engine samples them -- and is built once per
+    compiled program by :func:`_build_mask_table`.
     """
     cached = program.engine_cache.get("stabilizer_masks")
-    if cached is not None:
-        return cached
-    n = program.num_active
-    events: List[Tuple[int, object, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Tuple[int, ...]]] = []
-    for tidx, (kind, payload) in enumerate(program.template):
-        if kind == "op":
-            if payload.gate is not None:
-                continue
-            events.append((tidx, "noise", payload.twirl, payload.positions))
-        else:
-            events.append((tidx, ("window", payload), None, ()))
-
-    sequence: List[Tuple] = []
-    suffix_maps: Dict[int, object] = {}
-    shared_flip_free = 1.0
-    # template order, so the float product order is fixed
-    for item in _packed_mask_results(program, events, n):
-        if item[0] == "window":
-            _, widx, maps = item
-            suffix_maps[widx] = maps
-            sequence.append(("window", widx))
-        else:
-            _, probs, masks = item
-            sequence.append(("noise", probs, masks))
-            shared_flip_free *= _flip_free_weight(probs, masks)
-
-    table = {
-        "sequence": sequence,
-        "suffix_maps": suffix_maps,
-        "shared_flip_free": shared_flip_free,
-    }
-    program.engine_cache["stabilizer_masks"] = table
-    return table
+    if cached is None:
+        cached = _build_mask_table(program)
+        program.engine_cache["stabilizer_masks"] = cached
+    return cached
 
 
-def _packed_mask_results(program, events, n: int) -> List[Tuple]:
-    """Backward suffix-composition build of the mask table (packed words).
+#: Rows per chunk of the mask-table XOR pass: bounds its transient arrays to
+#: ``CHUNK * 4**k * words`` words.
+_MASK_CHUNK_ROWS = 4096
 
-    One reverse walk over the template maintains the x-parts of the images
-    of every ``X_q``/``Z_q`` under the gates *after* the current position.
-    Reaching a noise event, its branch masks are a GF(2) combination of the
-    map rows at the event's positions; reaching a window slot, the two map
-    rows of the window's own qubit (idle-window ops never touch any other)
-    are snapshotted as ``{position: row}`` dicts — 2 rows per window instead
-    of 2n, which is the difference between megabytes and gigabytes at 1023
-    qubits.
+
+def _build_mask_table(program) -> MaskTable:
+    """Twirl every shared gate-noise op and propagate it to the circuit's end.
+
+    Every shared noise op is Pauli-twirled and its branches propagated
+    through the *subsequent* Clifford gates (phases are irrelevant: only the
+    final X-mask of an error changes computational-basis probabilities).
+    One reverse walk over the template composes the suffix map -- the
+    x-parts of the images of every ``X_q``/``Z_q`` under the gates after the
+    current position, one integer-packed row each -- one gate at a time
+    (:func:`symplectic.compose_suffix_packed`: one or two integer XORs or
+    swaps per gate).  Reaching a noise event it snapshots the map rows at
+    the event's positions; reaching a window slot, the two rows of the
+    window's own qubit (idle-window ops never touch any other), from which
+    any variant's masks are computed later without walking the template
+    again.  The snapshots become word rows in one conversion.
+
+    After the walk the masks come out one XOR pass per width group: the
+    rows of an event on ``k`` qubits span a ``4**k``-row table (the XOR of
+    ``{0, X, X^Z, Z}`` per position, in Pauli order), and a branch's mask
+    is the table row of its Pauli.  Branch probabilities and cumulative rows
+    are copied from each distinct twirl (one ``np.cumsum`` each), and an
+    event's flip-free weight -- ``float(probs[zero_rows].sum())`` over the
+    twirl's own probabilities -- is computed once per distinct (twirl,
+    zero-branch pattern).  The shared product multiplies the events' weights
+    in template order, starting from 1.0.
     """
-    x_of_x = symplectic.pack_rows(np.eye(n, dtype=bool), n)  # images of X_q
-    x_of_z = np.zeros_like(x_of_x)                           # images of Z_q
-    event_index = {tidx: i for i, (tidx, _, _, _) in enumerate(events)}
-    results: List[Optional[Tuple]] = [None] * len(events)
-    for tidx in range(len(program.template) - 1, -1, -1):
-        kind, payload = program.template[tidx]
-        if kind == "op" and payload.gate is not None:
+    n = program.num_active
+    words = symplectic.num_words(max(1, n))
+    ops = [
+        payload
+        for kind, payload in program.template
+        if kind == "op" and payload.gate is None
+    ]
+    width = np.array([len(op.positions) for op in ops], dtype=np.int64)
+
+    # The walk, backward: integers are immutable, so keeping a reference to
+    # a map row snapshots it.
+    x_of_x, x_of_z = symplectic.identity_suffix(n)  # images of X_q, of Z_q
+    slots: List[Tuple[int, int, int]] = []  # (window, position, events after)
+    slot_rows: List[int] = []               # its (x, z) rows, reversed
+    event_rows: List[int] = []              # per event and position, reversed
+    for kind, payload in reversed(program.template):
+        if kind == "window":
+            p = program.index_of[program.windows[payload].qubit]
+            slots.append((payload, p, len(event_rows)))
+            slot_rows += (x_of_z[p], x_of_x[p])
+        elif payload.gate is not None:
             symplectic.compose_suffix_packed(
                 x_of_x, x_of_z, payload.gate.name, payload.positions, payload.gate.params
             )
-            continue
-        _, tag, twirl, positions = events[event_index[tidx]]
-        if twirl is None:
-            widx = tag[1]
-            p = program.index_of[program.windows[widx].qubit]
-            maps = ({p: x_of_x[p].copy()}, {p: x_of_z[p].copy()})
-            results[event_index[tidx]] = ("window", widx, maps)
         else:
-            probs = twirl[0]
-            final_x = _end_masks(twirl, positions, x_of_x, x_of_z, x_of_x.shape[1])
-            results[event_index[tidx]] = ("noise", probs, final_x)
-    return results
+            for p in reversed(payload.positions):
+                event_rows += (x_of_z[p], x_of_x[p])
+    snapshot = symplectic.ints_to_words(event_rows[::-1], words)
+    window_words = symplectic.ints_to_words(slot_rows[::-1], words).reshape(-1, 2, words)
+    slots.reverse()
+    suffix_maps = {
+        widx: ({p: rows[0]}, {p: rows[1]})
+        for (widx, p, _), rows in zip(slots, window_words)
+    }
+    # Each event holds two rows per position in ``event_rows``.
+    offsets = np.concatenate(([0], np.cumsum(2 * width))).astype(np.int64)
+    events_before = np.searchsorted(
+        offsets, len(event_rows) - np.array([after for _, _, after in slots], dtype=np.int64)
+    )
 
+    # Distinct twirls, by identity: events share ResolvedOps.
+    twirl_index: Dict[int, int] = {}
+    twirls: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    twirl_of = np.empty(len(ops), dtype=np.int64)
+    for e, op in enumerate(ops):
+        twirl = op.twirl
+        index = twirl_index.get(id(twirl))
+        if index is None:
+            index = twirl_index[id(twirl)] = len(twirls)
+            twirls.append(twirl)
+        twirl_of[e] = index
 
-def _end_masks(twirl, positions, x_of_x, x_of_z, words: int) -> np.ndarray:
-    """Packed end-of-circuit X-masks of one twirled op's branches.
+    row = np.zeros(len(ops), dtype=np.int64)
+    groups: Dict[int, EventGroup] = {}
+    flip_free = np.ones(len(ops), dtype=float)
+    for k in np.unique(width).tolist():
+        members = np.flatnonzero(width == k)
+        row[members] = np.arange(len(members))
+        snap = snapshot[offsets[members][:, None] + np.arange(2 * k)]
+        used, local = np.unique(twirl_of[members], return_inverse=True)
+        local = local.reshape(-1)
+        branches = 4 ** k
+        t_probs = np.zeros((len(used), branches), dtype=float)
+        t_cum = np.full((len(used), branches), 2.0, dtype=float)
+        t_counts = np.zeros(len(used), dtype=np.int64)
+        t_paulis = np.zeros((len(used), branches), dtype=np.int64)  # 0 = identity
+        for i, t in enumerate(used.tolist()):
+            probs, xbits, zbits = twirls[t]
+            count = len(probs)
+            t_probs[i, :count] = probs
+            t_cum[i, :count] = np.cumsum(probs)
+            t_counts[i] = count
+            labels = 2 * zbits.astype(np.int64) + (xbits ^ zbits)  # I, X, Y, Z = 0..3
+            t_paulis[i, :count] = labels @ (4 ** np.arange(k - 1, -1, -1))
+        masks = np.empty((len(members), branches, words), dtype=np.uint64)
+        for start in range(0, len(members), _MASK_CHUNK_ROWS):
+            stop = min(len(members), start + _MASK_CHUNK_ROWS)
+            table = np.zeros((stop - start, 1, words), dtype=np.uint64)
+            for c in range(k):
+                x_row, z_row = snap[start:stop, 2 * c], snap[start:stop, 2 * c + 1]
+                position = np.stack(
+                    [np.zeros_like(x_row), x_row, x_row ^ z_row, z_row], axis=1
+                )
+                table = (table[:, :, None, :] ^ position[:, None, :, :]).reshape(
+                    stop - start, -1, words
+                )
+            paulis = t_paulis[local[start:stop]]
+            masks[start:stop] = np.take_along_axis(table, paulis[:, :, None], axis=1)
+        counts = t_counts[local]
+        groups[k] = EventGroup(t_probs[local], t_cum[local], counts, masks)
 
-    Branch ``b``'s mask is the XOR of the suffix-map rows its Pauli selects:
-    ``x_of_x[p]`` where it has an X-part on position ``p``, ``x_of_z[p]``
-    where it has a Z-part.
-    """
-    _, xbits, zbits = twirl
-    zero = np.uint64(0)
-    final_x = np.zeros((xbits.shape[0], words), dtype=np.uint64)
-    for column, position in enumerate(positions):
-        final_x ^= np.where(xbits[:, column][:, None], x_of_x[position][None, :], zero)
-        final_x ^= np.where(zbits[:, column][:, None], x_of_z[position][None, :], zero)
-    return final_x
+        # Flip-free weights, once per distinct (twirl, zero-branch pattern).
+        live = np.arange(branches)[None, :] < counts[:, None]
+        zero = ~masks.any(axis=2) & live
+        pattern = zero @ (1 << np.arange(branches, dtype=np.int64))
+        keys, inverse = np.unique(
+            (used[local] << branches) | pattern, return_inverse=True
+        )
+        weights = np.empty(len(keys), dtype=float)
+        for i, key in enumerate(keys.tolist()):
+            probs = twirls[key >> branches][0]
+            zero_rows = (key >> np.arange(len(probs))) & 1 == 1
+            weights[i] = float(probs[zero_rows].sum())
+        flip_free[members] = weights[inverse.reshape(-1)]
 
-
-def _flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
-    """Probability that one twirled event contributes no X-flip at all: the
-    weight of the branches whose packed mask row is all-zero words."""
-    zero_rows = ~masks.any(axis=1)
-    return float(probs[zero_rows].sum())
+    shared_flip_free = 1.0
+    for weight in flip_free.tolist():  # template order fixes the float product
+        shared_flip_free *= weight
+    return MaskTable(
+        groups=groups,
+        width=width,
+        row=row,
+        flip_free=flip_free,
+        shared_flip_free=shared_flip_free,
+        slot_windows=np.array([widx for widx, _, _ in slots], dtype=np.int64),
+        events_before=events_before.astype(np.int64),
+        suffix_maps=suffix_maps,
+    )
 
 
 class WindowEvents(NamedTuple):
@@ -1152,7 +1238,7 @@ class StabilizerFrameEngine(ExecutionEngine):
         pairs = [(widx, variants[widx]) for widx in slots]
         pool = StabilizerFrameEngine._window_pool(program, table, pairs)
         pair_ids = np.array([pool["index"][pair] for pair in pairs], dtype=np.int64)
-        flip_free = float(table["shared_flip_free"])
+        flip_free = float(table.shared_flip_free)
         for weight in pool["flip_free"][pair_ids].tolist():
             flip_free *= weight
 
@@ -1173,14 +1259,13 @@ class StabilizerFrameEngine(ExecutionEngine):
         B = int(counts.max(initial=1))
         cum = np.full((E, B), 2.0, dtype=float)
         masks_stack = np.zeros((E, B, W), dtype=np.uint64)
-        cum[shared_rows, : shared["cum"].shape[1]] = shared["cum"]
-        # Shared masks are stacked per branch count straight from the table's
-        # arrays, so the program keeps no second copy of them.
-        for branches in np.unique(shared["counts"]).tolist():
-            members = np.flatnonzero(shared["counts"] == branches)
-            masks_stack[shared_rows[members], :branches] = np.stack(
-                [shared["masks"][e] for e in members.tolist()]
-            )
+        # Shared events are gathered per width group straight from the
+        # table's arrays, so the program keeps no second copy of them.
+        for k, (members, rows) in shared["groups"].items():
+            group = table.groups[k]
+            width = min(B, group.cum.shape[1])
+            cum[shared_rows[members], :width] = group.cum[rows, :width]
+            masks_stack[shared_rows[members], :width] = group.masks[rows, :width]
         width = min(B, 4)
         cum[window_rows, :width] = pool["cum"][pool_rows, :width]
         masks_stack[window_rows, :width] = pool["masks"][pool_rows, :width]
@@ -1207,37 +1292,32 @@ class StabilizerFrameEngine(ExecutionEngine):
 
     @staticmethod
     def _shared_events(program, table) -> Dict[str, object]:
-        """The applied shared noise events (padded cumulative rows, branch
-        counts and the table's own mask arrays), and where the window slots
-        fall among them; built once per program."""
+        """The applied shared noise events (those with an X-component in some
+        branch): their branch counts, their rows in each width group of the
+        table, and where the window slots fall among them; built once per
+        program."""
         cached = program.engine_cache.get("stabilizer_frame_shared")
         if cached is not None:
             return cached
-        applied: List[Tuple[np.ndarray, np.ndarray]] = []
-        slot_windows: List[int] = []
-        before_slot: List[int] = []
-        slots_before: List[int] = []
-        for entry in table["sequence"]:
-            if entry[0] == "noise":
-                if entry[2].any():
-                    applied.append((np.cumsum(entry[1]), entry[2]))
-                    slots_before.append(len(slot_windows))
-                continue
-            slot_windows.append(entry[1])
-            before_slot.append(len(applied))
-        B = max((c.shape[0] for c, _ in applied), default=1)
-        cum = np.full((len(applied), B), 2.0, dtype=float)
-        counts = np.empty(len(applied), dtype=np.int64)
-        for e, (cumulative, _) in enumerate(applied):
-            cum[e, : cumulative.shape[0]] = cumulative
-            counts[e] = cumulative.shape[0]
+        applied = np.zeros(len(table.width), dtype=bool)
+        for k, group in table.groups.items():
+            applied[table.width == k] = group.masks.any(axis=(1, 2))
+        events = np.flatnonzero(applied)
+        widths = table.width[events]
+        rows = table.row[events]
+        counts = np.zeros(len(events), dtype=np.int64)
+        groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for k, group in table.groups.items():
+            members = np.flatnonzero(widths == k)
+            counts[members] = group.counts[rows[members]]
+            groups[k] = (members, rows[members])
+        applied_before = np.concatenate(([0], np.cumsum(applied))).astype(np.int64)
         cached = {
-            "cum": cum,
-            "masks": [masks for _, masks in applied],
             "counts": counts,
-            "slot_windows": slot_windows,
-            "before_slot": np.array(before_slot, dtype=np.int64),
-            "slots_before": np.array(slots_before, dtype=np.int64),
+            "groups": groups,
+            "slot_windows": table.slot_windows.tolist(),
+            "before_slot": applied_before[table.events_before],
+            "slots_before": np.searchsorted(table.events_before, events, side="right"),
         }
         program.engine_cache["stabilizer_frame_shared"] = cached
         return cached
@@ -1268,7 +1348,7 @@ class StabilizerFrameEngine(ExecutionEngine):
         missing = [pair for pair in pairs if pair not in index]
         if not missing:
             return pool
-        events = _window_variant_events(program, table["suffix_maps"], missing)
+        events = _window_variant_events(program, table.suffix_maps, missing)
         applied = events.masks.any(axis=(1, 2))
         applied_before = np.concatenate(([0], np.cumsum(applied))).astype(np.int64)
         offset = len(pool["counts"])

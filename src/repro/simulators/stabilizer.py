@@ -7,11 +7,14 @@ The implementation follows the tableau algorithm of Aaronson & Gottesman,
 
 The tableau, :class:`PackedCliffordTableau`, keeps its x/z half-rows
 bit-packed into ``uint64`` words (:mod:`repro.simulators.symplectic`):
-gates are word-column updates across all ``2n`` rows at once, measurement
-collapse is one vectorized rowsum and the phase accumulator is popcount
-arithmetic.  ``tests/test_symplectic_diff.py`` fuzzes it against the
-boolean-row reference tableau of the test suite across the 64/128-bit word
-boundaries.
+measurement collapse is one vectorized rowsum and the phase accumulator is
+popcount arithmetic.  Gates run qubit-major
+(:meth:`PackedCliffordTableau.apply_gates`): the tableau is transposed once
+into one packed ``2n``-bit column per qubit for x and for z plus one for the
+phases, so a CNOT is a few XORs and ANDs of four short columns, and
+transposed back before anything is measured.  ``tests/test_symplectic_diff.py``
+fuzzes it against the boolean-row reference tableau of the test suite
+across the 64/128-bit word boundaries.
 
 Supported gates: every Clifford gate in the IR (``x, y, z, h, s, sdg, sx,
 sxdg, cx, cz, swap, id``) plus ``rz``/``u1`` at multiples of pi/2.
@@ -23,7 +26,7 @@ one routine, :meth:`StabilizerSimulator.support`, whose affine subspace
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +59,8 @@ def _note_copy() -> None:
 #: turns, and only rz-like rotations have a tableau rule).
 SUPPORTED_GATE_NAMES = frozenset(CLIFFORD_GATE_NAMES)
 
-#: Angle tolerance of the quarter-turn check, shared with
-#: :meth:`StabilizerSimulator._apply_clifford_rz`.
+#: Angle tolerance of the quarter-turn check, shared by
+#: :func:`is_tableau_supported` and the gate pass.
 _QUARTER_TURN_ATOL = 1e-7
 
 
@@ -80,15 +83,31 @@ def is_tableau_supported(gate: Gate) -> bool:
     return False
 
 
+#: One gate of a gate pass: ``(name, qubits, params)``.
+GateOp = Tuple[str, Sequence[int], Sequence[float]]
+
+
+def _quarter_turns(angle: float) -> int:
+    """``angle`` in quarter turns mod 4; raises unless it is a multiple of pi/2."""
+    steps = angle / (math.pi / 2)
+    rounded = round(steps)
+    if not math.isclose(steps, rounded, abs_tol=_QUARTER_TURN_ATOL):
+        raise SimulationError(
+            f"rz({angle}) is not a Clifford rotation; simulate it on the dense"
+            " statevector (repro.core.ideal tiers it there)"
+        )
+    return int(rounded) % 4
+
+
 class PackedCliffordTableau:
     """The CHP tableau: ``2n`` rows of (x|z) bits plus a sign bit per row.
 
     Rows ``0..n-1`` are destabilizers, rows ``n..2n-1`` are stabilizers.
     Each x/z half-row is ``ceil(n/64)`` ``uint64`` words: qubit ``q`` lives
-    at bit ``q % 64`` of word ``q // 64``.  Gates are one-or-two word-column
-    updates across all ``2n`` rows; measurement applies every rowsum of a
-    collapse in one vectorized pass, with phases reduced to popcount
-    arithmetic (:func:`repro.simulators.symplectic.phase_g_sum`).
+    at bit ``q % 64`` of word ``q // 64``.  Gates are applied in batches by
+    :meth:`apply_gates` on the transposed tableau; measurement applies every
+    rowsum of a collapse in one vectorized pass, with phases reduced to
+    popcount arithmetic (:func:`repro.simulators.symplectic.phase_g_sum`).
     """
 
     def __init__(self, num_qubits: int) -> None:
@@ -115,77 +134,49 @@ class PackedCliffordTableau:
         clone.r = self.r.copy()
         return clone
 
-    # ------------------------------------------------------------------
-    # Clifford generators (word-column updates, all rows at once)
-    # ------------------------------------------------------------------
-
     def _column(self, a: int) -> Tuple[int, np.uint64]:
         w, s = divmod(int(a), 64)
         return w, np.uint64(1) << np.uint64(s)
 
-    def apply_h(self, a: int) -> None:
-        w, mask = self._column(a)
-        self.r ^= (self.xw[:, w] & self.zw[:, w] & mask) != 0
-        delta = (self.xw[:, w] ^ self.zw[:, w]) & mask
-        self.xw[:, w] ^= delta
-        self.zw[:, w] ^= delta
+    # ------------------------------------------------------------------
+    # Gates (qubit-major)
+    # ------------------------------------------------------------------
 
-    def apply_s(self, a: int) -> None:
-        w, mask = self._column(a)
-        self.r ^= (self.xw[:, w] & self.zw[:, w] & mask) != 0
-        self.zw[:, w] ^= self.xw[:, w] & mask
+    def apply_gates(
+        self, ops: Iterable[GateOp], rng: Optional[np.random.Generator] = None
+    ) -> None:
+        """Apply ``(name, qubits, params)`` gates in order, qubit-major.
 
-    def apply_sdg(self, a: int) -> None:
-        # Sdg = S Z = S S S
-        self.apply_s(a)
-        self.apply_z(a)
-
-    def apply_x(self, a: int) -> None:
-        w, mask = self._column(a)
-        self.r ^= (self.zw[:, w] & mask) != 0
-
-    def apply_z(self, a: int) -> None:
-        w, mask = self._column(a)
-        self.r ^= (self.xw[:, w] & mask) != 0
-
-    def apply_y(self, a: int) -> None:
-        w, mask = self._column(a)
-        self.r ^= ((self.xw[:, w] ^ self.zw[:, w]) & mask) != 0
-
-    def apply_sx(self, a: int) -> None:
-        # SX = H S H (exactly, no extra phase)
-        self.apply_h(a)
-        self.apply_s(a)
-        self.apply_h(a)
-
-    def apply_sxdg(self, a: int) -> None:
-        self.apply_h(a)
-        self.apply_sdg(a)
-        self.apply_h(a)
-
-    def apply_cx(self, control: int, target: int) -> None:
-        wc, mc = self._column(control)
-        wt, mt = self._column(target)
-        sc = np.uint64(int(control) % 64)
-        st = np.uint64(int(target) % 64)
-        one = np.uint64(1)
-        xc = (self.xw[:, wc] >> sc) & one
-        zc = (self.zw[:, wc] >> sc) & one
-        xt = (self.xw[:, wt] >> st) & one
-        zt = (self.zw[:, wt] >> st) & one
-        self.r ^= (xc & zt & (xt ^ zc ^ one)) != 0
-        self.xw[:, wt] ^= xc << st
-        self.zw[:, wc] ^= zt << sc
-
-    def apply_cz(self, a: int, b: int) -> None:
-        self.apply_h(b)
-        self.apply_cx(a, b)
-        self.apply_h(b)
-
-    def apply_swap(self, a: int, b: int) -> None:
-        self.apply_cx(a, b)
-        self.apply_cx(b, a)
-        self.apply_cx(a, b)
+        The tableau is transposed once into :class:`_Columns` -- per qubit,
+        its x and its z bits over all ``2n`` rows as one packed integer (row
+        ``i`` at bit ``i``), and the phases likewise -- so each gate updates
+        only its own qubits' columns.  ``reset`` measures (drawing from
+        ``rng`` when the outcome is random), so it transposes back, measures
+        row-major and transposes again.  Every update is GF(2) arithmetic
+        under the CHP rules: the rows and phases equal a gate-by-gate column
+        update bit for bit.
+        """
+        columns = _Columns(self)
+        for name, qubits, params in ops:
+            if name in ("rz", "u1", "p"):
+                name = _QUARTER_TURN_GATES[_quarter_turns(params[0])]
+            if name in ("id", "i"):
+                continue
+            if name == "reset":
+                columns.store(self)
+                outcome = self.measure(qubits[0], rng)
+                columns = _Columns(self)
+                if outcome == 1:
+                    columns.x_(qubits[0])
+                continue
+            gate = _COLUMN_GATES.get(name)
+            if gate is None:
+                raise SimulationError(
+                    f"gate '{name}' is not a Clifford gate supported by the"
+                    " stabilizer engine"
+                )
+            gate(columns, *qubits)
+        columns.store(self)
 
     # ------------------------------------------------------------------
     # Measurement (CHP algorithm, vectorized)
@@ -235,6 +226,114 @@ class PackedCliffordTableau:
         """True if measuring qubit ``a`` would give a deterministic outcome."""
         w, mask = self._column(a)
         return not bool(((self.xw[self.n :, w] & mask) != 0).any())
+
+
+class _Columns:
+    """A tableau transposed for a gate pass: one packed column per qubit.
+
+    ``x[q]`` and ``z[q]`` hold qubit ``q``'s x and z bits of all ``2n`` rows
+    as one Python integer (row ``i`` at bit ``i``), ``r`` the phase bits.
+    The gate rules are the CHP column rules of Aaronson & Gottesman; the
+    composite gates are spelled out from them as the boolean reference
+    tableau spells them.
+    """
+
+    __slots__ = ("x", "z", "r")
+
+    def __init__(self, tableau: PackedCliffordTableau) -> None:
+        n = tableau.n
+        self.x = _columns(symplectic.unpack_rows(tableau.xw, n))
+        self.z = _columns(symplectic.unpack_rows(tableau.zw, n))
+        (self.r,) = _columns(tableau.r[:, None])
+
+    def store(self, tableau: PackedCliffordTableau) -> None:
+        """Write the columns back into ``tableau``'s packed rows."""
+        n = tableau.n
+        tableau.xw = symplectic.pack_rows(_column_bits(self.x, 2 * n), n)
+        tableau.zw = symplectic.pack_rows(_column_bits(self.z, 2 * n), n)
+        tableau.r = _column_bits([self.r], 2 * n)[:, 0]
+
+    def h(self, a: int) -> None:
+        x, z = self.x, self.z
+        self.r ^= x[a] & z[a]
+        x[a], z[a] = z[a], x[a]
+
+    def s(self, a: int) -> None:
+        self.r ^= self.x[a] & self.z[a]
+        self.z[a] ^= self.x[a]
+
+    def sdg(self, a: int) -> None:
+        # Sdg = S Z = S S S
+        self.s(a)
+        self.z_(a)
+
+    def x_(self, a: int) -> None:
+        self.r ^= self.z[a]
+
+    def z_(self, a: int) -> None:
+        self.r ^= self.x[a]
+
+    def y(self, a: int) -> None:
+        self.r ^= self.x[a] ^ self.z[a]
+
+    def sx(self, a: int) -> None:
+        # SX = H S H (exactly, no extra phase)
+        self.h(a)
+        self.s(a)
+        self.h(a)
+
+    def sxdg(self, a: int) -> None:
+        self.h(a)
+        self.sdg(a)
+        self.h(a)
+
+    def cx(self, control: int, target: int) -> None:
+        x, z = self.x, self.z
+        xc, zt = x[control], z[target]
+        self.r ^= xc & zt & ~(x[target] ^ z[control])
+        x[target] ^= xc
+        z[control] ^= zt
+
+    def cz(self, a: int, b: int) -> None:
+        self.h(b)
+        self.cx(a, b)
+        self.h(b)
+
+    def swap(self, a: int, b: int) -> None:
+        self.cx(a, b)
+        self.cx(b, a)
+        self.cx(a, b)
+
+
+#: The gate each quarter turn of ``rz``/``u1``/``p`` applies.
+_QUARTER_TURN_GATES = ("id", "s", "z", "sdg")
+
+_COLUMN_GATES: Dict[str, Callable[..., None]] = {
+    "x": _Columns.x_,
+    "y": _Columns.y,
+    "z": _Columns.z_,
+    "h": _Columns.h,
+    "s": _Columns.s,
+    "sdg": _Columns.sdg,
+    "sx": _Columns.sx,
+    "sxdg": _Columns.sxdg,
+    "cx": _Columns.cx,
+    "cnot": _Columns.cx,
+    "cz": _Columns.cz,
+    "swap": _Columns.swap,
+}
+
+
+def _columns(bits: np.ndarray) -> List[int]:
+    """Each column of a ``(height, width)`` bit matrix as one integer, row
+    ``i`` at bit ``i``."""
+    return symplectic.words_to_ints(symplectic.pack_rows(bits.T, bits.shape[0]))
+
+
+def _column_bits(columns: Sequence[int], height: int) -> np.ndarray:
+    """Inverse of :func:`_columns`: the ``(height, len(columns))`` bit matrix."""
+    words = symplectic.ints_to_words(columns, symplectic.num_words(height))
+    return symplectic.unpack_rows(words, height).T
 
 
 def _forced_pass(tableau, one: Optional[int]) -> Tuple[np.ndarray, List[int]]:
@@ -300,15 +399,26 @@ class StabilizerSimulator:
 
     def run(self, circuit: QuantumCircuit, rng: Optional[np.random.Generator] = None):
         """Apply every gate of a Clifford circuit and return the final tableau."""
-        rng = rng or self._rng
-        tableau = PackedCliffordTableau(circuit.num_qubits)
-        for gate in circuit:
-            if gate.is_barrier or gate.is_delay or gate.is_measurement:
-                continue
-            self._apply(tableau, gate, rng)
+        return self.run_ops(circuit.num_qubits, _gate_ops(circuit), rng)
+
+    def run_ops(
+        self,
+        num_qubits: int,
+        ops: Iterable[GateOp],
+        rng: Optional[np.random.Generator] = None,
+    ):
+        """Apply ``(name, qubits, params)`` gates to ``|0...0>``; the final tableau."""
+        tableau = PackedCliffordTableau(num_qubits)
+        tableau.apply_gates(ops, rng or self._rng)
         return tableau
 
     def support(self, circuit: QuantumCircuit) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`support_ops` of the circuit's gates."""
+        return self.support_ops(circuit.num_qubits, _gate_ops(circuit))
+
+    def support_ops(
+        self, num_qubits: int, ops: Iterable[GateOp]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Affine support ``base ⊕ span(basis)`` of the final state's outcomes.
 
         A stabilizer state measured in the computational basis is uniform over
@@ -323,7 +433,7 @@ class StabilizerSimulator:
         Returns ``base`` (``n`` bools) and ``basis`` (``k x n`` bools, one row
         per free qubit in ascending order).
         """
-        final = self.run(circuit)
+        final = self.run_ops(num_qubits, ops)
         n = final.n
         # With no free bit the base pass is the last one.
         deterministic = all(final.is_deterministic(q) for q in range(n))
@@ -363,59 +473,12 @@ class StabilizerSimulator:
         """
         return support_probabilities(*self.support(circuit), max_outcomes=max_outcomes)
 
-    # ------------------------------------------------------------------
 
-    def _apply(self, tableau: PackedCliffordTableau, gate: Gate, rng: np.random.Generator) -> None:
-        name = gate.name
-        qubits = gate.qubits
-        if name in ("id", "i"):
-            return
-        if name == "x":
-            tableau.apply_x(qubits[0])
-        elif name == "y":
-            tableau.apply_y(qubits[0])
-        elif name == "z":
-            tableau.apply_z(qubits[0])
-        elif name == "h":
-            tableau.apply_h(qubits[0])
-        elif name == "s":
-            tableau.apply_s(qubits[0])
-        elif name == "sdg":
-            tableau.apply_sdg(qubits[0])
-        elif name == "sx":
-            tableau.apply_sx(qubits[0])
-        elif name == "sxdg":
-            tableau.apply_sxdg(qubits[0])
-        elif name in ("cx", "cnot"):
-            tableau.apply_cx(qubits[0], qubits[1])
-        elif name == "cz":
-            tableau.apply_cz(qubits[0], qubits[1])
-        elif name == "swap":
-            tableau.apply_swap(qubits[0], qubits[1])
-        elif name in ("rz", "u1", "p"):
-            self._apply_clifford_rz(tableau, qubits[0], gate.params[0])
-        elif name == "reset":
-            outcome = tableau.measure(qubits[0], rng)
-            if outcome == 1:
-                tableau.apply_x(qubits[0])
-        else:
-            raise SimulationError(
-                f"gate '{name}' is not a Clifford gate supported by the stabilizer engine"
-            )
-
-    @staticmethod
-    def _apply_clifford_rz(tableau: PackedCliffordTableau, qubit: int, angle: float) -> None:
-        steps = angle / (math.pi / 2)
-        rounded = round(steps)
-        if not math.isclose(steps, rounded, abs_tol=_QUARTER_TURN_ATOL):
-            raise SimulationError(
-                f"rz({angle}) is not a Clifford rotation; simulate it on the dense"
-                " statevector (repro.core.ideal tiers it there)"
-            )
-        quarter_turns = int(rounded) % 4
-        if quarter_turns == 1:
-            tableau.apply_s(qubit)
-        elif quarter_turns == 2:
-            tableau.apply_z(qubit)
-        elif quarter_turns == 3:
-            tableau.apply_sdg(qubit)
+def _gate_ops(circuit: QuantumCircuit) -> List[GateOp]:
+    """The circuit's gates as ``(name, qubits, params)``, minus barriers,
+    delays and measurements."""
+    return [
+        (gate.name, gate.qubits, gate.params)
+        for gate in circuit
+        if not (gate.is_barrier or gate.is_delay or gate.is_measurement)
+    ]

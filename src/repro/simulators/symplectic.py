@@ -10,9 +10,13 @@ qubits.  This module packs those bit-vectors into ``uint64`` words
   measurement/output edges and by the differential tests; the engines never
   unpack mid-computation);
 * :func:`compose_suffix_packed` — the phase-free gate table: prepends one
-  Clifford gate to a suffix conjugation map, so walking a gate list backward
-  end-propagates any Pauli (the noise-mask table and the mirror target both
-  read their X-masks out of such a map);
+  Clifford gate to a suffix conjugation map whose rows are packed into
+  Python integers (:func:`identity_suffix` starts one), so walking a gate
+  list backward end-propagates any Pauli (the noise-mask table and the
+  mirror target both read their X-masks out of such a map);
+* :func:`ints_to_words` / :func:`words_to_ints` — integer-packed rows to
+  and from word rows, for the walks and passes that run one gate at a time
+  on integers (the suffix maps, the tableau's qubit-major gate pass);
 * :func:`phase_g_sum` — the CHP phase accumulator reduced to popcount
   arithmetic: the per-qubit exponent ``g`` of Aaronson–Gottesman is ``+1``
   exactly on the qubit patterns ``(Z,X), (X,Y), (Y,Z)`` and ``-1`` on
@@ -38,7 +42,7 @@ require bit-identical results.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +53,9 @@ __all__ = [
     "unpack_rows",
     "bit_column",
     "compose_suffix_packed",
+    "identity_suffix",
+    "ints_to_words",
+    "words_to_ints",
     "phase_g_sum",
     "rowsum_rows",
     "product_phase",
@@ -161,56 +168,78 @@ def xor_gather_reduce(masks: np.ndarray, chosen: np.ndarray) -> np.ndarray:
 
 
 def compose_suffix_packed(
-    x_of_x: np.ndarray,
-    x_of_z: np.ndarray,
+    x_of_x: List[int],
+    x_of_z: List[int],
     name: str,
     qubits: Sequence[int],
     params: Sequence[float] = (),
 ) -> None:
     """Prepend one Clifford gate to a suffix conjugation map, in place.
 
-    ``x_of_x[q]``/``x_of_z[q]`` hold the packed *x-parts* of the images of
-    ``X_q``/``Z_q`` under conjugation by some gate suffix ``S``.  This
-    updates them to the map of ``S ∘ G``: the image of ``X_q`` becomes
-    ``S(G X_q G†)``, a GF(2) combination of the *existing* rows, so each
-    gate costs one or two row XOR/swap operations of ``W`` words — walking a
-    template backward builds every intermediate suffix map in
-    ``O(gates · W)`` total, independent of how many Pauli rows will later be
-    pushed through those maps.  Phase-free: ``rz``/``u1``/``p`` act as ``s``
-    at odd quarter turns and as the identity at even ones, and a gate's
-    inverse maps like the gate itself (``sdg`` like ``s``, ``sxdg`` like
-    ``sx``, the rest self-inverse).
+    ``x_of_x[q]``/``x_of_z[q]`` hold the *x-parts* of the images of
+    ``X_q``/``Z_q`` under conjugation by some gate suffix ``S``, each packed
+    into one Python integer (qubit ``p`` at bit ``p``; :func:`ints_to_words`
+    turns them into word rows).  This updates them to the map of ``S ∘ G``:
+    the image of ``X_q`` becomes ``S(G X_q G†)``, a GF(2) combination of the
+    *existing* rows, so each gate costs one or two integer XORs or swaps --
+    walking a template backward builds every intermediate suffix map in
+    ``O(gates)`` row operations, independent of how many Pauli rows will
+    later be pushed through those maps.  Phase-free: ``rz``/``u1``/``p`` act
+    as ``s`` at odd quarter turns and as the identity at even ones, and a
+    gate's inverse maps like the gate itself (``sdg`` like ``s``, ``sxdg``
+    like ``sx``, the rest self-inverse).
     """
     if name in ("id", "i", "x", "y", "z"):
         return
     if name == "h":
-        a = int(qubits[0])
-        x_of_x[a], x_of_z[a] = x_of_z[a].copy(), x_of_x[a].copy()
+        a = qubits[0]
+        x_of_x[a], x_of_z[a] = x_of_z[a], x_of_x[a]
     elif name in ("s", "sdg"):
-        a = int(qubits[0])
+        a = qubits[0]
         x_of_x[a] ^= x_of_z[a]
     elif name in ("sx", "sxdg"):
-        a = int(qubits[0])
+        a = qubits[0]
         x_of_z[a] ^= x_of_x[a]
     elif name in ("cx", "cnot"):
-        c, t = int(qubits[0]), int(qubits[1])
+        c, t = qubits
         x_of_x[c] ^= x_of_x[t]
         x_of_z[t] ^= x_of_z[c]
     elif name == "cz":
-        a, b = int(qubits[0]), int(qubits[1])
+        a, b = qubits
         x_of_x[a] ^= x_of_z[b]
         x_of_x[b] ^= x_of_z[a]
     elif name == "swap":
-        a, b = int(qubits[0]), int(qubits[1])
-        x_of_x[[a, b]] = x_of_x[[b, a]]
-        x_of_z[[a, b]] = x_of_z[[b, a]]
+        a, b = qubits
+        x_of_x[a], x_of_x[b] = x_of_x[b], x_of_x[a]
+        x_of_z[a], x_of_z[b] = x_of_z[b], x_of_z[a]
     elif name in ("rz", "u1", "p"):
         quarter_turns = int(round(float(params[0]) / (math.pi / 2))) % 4
         if quarter_turns in (1, 3):
-            a = int(qubits[0])
+            a = qubits[0]
             x_of_x[a] ^= x_of_z[a]
     else:
         raise ValueError(f"gate '{name}' is not Clifford-propagatable")
+
+
+def identity_suffix(num_qubits: int) -> Tuple[List[int], List[int]]:
+    """The empty suffix's map: ``X_q`` maps to ``X_q``, ``Z_q`` has no x-part."""
+    return [1 << q for q in range(num_qubits)], [0] * num_qubits
+
+
+def ints_to_words(values: Sequence[int], words: int) -> np.ndarray:
+    """Bit rows packed into Python integers as ``(len(values), words)`` uint64
+    rows (bit ``i`` at bit ``i % 64`` of word ``i // 64``, as :func:`pack_rows`)."""
+    size = 8 * int(words)
+    data = b"".join(value.to_bytes(size, "little") for value in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words).astype(np.uint64)
+
+
+def words_to_ints(rows: np.ndarray) -> List[int]:
+    """Inverse of :func:`ints_to_words`: each ``(..., W)`` word row as an integer."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    size = 8 * rows.shape[-1]
+    data = rows.astype("<u8").tobytes()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 # ---------------------------------------------------------------------------

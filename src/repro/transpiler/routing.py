@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
@@ -142,6 +142,10 @@ def sabre_route(
             if remaining_preds[succ] == 0:
                 ready.append(succ)
 
+    # The SWAP scores of the current ready list.  A SWAP round leaves the
+    # ready list as it was unless a gate becomes executable, so the scorer is
+    # kept across consecutive SWAP rounds and only rebuilt after an emit.
+    scorer: Optional[_SwapScorer] = None
     while ready:
         iterations += 1
         if iterations > limit:
@@ -153,26 +157,32 @@ def sabre_route(
                 emit(index)
                 progressed = True
         if progressed:
+            scorer = None
             continue
 
         # Every ready gate is a blocked two-qubit gate: pick a SWAP.
-        front = [gates[i] for i in ready if two_qubit[i]]
-        for gate in front:
-            a, b = (l2p[q] for q in gate.qubits)
-            if not math.isfinite(distances[a, b]):
-                raise RuntimeError(
-                    f"cannot route gate '{gate.name}' on logical qubits"
-                    f" {tuple(gate.qubits)}: physical qubits {a} and {b} lie in"
-                    f" different components of the {backend.name} coupling"
-                    " graph (disconnected coupling map)"
-                )
-        extended = _extended_set(gates, two_qubit, ready, successors, lookahead)
-        best_swap = _choose_swap(
-            front, extended, mapping, adjacency, dist_rows, lookahead_weight
-        )
-        a, b = best_swap
-        routed.append(Gate("swap", (a, b), label="routing"))
-        mapping.swap_physical(a, b)
+        if scorer is None:
+            front = [gates[i] for i in ready if two_qubit[i]]
+            # A SWAP moves qubits along an edge, so a front that is routable
+            # when the scorer is built stays routable while it is kept.
+            for gate in front:
+                a, b = (l2p[q] for q in gate.qubits)
+                if not math.isfinite(distances[a, b]):
+                    raise RuntimeError(
+                        f"cannot route gate '{gate.name}' on logical qubits"
+                        f" {tuple(gate.qubits)}: physical qubits {a} and {b} lie in"
+                        f" different components of the {backend.name} coupling"
+                        " graph (disconnected coupling map)"
+                    )
+            extended = _extended_set(gates, two_qubit, ready, successors, lookahead)
+            scorer = _SwapScorer(
+                front, extended, l2p, adjacency, dist_rows, lookahead_weight
+            )
+        else:
+            scorer.swap(*swap)  # the ready list held: follow the last SWAP
+        swap = scorer.choose()
+        routed.append(Gate("swap", swap, label="routing"))
+        mapping.swap_physical(*swap)
         num_swaps += 1
 
     for logical in measured_logical:
@@ -228,88 +238,164 @@ def _extended_set(
     return extended
 
 
-def _choose_swap(
-    front: Sequence[Gate],
-    extended: Sequence[Gate],
-    mapping: _Mapping,
-    adjacency: Sequence[FrozenSet[int]],
-    dist_rows: Sequence[Sequence[float]],
-    lookahead_weight: float,
-) -> Tuple[int, int]:
-    l2p = mapping.l2p
-    candidates = set()
-    for gate in front:
-        for logical in gate.qubits:
-            physical = l2p[logical]
-            for neighbor in adjacency[physical]:
-                candidates.add(
-                    (physical, neighbor) if physical < neighbor else (neighbor, physical)
-                )
-    if not candidates:
-        raise RuntimeError("no SWAP candidates available; is the device connected?")
+class _PairIndex:
+    """One heuristic gate list's physical pairs, indexed by physical qubit.
 
-    # Each candidate is scored by a delta from one base cost: a SWAP moves
-    # only its own two endpoints, so only the heuristic pairs touching them
-    # are re-scored.  Every term is a hop count or ``far`` -- an integer-valued
-    # float far below 2**53 -- so ``base - old + new`` equals the full re-sum
-    # bit for bit and the ``sorted`` tie-break is unchanged.  Unreachable
-    # look-ahead pairs get a large *finite* penalty so the front-layer term
-    # still discriminates between SWAP candidates (truly unroutable front
-    # gates fail fast in sabre_route).
-    far = float(len(l2p) + 10)
-    front_cost, front_touching = _index_pairs(front, l2p, dist_rows, far)
-    ext_cost, ext_touching = _index_pairs(extended, l2p, dist_rows, far)
-    front_norm = max(1, len(front))
-    ext_norm = len(extended)
+    ``total`` is the summed distance of the pairs (unreachable pairs count
+    ``far``); ``touching[p]`` lists the ``[a, b, distance]`` record of every
+    pair with endpoint ``p``, shared with the other endpoint's list and
+    updated in place when a SWAP moves the pair.  :meth:`swap` follows a
+    SWAP, :meth:`delta` scores one.
+    """
 
-    def rescored(
-        base: float, touching: Dict[int, List[Tuple[int, int, float]]], a: int, b: int
-    ) -> float:
-        total = base
-        for pa, pb, old in touching.get(a, ()):
+    def __init__(
+        self,
+        gates: Sequence[Gate],
+        l2p: Dict[int, int],
+        dist_rows: Sequence[Sequence[float]],
+        far: float,
+    ) -> None:
+        self.dist_rows = dist_rows
+        self.far = far
+        touching: Dict[int, List[List]] = {}
+        total = 0.0
+        for gate in gates:
+            a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
+            value = dist_rows[a][b]
+            if not math.isfinite(value):
+                value = far
+            total += value
+            pair = [a, b, value]
+            touching.setdefault(a, []).append(pair)
+            touching.setdefault(b, []).append(pair)
+        self.touching = touching
+        self.total = total
+
+    def delta(self, a: int, b: int) -> float:
+        """How much SWAP ``(a, b)`` changes ``total``."""
+        rows, far = self.dist_rows, self.far
+        total = 0.0
+        for pa, pb, old in self.touching.get(a, ()):
             pa = b if pa == a else a if pa == b else pa
             pb = b if pb == a else a if pb == b else pb
-            value = dist_rows[pa][pb]
+            value = rows[pa][pb]
             total += (value if math.isfinite(value) else far) - old
-        for pa, pb, old in touching.get(b, ()):
+        for pa, pb, old in self.touching.get(b, ()):
             if pa == a or pb == a:
-                continue  # touches both endpoints: re-scored above
+                continue  # touches both endpoints: scored above
             pa = a if pa == b else pa
             pb = a if pb == b else pb
-            value = dist_rows[pa][pb]
+            value = rows[pa][pb]
             total += (value if math.isfinite(value) else far) - old
         return total
 
-    def cost_after(swap: Tuple[int, int]) -> float:
-        a, b = swap
-        cost = rescored(front_cost, front_touching, a, b) / front_norm
-        if ext_norm:
-            cost += lookahead_weight * (rescored(ext_cost, ext_touching, a, b) / ext_norm)
-        return cost
+    def swap(self, a: int, b: int) -> Set[int]:
+        """Apply SWAP ``(a, b)``; returns the endpoints of the moved pairs."""
+        moved_a = self.touching.pop(a, [])
+        moved_b = self.touching.pop(b, [])
+        if moved_a:
+            self.touching[b] = moved_a
+        if moved_b:
+            self.touching[a] = moved_b
+        endpoints = set()
+        # A pair on both qubits sits in both lists: move it once.
+        for pair in {id(pair): pair for pair in moved_a + moved_b}.values():
+            pa, pb, old = pair
+            pa = b if pa == a else a if pa == b else pa
+            pb = b if pb == a else a if pb == b else pb
+            value = self.dist_rows[pa][pb]
+            if not math.isfinite(value):
+                value = self.far
+            self.total += value - old
+            pair[:] = (pa, pb, value)
+            endpoints.update((pa, pb))
+        return endpoints
 
-    return min(sorted(candidates), key=cost_after)
 
+class _SwapScorer:
+    """SABRE's SWAP choice for one ready list, kept across its SWAP rounds.
 
-def _index_pairs(
-    gates: Sequence[Gate],
-    l2p: Dict[int, int],
-    dist_rows: Sequence[Sequence[float]],
-    far: float,
-) -> Tuple[float, Dict[int, List[Tuple[int, int, float]]]]:
-    """Summed distance of the gates' physical pairs, and the pairs by qubit.
-
-    Returns the total (unreachable pairs count ``far``) and, per physical
-    qubit, the ``(a, b, distance)`` of every pair with that endpoint.
+    The candidates are the coupling edges at the front layer's physical
+    qubits.  A candidate ``(a, b)`` costs the front layer's summed distance
+    after the SWAP over ``max(1, len(front))``, plus ``lookahead_weight``
+    times the look-ahead set's over ``len(extended)`` when that is non-empty.
+    Each sum is kept as a base total plus a per-candidate delta: a SWAP moves
+    only its own two endpoints, so only the pairs touching them are
+    re-scored.  Following a SWAP (:meth:`swap`) updates only the moved
+    pairs, the two totals, the candidates at ``a`` and ``b`` and the deltas
+    of candidates with an endpoint on a moved pair.  Every term is a hop
+    count or ``far`` -- an integer-valued float far below 2**53 -- so
+    ``base + delta`` equals the full re-sum bit for bit, and ties go to the
+    smallest candidate as under ``min(sorted(candidates), key=cost)``.  Unreachable
+    look-ahead pairs get a large *finite* penalty so the front-layer term
+    still discriminates between candidates (truly unroutable front gates
+    fail fast in :func:`sabre_route`).
     """
-    total = 0.0
-    touching: Dict[int, List[Tuple[int, int, float]]] = {}
-    for gate in gates:
-        a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
-        value = dist_rows[a][b]
-        if not math.isfinite(value):
-            value = far
-        total += value
-        pair = (a, b, value)
-        touching.setdefault(a, []).append(pair)
-        touching.setdefault(b, []).append(pair)
-    return total, touching
+
+    def __init__(
+        self,
+        front: Sequence[Gate],
+        extended: Sequence[Gate],
+        l2p: Dict[int, int],
+        adjacency: Sequence[FrozenSet[int]],
+        dist_rows: Sequence[Sequence[float]],
+        lookahead_weight: float,
+    ) -> None:
+        far = float(len(l2p) + 10)
+        self.adjacency = adjacency
+        self.front = _PairIndex(front, l2p, dist_rows, far)
+        self.extended = _PairIndex(extended, l2p, dist_rows, far)
+        self.front_norm = max(1, len(front))
+        self.ext_norm = len(extended)
+        self.lookahead_weight = lookahead_weight
+        #: ``(front delta, look-ahead delta)`` of every candidate, and the
+        #: candidates sharing each such pair: a round scores a few distinct
+        #: pairs instead of every candidate.
+        self.deltas: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        self.groups: Dict[Tuple[float, float], Set[Tuple[int, int]]] = {}
+        self._rescore(list(self.front.touching))
+        if not self.deltas:
+            raise RuntimeError("no SWAP candidates available; is the device connected?")
+
+    def _rescore(self, qubits) -> None:
+        """Re-derive membership and deltas of every edge at ``qubits``."""
+        touching = self.front.touching
+        deltas, groups = self.deltas, self.groups
+        edges = {(p, q) if p < q else (q, p) for p in qubits for q in self.adjacency[p]}
+        for edge in edges:
+            old = deltas.pop(edge, None)
+            if old is not None:
+                members = groups[old]
+                members.discard(edge)
+                if not members:
+                    del groups[old]
+            if edge[0] in touching or edge[1] in touching:
+                key = (self.front.delta(*edge), self.extended.delta(*edge))
+                deltas[edge] = key
+                groups.setdefault(key, set()).add(edge)
+
+    def choose(self) -> Tuple[int, int]:
+        """The lowest-cost candidate; the smallest one among equal costs."""
+        front_total, front_norm = self.front.total, self.front_norm
+        ext_total, ext_norm = self.extended.total, self.ext_norm
+        weight = self.lookahead_weight
+        costs = {}
+        for key in self.groups:
+            front_delta, ext_delta = key
+            cost = (front_total + front_delta) / front_norm
+            if ext_norm:
+                cost += weight * ((ext_total + ext_delta) / ext_norm)
+            costs[key] = cost
+        best = min(costs.values())
+        return min(
+            edge
+            for key, cost in costs.items()
+            if cost == best
+            for edge in self.groups[key]
+        )
+
+    def swap(self, a: int, b: int) -> None:
+        """Follow SWAP ``(a, b)`` of physical qubits ``a`` and ``b``."""
+        moved = self.front.swap(a, b) | self.extended.swap(a, b)
+        moved.update((a, b))
+        self._rescore(moved)

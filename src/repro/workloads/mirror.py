@@ -6,8 +6,8 @@ single-qubit Cliffords and nearest-neighbour CNOT brick layers, a random
 Pauli layer ``P``, and the exact gate-by-gate inverse ``F†``.  The final
 state ``F† P F |0…0⟩`` is a *computational basis state*: ``F† P F`` is a
 Pauli, so the target bitstring is its X-part — ``P`` end-propagated through
-the suffix ``F†`` exactly like a noise event's mask.  That costs
-``O(gates · n/64)`` packed-word operations — no simulation of any kind —
+the suffix ``F†`` exactly like a noise event's mask.  That costs one or
+two XORs of integer-packed rows per gate — no simulation of any kind —
 which is what makes the success probability of a 100+ qubit run
 *verifiable*: the ideal outcome is a known delta distribution at any size,
 and the noisy success probability is simply the probability mass an
@@ -80,19 +80,18 @@ def _target_bits(forward: QuantumCircuit, paulis: List[str]) -> str:
     end-propagated Pauli layer carries an X on qubit ``q``.
     """
     n = forward.num_qubits
-    x_of_x = symplectic.pack_rows(np.eye(n, dtype=bool), n)  # images of X_q
-    x_of_z = np.zeros_like(x_of_x)                           # images of Z_q
+    x_of_x, x_of_z = symplectic.identity_suffix(n)  # images of X_q, of Z_q
     for gate in forward:
         symplectic.compose_suffix_packed(
             x_of_x, x_of_z, gate.name, gate.qubits, gate.params
         )
-    pauli_x = np.array([p in ("x", "y") for p in paulis], dtype=bool)
-    pauli_z = np.array([p in ("z", "y") for p in paulis], dtype=bool)
-    target = np.bitwise_xor.reduce(
-        np.concatenate([x_of_x[pauli_x], x_of_z[pauli_z]]), axis=0
-    )
-    flips = symplectic.unpack_rows(target, n)
-    return "".join("1" if flip else "0" for flip in flips)
+    target = 0
+    for q, pauli in enumerate(paulis):
+        if pauli in ("x", "y"):
+            target ^= x_of_x[q]
+        if pauli in ("z", "y"):
+            target ^= x_of_z[q]
+    return "".join("1" if (target >> q) & 1 else "0" for q in range(n))
 
 
 # ---------------------------------------------------------------------------

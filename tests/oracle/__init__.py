@@ -15,8 +15,9 @@ production attributes below and counts every call under the key shown, so
 a test can prove the oracle ran instead of comparing packed with packed:
 
 * ``stabilizer.PackedCliffordTableau`` ← :class:`CliffordTableau`
-  (``"tableau"``);
-* ``engines._packed_mask_results`` ← ``mask_results`` (``"mask_table"``);
+  (``"tableau"``), which takes the same ``apply_gates`` batches one column
+  rule at a time;
+* ``engines._build_mask_table`` ← ``mask_table`` (``"mask_table"``);
 * ``engines._window_variant_events`` ← ``window_variant_events``
   (``"variant_masks"``);
 * ``engines.StabilizerFrameEngine.run`` ← ``frame_run`` (``"frame_loop"``);
@@ -27,10 +28,10 @@ a test can prove the oracle ran instead of comparing packed with packed:
 tableau's measurements, compared with it directly by the differential suite.
 
 :mod:`oracle.compile` keeps the full-recompute forms of the device-scale
-compile and evaluate steps: SABRE's per-candidate re-sum, the
-dict-accumulating concurrent-CNOT scan, the per-tuple crosstalk fold and the
-per-op window-variant path.  ``tests/test_compile_differential.py`` imports
-them directly.
+compile and evaluate steps: SABRE rebuilding and re-summing every round, the
+dict-accumulating concurrent-CNOT scan, the per-tuple crosstalk fold, and
+the per-op window-variant and per-event gate-noise mask paths.
+``tests/test_compile_differential.py`` imports them directly.
 
 The references hand masks and suffix maps back packed by
 :func:`repro.simulators.symplectic.pack_rows`, so production code never sees
@@ -51,7 +52,7 @@ from repro.simulators import stabilizer as stabilizer_module
 from repro.workloads import mirror as mirror_module
 
 from .density_matrix import DensityMatrixSimulator
-from .engines import frame_run, mask_results, window_variant_events
+from .engines import frame_run, mask_table, window_variant_events
 from .graphs import networkx_graph
 from .mirror import target_bits
 from .tableau import CliffordTableau, enumerate_probabilities
@@ -80,7 +81,7 @@ def installed() -> Iterator[Counter]:
     with pytest.MonkeyPatch.context() as patch:
         for owner, name, key, reference in (
             (stabilizer_module, "PackedCliffordTableau", "tableau", CliffordTableau),
-            (engines_module, "_packed_mask_results", "mask_table", mask_results),
+            (engines_module, "_build_mask_table", "mask_table", mask_table),
             (engines_module, "_window_variant_events", "variant_masks", window_variant_events),
             (engines_module.StabilizerFrameEngine, "run", "frame_loop", frame_run),
             (mirror_module, "_target_bits", "mirror_target", target_bits),

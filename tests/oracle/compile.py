@@ -1,12 +1,15 @@
 """Full-recompute references of the device-scale compile and evaluate steps.
 
-Production scores SABRE's SWAP candidates by a delta from one base cost,
-carries CNOT concurrency as arrays from the schedule into the crosstalk fold,
-and builds the Clifford engines' window variants in one array pass.  These
-are the forms they replaced, kept as the references the differential suite
-compares against bit for bit:
+Production keeps SABRE's SWAP scores across the rounds of one ready list,
+each candidate a delta from one base cost, carries CNOT concurrency as
+arrays from the schedule into the crosstalk fold, and builds the Clifford
+engines' shared gate-noise masks and window variants in array passes.
+These are the forms they replaced, kept as the references the differential
+suite compares against bit for bit:
 
-* :func:`choose_swap` re-sums every front-layer and look-ahead pair for
+* :func:`sabre_route` rebuilds the front layer and the extended set
+  (:func:`extended_set`) and re-scores every candidate in every SWAP round,
+  and :func:`choose_swap` re-sums every front-layer and look-ahead pair for
   every candidate SWAP;
 * :func:`concurrent_cnots` scans the schedule's CNOTs into a dict of running
   sums and returns sorted ``(link, overlap_ns)`` tuples;
@@ -19,6 +22,10 @@ compares against bit for bit:
   lays such per-op events out as the batched builder's ``WindowEvents``,
   with each op's flip-free weight (:func:`flip_free_weight`) multiplied in
   op order;
+* :func:`noise_mask_table` masks and weighs the shared gate-noise events
+  the same way, one event at a time during the backward suffix walk
+  (:func:`packed_mask_results`), and :func:`assemble_mask_table` lays them
+  out as ``_build_mask_table``'s ``MaskTable``;
 * :func:`gate_template` resolves gate noise once per scheduled gate.
 """
 
@@ -29,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuits import Gate, QuantumCircuit
 from repro.hardware.program import (
     GATE_EVENT_PRIORITY,
     GATE_NOISE_PRIORITY,
@@ -36,9 +44,98 @@ from repro.hardware.program import (
 )
 from repro.noise.idling import IdleWindowEffect
 from repro.simulators import symplectic
-from repro.simulators.engines import WindowEvents
+from repro.simulators.engines import EventGroup, MaskTable, WindowEvents
+from repro.transpiler.routing import RoutedCircuit, _build_dependencies, _Mapping
 
 Edge = Tuple[int, int]
+
+
+def sabre_route(circuit, backend, layout, lookahead=12, lookahead_weight=0.5, max_iterations=None):
+    """SABRE rebuilding its front, extended set and every candidate's score
+    each SWAP round, with :func:`choose_swap` re-summing every pair."""
+    distances = backend.distance_matrix()
+    dist_rows = backend.distance_rows()
+    adjacency = backend.adjacency_sets()
+    mapping = _Mapping(layout, backend.num_qubits)
+    routed = QuantumCircuit(backend.num_qubits, name=circuit.name)
+    measured = [g.qubits[0] for g in circuit.gates if g.is_measurement]
+    gates = [g for g in circuit.gates if not g.is_measurement]
+    dependencies = _build_dependencies(gates)
+    remaining = [len(preds) for preds in dependencies]
+    successors: List[List[int]] = [[] for _ in gates]
+    for index, preds in enumerate(dependencies):
+        for pred in preds:
+            successors[pred].append(index)
+    ready = [i for i, count in enumerate(remaining) if count == 0]
+    l2p = mapping.l2p
+    num_swaps = 0
+    iterations = 0
+    limit = max_iterations or (10 * len(gates) + 1000)
+    while ready:
+        iterations += 1
+        if iterations > limit:
+            raise RuntimeError("routing failed to converge (SWAP limit exceeded)")
+        progressed = False
+        for index in sorted(ready):
+            gate = gates[index]
+            if gate.is_two_qubit and l2p[gate.qubits[1]] not in adjacency[l2p[gate.qubits[0]]]:
+                continue
+            ready.remove(index)
+            routed.append(gate.with_qubits(*(l2p[q] for q in gate.qubits)))
+            for succ in successors[index]:
+                remaining[succ] -= 1
+                if remaining[succ] == 0:
+                    ready.append(succ)
+            progressed = True
+        if progressed:
+            continue
+        front = [gates[i] for i in ready if gates[i].is_two_qubit]
+        for gate in front:
+            a, b = (l2p[q] for q in gate.qubits)
+            if not math.isfinite(distances[a, b]):
+                raise RuntimeError(
+                    f"cannot route gate '{gate.name}' on logical qubits"
+                    f" {tuple(gate.qubits)}: physical qubits {a} and {b} lie in"
+                    f" different components of the {backend.name} coupling"
+                    " graph (disconnected coupling map)"
+                )
+        extended = extended_set(gates, ready, successors, lookahead)
+        a, b = choose_swap(front, extended, mapping, adjacency, dist_rows, lookahead_weight)
+        routed.append(Gate("swap", (a, b), label="routing"))
+        mapping.swap_physical(a, b)
+        num_swaps += 1
+    for logical in measured:
+        routed.measure(mapping.physical(logical))
+    return RoutedCircuit(
+        circuit=routed,
+        initial_layout=layout,
+        final_layout=mapping.as_layout(circuit.num_qubits),
+        num_swaps=num_swaps,
+    )
+
+
+def extended_set(gates, ready, successors, lookahead: int) -> list:
+    """The first ``lookahead`` two-qubit gates of a breadth-first walk from
+    the ready gates, in ready order."""
+    extended = []
+    frontier = list(ready)
+    seen = set(ready)
+    while frontier and len(extended) < lookahead:
+        nxt = []
+        for index in frontier:
+            for succ in successors[index]:
+                if succ in seen:
+                    continue
+                seen.add(succ)
+                nxt.append(succ)
+                if gates[succ].is_two_qubit:
+                    extended.append(gates[succ])
+                    if len(extended) >= lookahead:
+                        break
+            if len(extended) >= lookahead:
+                break
+        frontier = nxt
+    return extended
 
 
 def choose_swap(front, extended, mapping, adjacency, dist_rows, lookahead_weight):
@@ -187,6 +284,96 @@ def flip_free_weight(probs: np.ndarray, masks: np.ndarray) -> float:
     """The weight of the branches whose packed mask row is all-zero words."""
     zero_rows = ~masks.any(axis=1)
     return float(probs[zero_rows].sum())
+
+
+def packed_mask_results(program) -> List[Tuple]:
+    """The backward suffix-composition walk, masked one event at a time.
+
+    Template order: ``("window", widx, maps)`` for each window slot, with
+    the ``{position: row}`` suffix rows of the window's qubit, and
+    ``("noise", probs, positions, masks)`` for each shared gate-noise op,
+    its twirl's branch probabilities and :func:`end_masks`.
+    """
+    n = program.num_active
+    words = symplectic.num_words(max(1, n))
+    x_of_x, x_of_z = symplectic.identity_suffix(n)
+
+    def rows(positions):
+        return tuple(
+            {p: symplectic.ints_to_words([part[p]], words)[0] for p in positions}
+            for part in (x_of_x, x_of_z)
+        )
+
+    results: List[Tuple] = []
+    for kind, payload in reversed(program.template):
+        if kind == "window":
+            p = program.index_of[program.windows[payload].qubit]
+            results.append(("window", payload, rows([p])))
+        elif payload.gate is not None:
+            symplectic.compose_suffix_packed(
+                x_of_x, x_of_z, payload.gate.name, payload.positions, payload.gate.params
+            )
+        else:
+            twirl = payload.twirl
+            masks = end_masks(twirl, payload.positions, *rows(payload.positions), words)
+            results.append(("noise", twirl[0], payload.positions, masks))
+    return results[::-1]
+
+
+def assemble_mask_table(program, results: Sequence[Tuple]) -> MaskTable:
+    """Per-event results (as :func:`packed_mask_results` returns them) laid
+    out as ``_build_mask_table``'s ``MaskTable``: each event's weight from
+    :func:`flip_free_weight`, their product taken event by event."""
+    words = symplectic.num_words(max(1, program.num_active))
+    per_width: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+    width, row, flip_free = [], [], []
+    slot_windows, events_before, suffix_maps = [], [], {}
+    for item in results:
+        if item[0] == "window":
+            _, widx, maps = item
+            slot_windows.append(widx)
+            events_before.append(len(width))
+            suffix_maps[widx] = maps
+            continue
+        _, probs, positions, masks = item
+        k = len(positions)
+        rows = per_width.setdefault(k, [])
+        width.append(k)
+        row.append(len(rows))
+        rows.append((probs, masks))
+        flip_free.append(flip_free_weight(probs, masks))
+    groups = {}
+    for k, rows in per_width.items():
+        branches = 4 ** k
+        probs = np.zeros((len(rows), branches), dtype=float)
+        cum = np.full((len(rows), branches), 2.0, dtype=float)
+        counts = np.zeros(len(rows), dtype=np.int64)
+        masks = np.zeros((len(rows), branches, words), dtype=np.uint64)
+        for r, (branch_probs, branch_masks) in enumerate(rows):
+            count = len(branch_probs)
+            probs[r, :count] = branch_probs
+            cum[r, :count] = np.cumsum(branch_probs)
+            counts[r] = count
+            masks[r, :count] = branch_masks
+        groups[k] = EventGroup(probs, cum, counts, masks)
+    shared_flip_free = 1.0
+    for weight in flip_free:
+        shared_flip_free *= weight
+    return MaskTable(
+        groups=groups,
+        width=np.array(width, dtype=np.int64),
+        row=np.array(row, dtype=np.int64),
+        flip_free=np.array(flip_free, dtype=float),
+        shared_flip_free=shared_flip_free,
+        slot_windows=np.array(slot_windows, dtype=np.int64),
+        events_before=np.array(events_before, dtype=np.int64),
+        suffix_maps=suffix_maps,
+    )
+
+
+def noise_mask_table(program) -> MaskTable:
+    """The per-event mask table: :func:`packed_mask_results`, assembled."""
+    return assemble_mask_table(program, packed_mask_results(program))
 
 
 def variant_mask_events(program, suffix_maps, widx: int, variant) -> List[Tuple]:

@@ -2,9 +2,12 @@
 
 * :func:`conjugate_rows` — the phase-free gate table, one column update of a
   boolean row block per gate;
-* :func:`mask_results` — the forward mask-table build: seed each event's
+* :func:`mask_table` — the forward mask-table build: seed each event's
   rows when its template slot is reached and push every seeded row through
-  each later gate (``2n`` basis rows per idle window);
+  each later gate (``2n`` basis rows per idle window), then lay the events
+  out one at a time (:func:`oracle.compile.assemble_mask_table`);
+* :func:`template_sequence` — a mask table's events and window slots back
+  in template order;
 * :func:`variant_mask_events` — a window variant's masks from the full
   boolean suffix maps;
 * :func:`window_variant_events` — the batched window builder's
@@ -20,14 +23,14 @@ Masks and suffix maps cross into production packed by
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.simulators import engines, symplectic
 from repro.simulators.engines import SparseDistribution
 
-from .compile import assemble_window_events
+from .compile import assemble_mask_table, assemble_window_events
 
 
 def conjugate_rows(xparts, zparts, name: str, qubits, params=()) -> None:
@@ -68,37 +71,44 @@ def conjugate_rows(xparts, zparts, name: str, qubits, params=()) -> None:
         raise ValueError(f"gate '{name}' is not Clifford-propagatable")
 
 
-def mask_results(program, events, n: int) -> List[Tuple]:
+def mask_table(program):
     """Forward row-propagation build of the mask table, packed at the end."""
+    n = program.num_active
+    events = [
+        (tidx, payload)
+        for tidx, (kind, payload) in enumerate(program.template)
+        if kind == "window" or payload.gate is None
+    ]
     identity = np.eye(n, dtype=bool)
     basis_x = np.vstack([identity, np.zeros((n, n), dtype=bool)])  # X_q then Z_q
     basis_z = np.vstack([np.zeros((n, n), dtype=bool), identity])
 
     total_rows = sum(
-        2 * n if twirl is None else twirl[1].shape[0] for _, _, twirl, _ in events
+        2 * n if isinstance(payload, int) else payload.twirl[1].shape[0]
+        for _, payload in events
     )
     xparts = np.zeros((total_rows, n), dtype=bool)
     zparts = np.zeros((total_rows, n), dtype=bool)
-    spans: List[Tuple[object, int, int, Optional[np.ndarray]]] = []
+    spans: List[Tuple[object, int, int]] = []
 
     cursor = 0
     event_iter = iter(events)
     pending = next(event_iter, None)
     for tidx, (kind, payload) in enumerate(program.template):
         while pending is not None and pending[0] == tidx:
-            _, tag, twirl, positions = pending
-            if twirl is None:  # window slot: seed the 2n basis rows
+            _, event = pending
+            if isinstance(event, int):  # window slot: seed the 2n basis rows
                 xparts[cursor : cursor + 2 * n] = basis_x
                 zparts[cursor : cursor + 2 * n] = basis_z
-                spans.append((tag, cursor, cursor + 2 * n, None))
+                spans.append((event, cursor, cursor + 2 * n))
                 cursor += 2 * n
             else:
-                probs, xbits, zbits = twirl
+                _, xbits, zbits = event.twirl
                 rows = xbits.shape[0]
-                for column, position in enumerate(positions):
+                for column, position in enumerate(event.positions):
                     xparts[cursor : cursor + rows, position] = xbits[:, column]
                     zparts[cursor : cursor + rows, position] = zbits[:, column]
-                spans.append((tag, cursor, cursor + rows, probs))
+                spans.append((event, cursor, cursor + rows))
                 cursor += rows
             pending = next(event_iter, None)
         if kind == "op" and payload.gate is not None:
@@ -108,16 +118,33 @@ def mask_results(program, events, n: int) -> List[Tuple]:
             )
 
     results: List[Tuple] = []
-    for tag, start, stop, probs in spans:
-        if probs is None:
+    for event, start, stop in spans:
+        if isinstance(event, int):
             maps = (
                 symplectic.pack_rows(xparts[start : start + n], n),  # images of X_q
                 symplectic.pack_rows(xparts[start + n : stop], n),   # images of Z_q
             )
-            results.append(("window", tag[1], maps))
+            results.append(("window", event, maps))
         else:
-            results.append(("noise", probs, symplectic.pack_rows(xparts[start:stop], n)))
-    return results
+            masks = symplectic.pack_rows(xparts[start:stop], n)
+            results.append(("noise", event.twirl[0], event.positions, masks))
+    return assemble_mask_table(program, results)
+
+
+def template_sequence(table):
+    """The table's shared events and window slots in template order:
+    ``("noise", probs, masks)`` and ``("window", widx)``."""
+    slots = list(zip(table.events_before.tolist(), table.slot_windows.tolist()))
+    slot = 0
+    for event in range(len(table.width) + 1):
+        while slot < len(slots) and slots[slot][0] == event:
+            yield ("window", slots[slot][1])
+            slot += 1
+        if event < len(table.width):
+            group = table.groups[int(table.width[event])]
+            row = int(table.row[event])
+            count = group.counts[row]
+            yield ("noise", group.probs[row, :count], group.masks[row, :count])
 
 
 def variant_mask_events(program, suffix_maps, widx: int, variant: object):
@@ -176,8 +203,8 @@ def frame_run(self, program, jobs, trajectories):
         streams = job.streams
         T = len(streams)
         flips = np.zeros((T, n), dtype=bool)
-        flip_free = float(table["shared_flip_free"])
-        for entry in table["sequence"]:
+        flip_free = float(table.shared_flip_free)
+        for entry in template_sequence(table):
             if entry[0] == "noise":
                 _apply_events([(entry[1], entry[2])], streams, flips, n)
                 continue
@@ -185,7 +212,7 @@ def frame_run(self, program, jobs, trajectories):
             variant = job.variants[widx]
             key = (widx, variant)
             if key not in window_cache:
-                built = engines._window_variant_events(program, table["suffix_maps"], [key])
+                built = engines._window_variant_events(program, table.suffix_maps, [key])
                 events = [
                     (built.probs[e, : built.counts[e]], built.masks[e, : built.counts[e]])
                     for e in range(built.bounds[0], built.bounds[1])

@@ -9,6 +9,7 @@ reference for :meth:`repro.simulators.stabilizer.StabilizerSimulator.probabiliti
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -117,6 +118,28 @@ class CliffordTableau:
         self.apply_cx(a, b)
         self.apply_cx(b, a)
         self.apply_cx(a, b)
+
+    def apply_gates(self, ops, rng=None) -> None:
+        """Apply ``(name, qubits, params)`` gates one column rule at a time."""
+        for name, qubits, params in ops:
+            if name in ("id", "i"):
+                continue
+            if name in ("rz", "u1", "p"):
+                steps = params[0] / (math.pi / 2)
+                if not math.isclose(steps, round(steps), abs_tol=1e-7):
+                    raise SimulationError(f"rz({params[0]}) is not a Clifford rotation")
+                rule = (None, self.apply_s, self.apply_z, self.apply_sdg)[round(steps) % 4]
+                if rule is not None:
+                    rule(qubits[0])
+            elif name == "reset":
+                if self.measure(qubits[0], rng) == 1:
+                    self.apply_x(qubits[0])
+            elif name in ("cx", "cnot"):
+                self.apply_cx(*qubits)
+            elif name in ("x", "y", "z", "h", "s", "sdg", "sx", "sxdg", "cz", "swap"):
+                getattr(self, f"apply_{name}")(*qubits)
+            else:
+                raise SimulationError(f"gate '{name}' is not a Clifford gate")
 
     # ------------------------------------------------------------------
     # Measurement (CHP algorithm)

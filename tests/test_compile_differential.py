@@ -1,12 +1,14 @@
 """Differential tests of the device-scale compile and evaluate steps.
 
-SABRE scores each candidate SWAP by a delta from one base cost, CNOT
-concurrency reaches the idle-noise fold as arrays, the Clifford engines
-build window variants in one array pass, and a program resolves gate noise
-once per distinct gate.  The ``oracle.compile`` references re-sum every pair
-per candidate, accumulate concurrency in a dict of ``(link, overlap)``
-tuples and fold it with one ``crosstalk_on`` lookup per tuple, twirl and
-mask one window op at a time, and resolve noise per scheduled gate.  Every
+SABRE keeps each ready list's SWAP scores across its rounds (each
+candidate a delta from one base cost), CNOT concurrency reaches the
+idle-noise fold as arrays, the Clifford engines build the shared gate-noise
+masks and the window variants in array passes, and a program resolves gate
+noise once per distinct gate.  The ``oracle.compile`` references route with
+SABRE rebuilding every round and re-summing every pair per candidate,
+accumulate concurrency in a dict of ``(link, overlap)`` tuples and fold it
+with one ``crosstalk_on`` lookup per tuple, twirl and mask one window op or
+gate-noise event at a time, and resolve noise per scheduled gate.  Every
 rewrite claims the same bits, so every comparison here is exact: equal
 SWAPs, equal routed circuits, equal bytes, float hex for the rest.
 """
@@ -24,9 +26,11 @@ from oracle.compile import (
     choose_swap,
     concurrent_cnots,
     gate_template,
+    noise_mask_table,
     variant_mask_events,
     window_effect,
 )
+from oracle.compile import sabre_route as reference_route
 
 from repro.circuits import Gate, QuantumCircuit
 from repro.circuits.gates import gate_matrix
@@ -34,12 +38,12 @@ from repro.dd import XY4Sequence
 from repro.hardware import Backend, topologies
 from repro.hardware.devices import synthetic_device
 from repro.hardware.program import CompiledNoisyProgram, ResolvedOp
-from repro.simulators import channels
-from repro.simulators.engines import _window_variant_events
+from repro.simulators import channels, symplectic
+from repro.simulators.engines import _build_mask_table, _window_variant_events
 from repro.store.keys import circuit_fingerprint
 from repro.transpiler import Layout, sabre_route
 from repro.transpiler import routing
-from repro.transpiler.routing import _choose_swap, _Mapping
+from repro.transpiler.routing import _Mapping, _SwapScorer
 
 
 def _two_lines(width: int):
@@ -81,6 +85,29 @@ def heuristic_sets(draw):
     )
 
 
+def _scorer(backend, mapping, front, extended, weight):
+    return _SwapScorer(
+        front, extended, mapping.l2p, backend.adjacency_sets(), backend.distance_rows(), weight
+    )
+
+
+def _two_line_device(width: int) -> Backend:
+    return Backend(
+        synthetic_device(2 * width, edges=_two_lines(width), name=f"two_lines_{2 * width}")
+    )
+
+
+#: Devices of the long routing cases: a line, a heavy hex and two disjoint
+#: lines (look-ahead pairs across them score ``far``).
+ROUTING_DEVICES = {
+    "line_40": lambda: Backend(synthetic_device(40, edges=topologies.line(40), name="line_40")),
+    "heavy_hex_65": lambda: Backend(
+        synthetic_device(65, edges=topologies.heavy_hex(3), name="heavy_hex_65")
+    ),
+    "two_lines_40": lambda: _two_line_device(20),
+}
+
+
 class TestDeltaScoredSwap:
     @given(heuristic_sets())
     @settings(max_examples=300, deadline=None)
@@ -94,7 +121,24 @@ class TestDeltaScoredSwap:
             backend.distance_rows(),
             weight,
         )
-        assert _choose_swap(*args) == choose_swap(*args)
+        assert _scorer(backend, mapping, front, extended, weight).choose() == choose_swap(*args)
+
+    @given(case=heuristic_sets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_scorer_follows_a_swap_chain(self, case, data):
+        """A scorer kept across random SWAPs chooses what a fresh re-sum does."""
+        backend, mapping, front, extended, weight = case
+        scorer = _scorer(backend, mapping, front, extended, weight)
+        edges = sorted(
+            (a, b) for a, nbrs in enumerate(backend.adjacency_sets()) for b in nbrs if a < b
+        )
+        for _ in range(data.draw(st.integers(1, 25))):
+            a, b = data.draw(st.sampled_from(edges))
+            mapping.swap_physical(a, b)
+            scorer.swap(a, b)
+            assert scorer.choose() == choose_swap(
+                front, extended, mapping, backend.adjacency_sets(), backend.distance_rows(), weight
+            )
 
     @given(
         device=st.sampled_from(["line_9", "heavy_hex_27"]),
@@ -113,13 +157,74 @@ class TestDeltaScoredSwap:
             circuit.h(a).cx(a, b)
         circuit.measure_all()
         layout = Layout(tuple(range(9)))
+        _assert_same_route(circuit, backend, layout, lookahead)
+
+    @pytest.mark.parametrize("lookahead", [0, 3, 12])
+    @pytest.mark.parametrize("device", sorted(ROUTING_DEVICES))
+    def test_long_same_front_stretches_equal_the_per_round_route(
+        self, monkeypatch, device, lookahead
+    ):
+        """20-40 logical qubits, 100-300 CNOTs: most SWAP rounds keep their
+        scorer.  On the two-line device the CNOTs stay inside one line, and
+        in the second circuit one CNOT near the end crosses: until it reaches
+        the front it scores ``far`` in the look-ahead, and then both routes
+        must fail on it with the same physical qubits."""
+        backend = ROUTING_DEVICES[device]()
+        builds = []
+        original = routing._SwapScorer.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(routing._SwapScorer, "__init__", counting)
+        rng = np.random.default_rng(lookahead + 100 * len(device))
+        for crossing in (False, True):
+            num_logical = int(rng.integers(20, 41))
+            physical = tuple(int(q) for q in rng.permutation(backend.num_qubits)[:num_logical])
+            line_of = [p // 20 if device.startswith("two_lines") else 0 for p in physical]
+            pairs = []
+            while len(pairs) < int(rng.integers(100, 301)):
+                a, b = (int(q) for q in rng.choice(num_logical, size=2, replace=False))
+                if line_of[a] == line_of[b]:
+                    pairs.append((a, b))
+            if crossing and device.startswith("two_lines"):
+                a = line_of.index(0)
+                pairs.insert(9 * len(pairs) // 10, (a, line_of.index(1)))
+            circuit = QuantumCircuit(num_logical)
+            for a, b in pairs:
+                circuit.sx(a).cx(a, b)
+            circuit.measure_all()
+            builds.clear()
+            swaps = _assert_same_route(circuit, backend, Layout(physical), lookahead)
+            assert builds
+            if swaps is not None:
+                assert swaps > 2 * len(builds)
+            else:
+                assert crossing and len(builds) > 50
+
+    def test_unroutable_front_fails_at_build(self):
+        backend = _two_line_device(3)
+        circuit = QuantumCircuit(2).cx(0, 1)
+        with pytest.raises(RuntimeError, match="different components"):
+            sabre_route(circuit, backend, Layout((0, 5)))
+
+
+def _assert_same_route(circuit, backend, layout, lookahead):
+    """Route with production and the per-round reference: equal circuits,
+    layouts and SWAP counts, or the same error.  Returns the SWAP count."""
+    try:
         routed = sabre_route(circuit, backend, layout, lookahead=lookahead)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(routing, "_choose_swap", choose_swap)
-            reference = sabre_route(circuit, backend, layout, lookahead=lookahead)
-        assert routed.num_swaps == reference.num_swaps
-        assert routed.final_layout == reference.final_layout
-        assert circuit_fingerprint(routed.circuit) == circuit_fingerprint(reference.circuit)
+    except RuntimeError as error:
+        with pytest.raises(RuntimeError) as expected:
+            reference_route(circuit, backend, layout, lookahead=lookahead)
+        assert str(error) == str(expected.value)
+        return None
+    reference = reference_route(circuit, backend, layout, lookahead=lookahead)
+    assert routed.num_swaps == reference.num_swaps
+    assert routed.final_layout == reference.final_layout
+    assert circuit_fingerprint(routed.circuit) == circuit_fingerprint(reference.circuit)
+    return routed.num_swaps
 
 
 def _hex(effect):
@@ -340,6 +445,154 @@ class TestBatchedWindowVariants:
         assert built.counts.tolist() == [2, 2]
         assert built.masks[:, :2, 0].tolist() == [[0, 5], [0, 5]]
         assert _bits(built.cum[:, 2:]) == [(2.0).hex()] * 4
+
+
+@st.composite
+def two_qubit_channels(draw):
+    """A two-qubit Kraus list: depolarizing (all 16 branches, or only the
+    identity at 0), a product of one-qubit channels (dropped branches when
+    either factor drops some) or a random isometry."""
+    kind = draw(st.sampled_from(["depol", "depol_zero", "product", "random"]))
+    if kind == "depol":
+        return channels.depolarizing_two_qubit(draw(st.floats(1e-4, 0.5)))
+    if kind == "depol_zero":
+        return channels.depolarizing_two_qubit(0.0)
+    if kind == "product":
+        first, second = draw(one_qubit_channels()), draw(one_qubit_channels())
+        return [np.kron(a, b) for a in first for b in second]
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    isometry, _ = np.linalg.qr(
+        rng.standard_normal((4 * m, 4)) + 1j * rng.standard_normal((4 * m, 4))
+    )
+    return [isometry[4 * i : 4 * i + 4] for i in range(m)]
+
+
+class _TemplateStub:
+    """The slice of a compiled program the mask-table builder reads."""
+
+    def __init__(self, num_active, template, window_qubits):
+        self.num_active = num_active
+        self.template = template
+        self.index_of = {q: q for q in range(num_active)}
+        self.windows = [SimpleNamespace(qubit=q) for q in window_qubits]
+
+
+_STUB_GATES = [("h", 1), ("s", 1), ("sdg", 1), ("sx", 1), ("x", 1), ("rz", 1),
+               ("cx", 2), ("cz", 2), ("swap", 2)]
+
+
+@st.composite
+def mask_table_cases(draw):
+    """A random Clifford template with shared 1q/2q noise ops (some ops
+    reused, as compiled programs share them), window slots, and random
+    start rows for the suffix walk: zero rows and equal X and Z rows make
+    branches whose masks vanish, up to all 16 of a two-qubit event."""
+    words = draw(st.sampled_from([1, 4, 16]))
+    n = 64 * words - draw(st.integers(0, 63))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hot = [int(q) for q in rng.choice(n, size=min(n, 6), replace=False)]
+    template, window_qubits, pool = [], [], []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["gate", "gate", "noise1", "noise2", "reuse", "window"]))
+        if kind == "gate":
+            name, arity = draw(st.sampled_from(_STUB_GATES))
+            positions = tuple(draw(st.permutations(hot))[:arity])
+            params = (draw(st.integers(-3, 3)) * np.pi / 2,) if name == "rz" else ()
+            template.append(("op", ResolvedOp(positions, [], gate=Gate(name, positions, params))))
+        elif kind == "window":
+            template.append(("window", len(window_qubits)))
+            window_qubits.append(draw(st.sampled_from(hot)))
+        elif kind == "reuse" and pool:
+            template.append(("op", draw(st.sampled_from(pool))))
+        elif kind == "noise2" and len(hot) >= 2:
+            positions = tuple(draw(st.permutations(hot))[:2])
+            pool.append(ResolvedOp(positions, draw(two_qubit_channels())))
+            template.append(("op", pool[-1]))
+        else:
+            pool.append(ResolvedOp((draw(st.sampled_from(hot)),), draw(one_qubit_channels())))
+            template.append(("op", pool[-1]))
+    def random_row():
+        return int.from_bytes(rng.bytes(8 * words), "little") & ((1 << n) - 1)
+
+    x_rows, z_rows = symplectic.identity_suffix(n)
+    for q in hot:
+        shape = draw(st.sampled_from(["identity", "zero", "equal", "random"]))
+        if shape == "zero":
+            x_rows[q] = z_rows[q] = 0
+        elif shape == "equal":
+            x_rows[q] = z_rows[q] = random_row()
+        elif shape == "random":
+            x_rows[q], z_rows[q] = random_row(), random_row()
+    return _TemplateStub(n, template, window_qubits), (x_rows, z_rows)
+
+
+def _assert_same_table(built, reference):
+    assert sorted(built.groups) == sorted(reference.groups)
+    for k, group in built.groups.items():
+        expected = reference.groups[k]
+        assert group.counts.tolist() == expected.counts.tolist()
+        assert _bits(group.probs) == _bits(expected.probs)
+        assert _bits(group.cum) == _bits(expected.cum)
+        assert group.masks.shape == expected.masks.shape
+        assert np.array_equal(group.masks, expected.masks)
+    assert built.width.tolist() == reference.width.tolist()
+    assert built.row.tolist() == reference.row.tolist()
+    assert _bits(built.flip_free) == _bits(reference.flip_free)
+    assert built.shared_flip_free.hex() == reference.shared_flip_free.hex()
+    assert built.slot_windows.tolist() == reference.slot_windows.tolist()
+    assert built.events_before.tolist() == reference.events_before.tolist()
+    assert sorted(built.suffix_maps) == sorted(reference.suffix_maps)
+    for widx, maps in built.suffix_maps.items():
+        for rows, expected in zip(maps, reference.suffix_maps[widx]):
+            assert {p: r.tolist() for p, r in rows.items()} == {
+                p: r.tolist() for p, r in expected.items()
+            }
+
+
+def _tables(program, start_rows):
+    """``_build_mask_table``'s and the per-event reference's tables, both
+    walking from ``start_rows`` instead of the identity map."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            symplectic, "identity_suffix", lambda n: (list(start_rows[0]), list(start_rows[1]))
+        )
+        return _build_mask_table(program), noise_mask_table(program)
+
+
+class TestArrayMaskTable:
+    @given(mask_table_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_array_build_matches_the_per_event_path(self, case):
+        program, start_rows = case
+        _assert_same_table(*_tables(program, start_rows))
+
+    @pytest.mark.parametrize("zero_branches", [8, 16])
+    def test_many_zero_branches_sum_like_the_per_event_path(self, zero_branches):
+        """numpy's pairwise ``sum`` reorders from 8 terms on: a two-qubit
+        event with 8 or 16 zero-mask branches of 16 (the counts a zero row
+        pair on one qubit allows; an invertible map allows at most 4)."""
+        n = 70
+        x_rows, z_rows = symplectic.identity_suffix(n)
+        x_rows[0] = z_rows[0] = 0          # qubit 0: every Pauli vanishes
+        if zero_branches == 8:
+            x_rows[1] = z_rows[1] = 1 << 65  # qubit 1: I and Y vanish
+        else:
+            x_rows[1] = z_rows[1] = 0
+        op = ResolvedOp((0, 1), channels.depolarizing_two_qubit(0.37))
+        program = _TemplateStub(n, [("op", op), ("window", 0), ("op", op)], [1])
+        built, reference = _tables(program, (x_rows, z_rows))
+        _assert_same_table(built, reference)
+        zero = ~built.groups[2].masks.any(axis=2)
+        assert zero.sum(axis=1).tolist() == [zero_branches] * 2
+
+    def test_program_without_noise_events(self):
+        gate = ResolvedOp((0, 1), [], gate=Gate("cx", (0, 1)))
+        program = _TemplateStub(3, [("window", 0), ("op", gate), ("window", 1)], [0, 2])
+        built, reference = _tables(program, symplectic.identity_suffix(3))
+        _assert_same_table(built, reference)
+        assert built.groups == {} and built.shared_flip_free == 1.0
+        assert built.events_before.tolist() == [0, 0]
 
 
 class TestGateNoiseMemo:

@@ -13,13 +13,15 @@ QAOA-5.  ``COMPILED`` holds, per (device, workload) at calibration cycle 0,
 the compiled physical circuit's fingerprint, the initial and final layouts
 and the SWAP count.
 
-``MIRROR`` pins two device-scale mirror points the same way, and adds the
+``MIRROR`` pins three device-scale mirror points the same way, and adds the
 float hex of their ``hardware_scaling_point(..., seed=7)`` record's
 ``flip_free_probability``, ``success_probability`` and ``fidelity``.  At 63
 and 127 qubits the flip-free probability is still a normal float: it is the
 product over every window op's Pauli twirl, so a bit moved anywhere in the
 idle-window noise (crosstalk fold, concurrency overlaps, twirls) shows here.
-At 255 qubits it underflows to 0.0.
+At 255 qubits (the perfbench ``mirror-255`` point) it underflows to 0.0, so
+that pin holds the routed circuit, both layouts, the SWAP count and the
+sampled fidelity.
 """
 
 import functools
@@ -331,6 +333,49 @@ MIRROR = {
         ),
         347,
         ("0x1.7aadc80bf2543p-197", "0x0.0p+0", "0x1.8000000000000p-50"),
+    ),
+    ("line_255", "MIRROR:255@7"): (
+        "99f164c8185596d4f07d567a9355ba220aa6fe0d09c53cf5e5bcaa0b9ffbc8dc",
+        (
+            47, 168, 167, 166, 165, 164, 163, 162, 161, 160, 159, 46, 45, 157, 158,
+            156, 155, 154, 153, 152, 151, 150, 149, 148, 147, 146, 145, 144, 143,
+            142, 141, 140, 139, 44, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30,
+            29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 43, 127, 128, 129, 130, 131,
+            132, 133, 134, 135, 136, 137, 138, 126, 125, 124, 123, 42, 19, 121, 122,
+            120, 119, 118, 117, 116, 115, 114, 113, 112, 111, 110, 109, 108, 107,
+            106, 105, 104, 103, 102, 101, 100, 99, 98, 97, 96, 95, 94, 93, 92, 91,
+            90, 89, 88, 87, 86, 85, 84, 83, 82, 81, 80, 79, 78, 77, 76, 75, 74, 73,
+            72, 71, 18, 17, 195, 194, 193, 192, 191, 190, 189, 188, 187, 186, 185,
+            184, 183, 182, 181, 180, 179, 178, 16, 15, 56, 57, 58, 59, 60, 61, 62,
+            63, 64, 65, 66, 67, 68, 69, 70, 55, 54, 53, 52, 51, 14, 13, 198, 199,
+            200, 201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211, 212, 213,
+            12, 11, 228, 229, 230, 231, 232, 233, 234, 235, 236, 237, 10, 6, 1, 0,
+            2, 3, 4, 5, 7, 9, 248, 249, 250, 251, 252, 253, 254, 247, 246, 245, 244,
+            243, 242, 241, 240, 239, 238, 227, 226, 225, 224, 223, 222, 221, 220,
+            219, 218, 217, 216, 215, 214, 197, 196, 177, 176, 175, 174, 173, 172,
+            171, 170, 169, 50, 49, 48, 8,
+        ),
+        (
+            155, 156, 158, 157, 154, 153, 152, 151, 150, 149, 148, 147, 143, 144,
+            145, 146, 142, 141, 140, 139, 138, 137, 136, 135, 134, 133, 132, 131,
+            130, 129, 128, 127, 126, 125, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20,
+            19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 57, 58, 59, 60, 115, 116,
+            117, 118, 119, 120, 123, 124, 122, 121, 114, 113, 112, 111, 107, 108,
+            110, 109, 106, 105, 104, 103, 102, 101, 100, 99, 98, 97, 96, 95, 94, 93,
+            92, 91, 90, 89, 88, 87, 86, 85, 84, 83, 82, 81, 80, 79, 78, 77, 76, 75,
+            74, 73, 72, 71, 70, 69, 68, 67, 66, 65, 64, 63, 62, 61, 42, 41, 40, 39,
+            173, 174, 187, 188, 186, 185, 184, 183, 182, 181, 180, 179, 178, 177,
+            176, 175, 172, 171, 164, 163, 33, 34, 37, 38, 43, 44, 45, 46, 47, 48,
+            49, 50, 51, 52, 55, 56, 54, 53, 36, 35, 32, 31, 191, 192, 193, 194, 195,
+            196, 197, 198, 199, 200, 201, 202, 203, 204, 208, 207, 206, 205, 223,
+            224, 225, 226, 229, 230, 231, 232, 234, 233, 228, 227, 3, 2, 1, 0, 4, 5,
+            6, 7, 245, 246, 247, 248, 249, 250, 253, 254, 252, 251, 244, 243, 242,
+            241, 240, 239, 238, 237, 236, 235, 222, 221, 220, 219, 218, 217, 216,
+            215, 214, 213, 212, 211, 210, 209, 190, 189, 170, 169, 168, 167, 166,
+            165, 162, 161, 160, 159, 30,
+        ),
+        3294,
+        ("0x0.0p+0", "0x0.0p+0", "0x1.a000000000000p-50"),
     ),
 }
 

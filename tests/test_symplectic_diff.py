@@ -8,8 +8,12 @@ fingerprints results.  These tests lock that contract down:
 
 * seeded random Clifford circuits at widths crossing the 64/128-bit word
   boundaries (including exactly 64 and 65 qubits) drive both tableaus
-  gate-for-gate and compare rows, phases, deterministic flags and measured
-  outcomes;
+  through ``apply_gates`` and compare rows, phases, deterministic flags and
+  measured outcomes;
+* the qubit-major gate pass is compared with the boolean column rules one
+  gate at a time, over every gate name it accepts (``rz``/``u1``/``p`` at
+  all four quarter turns), together with the forced-pass support, and a
+  ``reset`` mid-circuit must leave the same state;
 * a 1000-tableau fuzz round-trips random boolean rows through
   ``pack_rows``/``unpack_rows`` and random packed words back through the
   boolean side;
@@ -29,6 +33,7 @@ from oracle import CliffordTableau, enumerate_probabilities, installed
 from repro.circuits import QuantumCircuit
 from repro.simulators import symplectic
 from repro.simulators.stabilizer import PackedCliffordTableau, StabilizerSimulator
+from repro.simulators.statevector import SimulationError
 from repro.workloads.mirror import mirror_target
 
 #: Widths straddling the packing boundaries: single partial word, exactly one
@@ -40,22 +45,29 @@ _ONE_QUBIT = ["x", "y", "z", "h", "s", "sdg", "sx", "sxdg"]
 _TWO_QUBIT = ["cx", "cz", "swap"]
 
 
-def _random_pair(n: int, seed: int, gates: int = 160):
-    """Drive a pure and a packed tableau through one random Clifford word."""
-    pure = CliffordTableau(n)
-    packed = PackedCliffordTableau(n)
+def _random_ops(n: int, seed: int, gates: int = 160, names=None):
+    """A seeded random word of ``(name, qubits, params)`` Clifford gates."""
     rng = np.random.default_rng(seed)
+    ops = []
     for _ in range(gates):
         if n >= 2 and rng.random() < 0.4:
             a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
             name = _TWO_QUBIT[int(rng.integers(0, len(_TWO_QUBIT)))]
-            getattr(pure, f"apply_{name}")(a, b)
-            getattr(packed, f"apply_{name}")(a, b)
+            ops.append((name, (a, b), ()))
         else:
             a = int(rng.integers(0, n))
             name = _ONE_QUBIT[int(rng.integers(0, len(_ONE_QUBIT)))]
-            getattr(pure, f"apply_{name}")(a)
-            getattr(packed, f"apply_{name}")(a)
+            ops.append((name, (a,), ()))
+    return ops
+
+
+def _random_pair(n: int, seed: int, gates: int = 160):
+    """Drive a pure and a packed tableau through one random Clifford word."""
+    pure = CliffordTableau(n)
+    packed = PackedCliffordTableau(n)
+    ops = _random_ops(n, seed, gates)
+    pure.apply_gates(ops)
+    packed.apply_gates(ops)
     return pure, packed
 
 
@@ -127,6 +139,95 @@ class TestTableauDifferential:
             pure = StabilizerSimulator().probabilities(circuit)
         assert calls["tableau"] == 1
         assert fast == pure
+
+
+#: Every gate name the gate pass accepts, rotations at all four quarter turns.
+_EVERY_GATE = (
+    [(name, 1, ()) for name in _ONE_QUBIT + ["id", "i"]]
+    + [(name, 2, ()) for name in _TWO_QUBIT + ["cnot"]]
+    + [
+        (name, 1, (turns * np.pi / 2,))
+        for name in ("rz", "u1", "p")
+        for turns in (0, 1, 2, 3, -1, 5)
+    ]
+)
+
+
+def _every_gate_ops(n: int, seed: int, rounds: int):
+    """``rounds`` shuffled passes over :data:`_EVERY_GATE` on random qubits
+    (two-qubit gates only when ``n >= 2``)."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(rounds):
+        for index in rng.permutation(len(_EVERY_GATE)):
+            name, arity, params = _EVERY_GATE[index]
+            if arity > n:
+                continue
+            qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+            ops.append((name, qubits, params))
+    return ops
+
+
+class TestQubitMajorGatePass:
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_every_gate_matches_the_column_rules(self, n):
+        """One gate per ``apply_gates`` call: equal rows and phases after each."""
+        pure, packed = _random_pair(n, seed=5000 + n, gates=40)
+        ops = _every_gate_ops(n, seed=6000 + n, rounds=3)
+        for op in ops:
+            pure.apply_gates([op])
+            packed.apply_gates([op])
+            _assert_same_state(pure, packed)
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_one_pass_equals_the_column_rules(self, n):
+        """A whole word in one pass: equal state and equal forced-pass support."""
+        ops = _every_gate_ops(n, seed=7000 + n, rounds=4)
+        pure = CliffordTableau(n)
+        packed = PackedCliffordTableau(n)
+        pure.apply_gates(ops)
+        packed.apply_gates(ops)
+        _assert_same_state(pure, packed)
+        base, basis = StabilizerSimulator().support_ops(n, ops)
+        with installed() as calls:
+            pure_base, pure_basis = StabilizerSimulator().support_ops(n, ops)
+        assert calls["tableau"] == 1
+        np.testing.assert_array_equal(base, pure_base)
+        np.testing.assert_array_equal(basis, pure_basis)
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 65])
+    def test_reset_mid_pass(self, n):
+        """``reset`` measures mid-pass: same outcomes, state and RNG position."""
+        ops = _every_gate_ops(n, seed=8000 + n, rounds=1)
+        ops += [("h", (0,), ()), ("reset", (0,), ())]
+        ops += _every_gate_ops(n, seed=8100 + n, rounds=1) + [("reset", (n - 1,), ())]
+        pure = CliffordTableau(n)
+        packed = PackedCliffordTableau(n)
+        rng_pure = np.random.default_rng(3)
+        rng_packed = np.random.default_rng(3)
+        pure.apply_gates(ops, rng_pure)
+        packed.apply_gates(ops, rng_packed)
+        _assert_same_state(pure, packed)
+        assert rng_pure.random() == rng_packed.random()
+        assert packed.is_deterministic(n - 1)
+        assert packed.measure(n - 1, None) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reset_circuit_matches_the_reference(self, seed):
+        """Bell pair, reset q0 (random outcome m), then q2 = 1 ^ m, reset q1."""
+        circuit = QuantumCircuit(3).h(0).cx(0, 1).reset(0).x(2).cx(1, 2).reset(1)
+        fast = StabilizerSimulator(seed=seed).probabilities(circuit)
+        with installed() as calls:
+            pure = StabilizerSimulator(seed=seed).probabilities(circuit)
+        assert calls["tableau"] == 1
+        assert fast == pure
+        assert fast in ({"001": 1.0}, {"000": 1.0})
+
+    def test_rejects_what_it_cannot_apply(self):
+        with pytest.raises(SimulationError):
+            PackedCliffordTableau(2).apply_gates([("t", (0,), ())])
+        with pytest.raises(SimulationError):
+            PackedCliffordTableau(2).apply_gates([("rz", (0,), (0.3,))])
 
 
 def _random_clifford_circuit(n: int, seed: int) -> QuantumCircuit:
