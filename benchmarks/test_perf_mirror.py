@@ -18,7 +18,9 @@ runners):
 * a **scaling curve** of cold end-to-end mirror points on 63-, 255- and
   1023-qubit line devices, each verified and each inside its own per-width
   ceiling — the widths that exercise one, four and sixteen packed symplectic
-  words per Pauli row.
+  words per Pauli row — printing each width's device build (calibration
+  generation) and gating the 1023-qubit build at
+  :data:`MAX_DEVICE_BUILD_SECONDS`.
 """
 
 from __future__ import annotations
@@ -37,14 +39,22 @@ MAX_POINT_SECONDS = 60.0
 
 #: Per-width wall-clock ceilings (seconds) for the cold line-device scaling
 #: curve, end to end (transpile + execute + ideal + verify; the device is
-#: built before the clock starts).  Measured on a 2-vCPU box: 0.24s / 2.2s /
-#: 26s, of which transpiling took 0.06s / 0.6s / 5.5s; the ceilings leave
-#: headroom for shared CI runners (about 10x at 255 qubits, 4-5x at 1023).
+#: built before the clock starts).  Measured on a 2-vCPU box: 0.20-0.30s /
+#: 1.8-2.2s / 21-29s, of which transpiling took 0.05s / 0.4-0.6s / 5.4-7.8s;
+#: the ceilings leave headroom for shared CI runners (over 10x at 255
+#: qubits, about 4x at 1023).
 #: At 1023 qubits most of the rest is per-window and per-gate Python in the
 #: program compile and the idle-window ops; the packed symplectic kernels
 #: keep the *engine* leg near-linear (the frame state is trajectories ×
 #: ceil(n/64) uint64 words).
 SCALING_CURVE_CEILINGS = {63: 30.0, 255: 30.0, 1023: 120.0}
+
+#: Ceiling (seconds) for building the 1023-qubit line device, whose
+#: calibration draws 1,043,462 (qubit, link) crosstalk pairs one scalar
+#: ``Generator`` call at a time into two arrays.  Measured on a 2-vCPU box:
+#: 0.03-0.04s / 0.26-0.41s / 4.1-6.2s at 63 / 255 / 1023 qubits; one object
+#: per pair took 12.7-12.9s at 1023.
+MAX_DEVICE_BUILD_SECONDS = 15.0
 
 #: Wall-clock fields excluded from the bit-identity comparison.
 _WALL_CLOCK_FIELDS = ("transpile_s", "evaluate_s")
@@ -107,15 +117,20 @@ def test_mirror_scaling_curve_63_to_1023_qubits():
     unverified points would only prove that wrong answers are fast.
     """
     print_section("mirror scaling curve (line devices)")
-    header = f"{'qubits':>7s} {'words':>6s} {'transpile_s':>12s} {'evaluate_s':>11s} {'total_s':>8s} {'verified':>9s}"
+    header = (
+        f"{'qubits':>7s} {'words':>6s} {'build_s':>8s} {'transpile_s':>12s}"
+        f" {'evaluate_s':>11s} {'total_s':>8s} {'verified':>9s}"
+    )
     print(header)
     rows = []
     for width, ceiling in sorted(SCALING_CURVE_CEILINGS.items()):
+        start = time.perf_counter()
         backend = Backend(
             synthetic_device(
                 width, edges=topologies.line(width), name=f"line_{width}"
             )
         )
+        build_s = time.perf_counter() - start
         start = time.perf_counter()
         record = hardware_scaling_point(
             backend,
@@ -127,12 +142,12 @@ def test_mirror_scaling_curve_63_to_1023_qubits():
         elapsed = time.perf_counter() - start
         words = -(-width // 64)
         print(
-            f"{width:7d} {words:6d} {record.transpile_s:12.2f}"
+            f"{width:7d} {words:6d} {build_s:8.2f} {record.transpile_s:12.2f}"
             f" {record.evaluate_s:11.2f} {elapsed:8.2f} {str(record.mirror_verified):>9s}"
         )
-        rows.append((width, elapsed, ceiling, record))
+        rows.append((width, build_s, elapsed, ceiling, record))
 
-    for width, elapsed, ceiling, record in rows:
+    for width, build_s, elapsed, ceiling, record in rows:
         assert record.engine == "stabilizer_frames", (width, record.engine)
         assert record.mirror_verified, f"{width}-qubit mirror target diverged"
         assert record.num_active_qubits == width
@@ -141,3 +156,8 @@ def test_mirror_scaling_curve_63_to_1023_qubits():
             f" (ceiling: {ceiling}s) — device-scale compilation or the"
             f" packed engine path regressed"
         )
+        if width == 1023:
+            assert build_s < MAX_DEVICE_BUILD_SECONDS, (
+                f"1023-qubit line device took {build_s:.1f}s to build"
+                f" (gate: {MAX_DEVICE_BUILD_SECONDS}s) — calibration generation regressed"
+            )

@@ -17,17 +17,31 @@ averages of :class:`~repro.hardware.devices.DeviceSpec`:
   qubit to be ~10x more vulnerable next to an active CNOT) but a heavy tail
   extends to non-neighbouring pairs, which is why localized characterisation
   is insufficient (Section 3.3).
+
+Every (qubit, link) pair gets its own draw -- 700 on Toronto, 64,262 on a
+255-qubit line, about a million on a 1023-qubit one -- so the crosstalk is
+held as two read-only ``(qubits, links)`` float arrays,
+:attr:`Calibration.dephasing_multipliers` and
+:attr:`Calibration.zz_shift_rates`, whose columns are the device's distinct
+canonical links (:attr:`Calibration.crosstalk_links`); a qubit on the link
+holds the neutral 1.0 and 0.0.  The draws themselves stay one scalar
+``Generator`` call at a time, in a fixed order: qubit by qubit, links in
+``device.edges`` order, and per pair ``lognormal``, ``random``, ``uniform``
+(only on the heavy tail), ``normal``.  Every sampled value, and so every
+calibration fingerprint and store key, is a function of that order;
+vectorised draws would consume the stream in another order and move them
+all.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import topologies
 from .devices import DeviceSpec
 
 __all__ = [
@@ -80,11 +94,12 @@ class CrosstalkEntry:
     zz_shift_rate: float          # signed coherent phase accumulation, rad/ns
 
 
-#: The crosstalk of a (qubit, link) pair the calibration has no entry for.
+#: The crosstalk of a (qubit, link) pair without a draw: a qubit on the
+#: link, a link the device lacks or a qubit outside the register.
 _NEUTRAL_CROSSTALK = CrosstalkEntry(dephasing_multiplier=1.0, zz_shift_rate=0.0)
 
 
-@dataclass
+@dataclass(eq=False)  # a generated __eq__ would compare arrays and raise
 class Calibration:
     """A full calibration snapshot of a device."""
 
@@ -92,7 +107,16 @@ class Calibration:
     cycle: int
     qubits: Dict[int, QubitCalibration]
     links: Dict[Edge, LinkCalibration]
-    crosstalk: Dict[Tuple[int, Edge], CrosstalkEntry]
+    #: The distinct canonical links, in the order they first appear in
+    #: ``device.edges``: the columns of the two crosstalk arrays.
+    crosstalk_links: Tuple[Edge, ...]
+    #: Read-only ``(qubit, link column)`` arrays of each pair's
+    #: ``dephasing_multiplier`` and ``zz_shift_rate``.
+    dephasing_multipliers: np.ndarray
+    zz_shift_rates: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._columns = {link: i for i, link in enumerate(self.crosstalk_links)}
 
     # -- lookups ------------------------------------------------------------
 
@@ -104,22 +128,45 @@ class Calibration:
 
     def crosstalk_on(self, qubit: int, link: Edge) -> CrosstalkEntry:
         """Crosstalk felt by ``qubit`` while a CNOT runs on ``link``."""
-        return self.crosstalk.get((qubit, _canonical_link(link)), _NEUTRAL_CROSSTALK)
+        column = self._columns.get(_canonical_link(link))
+        if column is None or not 0 <= qubit < self.device.num_qubits:
+            return _NEUTRAL_CROSSTALK
+        return CrosstalkEntry(
+            dephasing_multiplier=float(self.dephasing_multipliers[qubit, column]),
+            zz_shift_rate=float(self.zz_shift_rates[qubit, column]),
+        )
+
+    def crosstalk_columns(self, links: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every qubit's crosstalk over ``links``, as two ``(qubits, links)`` arrays.
+
+        The first holds each pair's ``dephasing_multiplier - 1.0``, the
+        second its ``zz_shift_rate``: the two factors the idle-noise model
+        multiplies a concurrent CNOT's overlap by.  A link the device lacks
+        reads the neutral 0.0 and 0.0.
+        """
+        known, columns = self._known_columns(links)
+        excess = np.zeros((self.device.num_qubits, len(links)))
+        zz_rates = np.zeros_like(excess)
+        excess[:, known] = self.dephasing_multipliers[:, columns] - 1.0
+        zz_rates[:, known] = self.zz_shift_rates[:, columns]
+        return excess, zz_rates
 
     def crosstalk_rows(
         self, qubit: int, links: Sequence[Edge]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``qubit``'s crosstalk over ``links``, as two aligned arrays.
+        """``qubit``'s row of :meth:`crosstalk_columns`, neutral outside the register."""
+        excess, zz_rates = np.zeros(len(links)), np.zeros(len(links))
+        if 0 <= qubit < self.device.num_qubits:
+            known, columns = self._known_columns(links)
+            excess[known] = self.dephasing_multipliers[qubit, columns] - 1.0
+            zz_rates[known] = self.zz_shift_rates[qubit, columns]
+        return excess, zz_rates
 
-        The first holds each link's ``dephasing_multiplier - 1.0``, the
-        second its ``zz_shift_rate``: the two factors the idle-noise model
-        multiplies a concurrent CNOT's overlap by.
-        """
-        entries = [self.crosstalk_on(qubit, link) for link in links]
-        return (
-            np.array([e.dephasing_multiplier - 1.0 for e in entries], dtype=float),
-            np.array([e.zz_shift_rate for e in entries], dtype=float),
-        )
+    def _known_columns(self, links: Sequence[Edge]) -> Tuple[List[int], List[int]]:
+        """The positions in ``links`` of the device's links, and their columns."""
+        columns = [self._columns.get(_canonical_link(link)) for link in links]
+        known = [i for i, column in enumerate(columns) if column is not None]
+        return known, [columns[i] for i in known]
 
     def cnot_duration(self, a: int, b: int) -> float:
         return self.link((a, b)).duration_ns
@@ -234,53 +281,70 @@ def generate_calibration(
             duration = float(rng.uniform(high * 0.8, high))
         links[edge] = LinkCalibration(cnot_error=error, duration_ns=duration)
 
-    crosstalk: Dict[Tuple[int, Edge], CrosstalkEntry] = {}
-    # One memo lookup for the whole loop: the per-combination sweep touches
-    # thousands of pairs on the larger heavy-hex devices.
-    distances = _distance_lookup(device)
-    for qubit, link in device.qubit_link_combinations():
-        link = _canonical_link(link)
-        dist = min(distances(qubit, link[0]), distances(qubit, link[1]))
-        if dist <= 1:
-            multiplier = _lognormal(rng, 8.0, 0.55)
-            zz_scale = 6.0
-        elif dist == 2:
-            multiplier = _lognormal(rng, 2.5, 0.6)
-            zz_scale = 2.0
-        else:
-            multiplier = _lognormal(rng, 0.9, 0.7)
-            zz_scale = 0.4
-        # Heavy tail: occasionally a distant pair couples strongly (frequency
-        # collision), which defeats purely local characterisation.
-        if rng.random() < 0.03:
-            multiplier *= float(rng.uniform(3.0, 8.0))
-            zz_scale *= 3.0
-        zz_rate = float(
-            rng.normal(0.0, device.idle_dephasing_rate * zz_scale)
-        )
-        crosstalk[(qubit, link)] = CrosstalkEntry(
-            dephasing_multiplier=max(1.0, multiplier),
-            zz_shift_rate=zz_rate,
-        )
-
+    crosstalk_links = tuple(links)
+    multipliers, zz_rates = _draw_crosstalk(device, crosstalk_links, rng)
     return Calibration(
-        device=device, cycle=cycle, qubits=qubits, links=links, crosstalk=crosstalk
+        device=device,
+        cycle=cycle,
+        qubits=qubits,
+        links=links,
+        crosstalk_links=crosstalk_links,
+        dephasing_multipliers=multipliers,
+        zz_shift_rates=zz_rates,
     )
 
 
-def _distance_lookup(device: DeviceSpec):
-    """O(1) pair-distance function over the shared topology memo.
+#: Per distance class -- adjacent (distance <= 1), distance 2, farther or
+#: disconnected -- the mean and sigma of the dephasing multiplier's
+#: lognormal and the scale of the ZZ rate's standard deviation.
+_CROSSTALK_CLASSES = ((8.0, 0.55, 6.0), (2.5, 0.6, 2.0), (0.9, 0.7, 0.4))
 
-    The memoized array is fetched once (its content key costs O(edges) to
-    build) and closed over; disconnected pairs read as ``num_qubits`` (far).
+
+def _draw_crosstalk(
+    device: DeviceSpec, links: Sequence[Edge], rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw every (qubit, link) pair's crosstalk into two read-only arrays.
+
+    Pairs go qubit by qubit, edges in ``device.edges`` order, skipping
+    pairs where the qubit is on the edge; an edge listed twice (``(0, 1)``
+    and ``(1, 0)``) draws twice and the later draw is kept.  Each pair's
+    distance class comes from one array operation on the memoised distance
+    array, and each class's lognormal ``mu`` is computed once.
     """
-    from . import topologies
+    columns = {link: i for i, link in enumerate(links)}
+    edges = [(a, b, columns[_canonical_link((a, b))]) for a, b in device.edges]
+    ends = np.array(device.edges, dtype=np.intp).reshape(-1, 2)
+    distances = topologies.distance_array(device.edges, device.num_qubits)
+    nearest = np.minimum(distances[:, ends[:, 0]], distances[:, ends[:, 1]])
+    # Distances are integer hop counts or inf (disconnected): the class is
+    # how many of the thresholds 1 and 2 the nearest endpoint lies beyond.
+    classes = (nearest > 1).astype(np.intp) + (nearest > 2)
+    rate = device.idle_dephasing_rate
+    draws = [
+        # ``zz_scale`` is tripled before it multiplies the rate on the tail.
+        (np.log(mean) - sigma ** 2 / 2, sigma, rate * zz_scale, rate * (zz_scale * 3.0))
+        for mean, sigma, zz_scale in _CROSSTALK_CLASSES
+    ]
 
-    array = topologies.distance_array(device.edges, device.num_qubits)
-    far = device.num_qubits
-
-    def lookup(a: int, b: int) -> int:
-        value = array[a, b]
-        return int(value) if math.isfinite(value) else far
-
-    return lookup
+    multipliers = np.ones((device.num_qubits, len(links)))
+    zz_rates = np.zeros_like(multipliers)
+    lognormal, random, uniform, normal = rng.lognormal, rng.random, rng.uniform, rng.normal
+    for qubit in range(device.num_qubits):
+        multiplier_row, zz_row = multipliers[qubit], zz_rates[qubit]
+        for (a, b, column), pair_class in zip(edges, classes[qubit].tolist()):
+            if qubit == a or qubit == b:
+                continue
+            mu, sigma, zz_std, tail_zz_std = draws[pair_class]
+            multiplier = lognormal(mu, sigma)
+            # Heavy tail: occasionally a distant pair couples strongly
+            # (frequency collision), which defeats purely local
+            # characterisation.
+            if random() < 0.03:
+                multiplier *= uniform(3.0, 8.0)
+                zz_std = tail_zz_std
+            zz_row[column] = normal(0.0, zz_std)
+            # max(1.0, multiplier), without the builtin call per pair.
+            multiplier_row[column] = multiplier if multiplier > 1.0 else 1.0
+    multipliers.setflags(write=False)
+    zz_rates.setflags(write=False)
+    return multipliers, zz_rates

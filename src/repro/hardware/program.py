@@ -334,7 +334,7 @@ class CompiledNoisyProgram:
         self._sequences: Dict[str, object] = {}
         self._trains: Dict[Tuple[str, int], Optional[object]] = {}
         self._window_ops: Dict[Tuple[int, Optional[str]], List[ResolvedOp]] = {}
-        self._crosstalk_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._crosstalk: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._ideal_support: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Scratch space for engines to memoize program-derived state
         #: (e.g. the stabilizer engine's ideal spectrum and noise masks).
@@ -401,19 +401,18 @@ class CompiledNoisyProgram:
         """Window ``widx``'s crosstalk terms for the idle-noise model.
 
         ``(dephasing_multiplier - 1.0, zz_shift_rate, overlap_ns)`` over the
-        window's concurrent links.  The first two are gathered from its
-        qubit's crosstalk rows over ``gst.cnot_links``, built on first use,
-        so a program looks each (qubit, link) pair up once.
+        window's concurrent links.  The first two are gathered from every
+        qubit's crosstalk over ``gst.cnot_links``, one column gather per
+        program (:meth:`Calibration.crosstalk_columns`) on first use.
         """
-        qubit = self.windows[widx].qubit
-        rows = self._crosstalk_rows.get(qubit)
-        if rows is None:
-            rows = self.backend.idle_noise.calibration.crosstalk_rows(
-                qubit, self.gst.cnot_links
+        if self._crosstalk is None:
+            self._crosstalk = self.backend.idle_noise.calibration.crosstalk_columns(
+                self.gst.cnot_links
             )
-            self._crosstalk_rows[qubit] = rows
+        excess, zz_rates = self._crosstalk
+        qubit = self.windows[widx].qubit
         links, overlaps = self.concurrent[widx]
-        return rows[0][links], rows[1][links], overlaps
+        return excess[qubit, links], zz_rates[qubit, links], overlaps
 
     def window_ops(self, widx: int, variant: Optional[str]) -> List[ResolvedOp]:
         """Noise ops of one idle window under one variant.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import abc
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +61,10 @@ __all__ = [
 #:    path — stored results of affected tasks are no longer comparable.
 SCHEMA_VERSION = 3
 
+#: Exact types :func:`_canonical` passes through before any ``isinstance``
+#: test: the leaves of every payload (a calibration has tens of thousands).
+_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
+
 
 def _canonical(value):
     """Normalise a value into JSON-stable primitives.
@@ -69,7 +74,9 @@ def _canonical(value):
     are kept as floats — CPython serialises them via the shortest round-trip
     ``repr``, which is deterministic across processes and platforms.
     """
-    if isinstance(value, Mapping):
+    if type(value) in _LEAF_TYPES:
+        return value
+    if isinstance(value, abc.Mapping):
         return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted((_canonical(v) for v in value), key=json.dumps)
@@ -143,8 +150,12 @@ def calibration_fingerprint(calibration: "Calibration") -> str:
     than the ``(device, cycle)`` pair that seeded them) means any change to
     the calibration generator — new fields, different distributions — changes
     the fingerprint and therefore invalidates every dependent store entry,
-    with no manual versioning.
+    with no manual versioning.  The crosstalk entries are keyed
+    ``"{qubit}@{a}-{b}"`` for every drawn pair (the qubit off the link).
     """
+    num_qubits = calibration.device.num_qubits
+    multipliers = calibration.dephasing_multipliers.tolist()
+    zz_rates = calibration.zz_shift_rates.tolist()
     payload = {
         "device": device_fingerprint(calibration.device),
         "cycle": calibration.cycle,
@@ -169,8 +180,10 @@ def calibration_fingerprint(calibration: "Calibration") -> str:
             for (a, b), link in sorted(calibration.links.items())
         },
         "crosstalk": {
-            f"{q}@{a}-{b}": [entry.dephasing_multiplier, entry.zz_shift_rate]
-            for (q, (a, b)), entry in sorted(calibration.crosstalk.items())
+            f"{q}@{a}-{b}": [multipliers[q][column], zz_rates[q][column]]
+            for column, (a, b) in enumerate(calibration.crosstalk_links)
+            for q in range(num_qubits)
+            if q != a and q != b
         },
     }
     return fingerprint(payload)

@@ -121,7 +121,7 @@ def sabre_route(
     limit = max_iterations or (10 * len(gates) + 1000)
     iterations = 0
 
-    l2p = mapping.l2p
+    l2p, p2l = mapping.l2p, mapping.p2l
     # Per-gate classification, resolved once instead of per scheduling round.
     two_qubit = [g.is_two_qubit for g in gates]
     gate_qubits = [g.qubits for g in gates]
@@ -146,19 +146,27 @@ def sabre_route(
     # ready list as it was unless a gate becomes executable, so the scorer is
     # kept across consecutive SWAP rounds and only rebuilt after an emit.
     scorer: Optional[_SwapScorer] = None
+    # While the scorer is kept, the ready list holds only blocked two-qubit
+    # gates, at most one on each logical qubit (``front_of``): after a SWAP
+    # only the gates on its two qubits can have become executable.
+    front_of: Dict[int, int] = {}
+    swap: Optional[Tuple[int, int]] = None
     while ready:
         iterations += 1
         if iterations > limit:
             raise RuntimeError("routing failed to converge (SWAP limit exceeded)")
-        progressed = False
-        for index in sorted(ready):
-            if is_executable(index):
-                ready.remove(index)
-                emit(index)
-                progressed = True
-        if progressed:
-            scorer = None
-            continue
+        if scorer is None or any(
+            is_executable(front_of[p2l[p]]) for p in swap if p2l.get(p) in front_of
+        ):
+            progressed = False
+            for index in sorted(ready):
+                if is_executable(index):
+                    ready.remove(index)
+                    emit(index)
+                    progressed = True
+            if progressed:
+                scorer = None
+                continue
 
         # Every ready gate is a blocked two-qubit gate: pick a SWAP.
         if scorer is None:
@@ -178,6 +186,7 @@ def sabre_route(
             scorer = _SwapScorer(
                 front, extended, l2p, adjacency, dist_rows, lookahead_weight
             )
+            front_of = {q: i for i in ready for q in gate_qubits[i]}
         else:
             scorer.swap(*swap)  # the ready list held: follow the last SWAP
         swap = scorer.choose()

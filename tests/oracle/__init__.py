@@ -32,6 +32,9 @@ compile and evaluate steps: SABRE rebuilding and re-summing every round, the
 dict-accumulating concurrent-CNOT scan, the per-tuple crosstalk fold, and
 the per-op window-variant and per-event gate-noise mask paths.
 ``tests/test_compile_differential.py`` imports them directly.
+:mod:`oracle.calibration` keeps calibration generation with one
+``CrosstalkEntry`` per (qubit, link) pair in a dict, which
+``tests/test_calibration_differential.py`` compares with the arrays.
 
 The references hand masks and suffix maps back packed by
 :func:`repro.simulators.symplectic.pack_rows`, so production code never sees

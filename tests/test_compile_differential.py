@@ -203,6 +203,21 @@ class TestDeltaScoredSwap:
             else:
                 assert crossing and len(builds) > 50
 
+    def test_one_swap_frees_two_gates_out_of_index_order(self):
+        """SWAP (1, 2) frees both front gates; the one now at physical 1 has
+        the larger index, so the two are emitted in index order, not SWAP
+        endpoint order."""
+        backend = _backend("line_9")
+        circuit = QuantumCircuit(4).cx(1, 3).cx(0, 2)
+        layout = Layout((0, 1, 2, 3))
+        routed = sabre_route(circuit, backend, layout)
+        assert [(g.name, g.qubits) for g in routed.circuit] == [
+            ("swap", (1, 2)),
+            ("cx", (2, 3)),
+            ("cx", (0, 1)),
+        ]
+        assert _assert_same_route(circuit, backend, layout, lookahead=12) == 1
+
     def test_unroutable_front_fails_at_build(self):
         backend = _two_line_device(3)
         circuit = QuantumCircuit(2).cx(0, 1)

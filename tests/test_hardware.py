@@ -1,5 +1,6 @@
 """Tests for topologies, device specs, calibration snapshots and backends."""
 
+import gc
 import math
 
 import networkx as nx
@@ -146,13 +147,29 @@ class TestCalibration:
         calibration = generate_calibration(device, cycle=0)
         adjacent, distant = [], []
         distances = topologies.distance_matrix(device.edges, device.num_qubits)
-        for (qubit, link), entry in calibration.crosstalk.items():
-            distance = min(distances[(qubit, link[0])], distances[(qubit, link[1])])
-            if distance <= 1:
-                adjacent.append(entry.dephasing_multiplier)
-            elif distance >= 3:
-                distant.append(entry.dephasing_multiplier)
+        for column, link in enumerate(calibration.crosstalk_links):
+            for qubit in range(device.num_qubits):
+                if qubit in link:
+                    continue
+                multiplier = calibration.dephasing_multipliers[qubit, column]
+                distance = min(distances[(qubit, link[0])], distances[(qubit, link[1])])
+                if distance <= 1:
+                    adjacent.append(multiplier)
+                elif distance >= 3:
+                    distant.append(multiplier)
         assert np.mean(adjacent) > 2 * np.mean(distant)
+
+    def test_device_scale_build_adds_few_tracked_objects(self):
+        """A 255-qubit line's 64,262 crosstalk pairs live in two arrays, not
+        in one object each (the per-pair form added 46,676-65,602)."""
+        Backend(synthetic_device(5, edges=topologies.line(5), name="line_5"))  # imports
+        gc.collect()
+        before = len(gc.get_objects())
+        backend = Backend(synthetic_device(255, edges=topologies.line(255), name="line_255"))
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert backend.num_qubits == 255
+        assert added < 5000
 
     def test_table3_style_summaries(self):
         calibration = generate_calibration(get_device("ibmq_toronto"), cycle=0)

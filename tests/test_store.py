@@ -15,7 +15,13 @@ import pytest
 from repro.core.evaluation import BenchmarkEvaluation, PolicyOutcome
 from repro.dd.insertion import DDAssignment
 from repro.circuits import QuantumCircuit
-from repro.hardware import calibration_seed, generate_calibration, get_device
+from repro.hardware import (
+    calibration_seed,
+    generate_calibration,
+    get_device,
+    synthetic_device,
+    topologies,
+)
 from repro.hardware.execution import NoisyExecutor
 from repro.runtime import SweepOrchestrator, SweepSpec, available_task_kinds, resolve_task_key
 from repro.store import (
@@ -447,6 +453,22 @@ PINNED_TASK_KEYS = {
     ),
 }
 
+#: Calibration fingerprints of two device-scale snapshots at cycle 0: a
+#: 255-qubit line (64,262 crosstalk pairs) and the 127-qubit heavy hex
+#: (18,000).  Task keys embed these, so a moved literal moves every key of a
+#: task on that device.
+PINNED_CALIBRATIONS = {
+    "line_255": "53f8344de12e93037e5f631161cd52475c4de0a916471c7ef1fab23bb3b44da2",
+    "heavy_hex:4": "14197f848006d763bebb8d5f5bc29370802cba6a94c90918ae1a57c8e03b9ee1",
+}
+
+
+def _pinned_device(name: str):
+    if name.startswith("line_"):
+        width = int(name[len("line_"):])
+        return synthetic_device(width, edges=topologies.line(width), name=name)
+    return get_device(name)
+
 
 class TestTaskKeyPins:
     def test_every_registered_kind_is_pinned(self):
@@ -464,6 +486,11 @@ class TestTaskKeyPins:
     def test_task_key_is_unchanged(self, kind):
         params, key = PINNED_TASK_KEYS[kind]
         assert resolve_task_key(kind, params) == key
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CALIBRATIONS))
+    def test_device_scale_calibration_is_unchanged(self, name):
+        calibration = generate_calibration(_pinned_device(name), cycle=0)
+        assert calibration_fingerprint(calibration) == PINNED_CALIBRATIONS[name]
 
 
 class TestCanonicalWorkloadSpelling:
