@@ -35,14 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from ..core.evaluation import compiled_ideal_distribution
-from ..core.ideal import PROGRAM_TIERS, support_distribution, tier_method
 from ..hardware.backend import Backend
-from ..metrics.fidelity import fidelity, success_probability
-from ..transpiler.transpile import transpile
-from ..workloads.suite import get_benchmark
 
 __all__ = [
     "DEFAULT_SCALING_BENCHMARKS",
@@ -88,10 +83,11 @@ class HardwareScalingRecord:
 
     Two wall-clock buckets time the point, and they are the only fields that
     vary between runs of the same point: ``transpile_s`` covers building the
-    workload circuit and transpiling it onto the device; ``evaluate_s``
-    covers everything after that up to the ideal output: the executor, the
-    noisy-program compile, the engine run and the ideal distribution.
-    Neither covers building the device or assembling this record.
+    execution context: the workload circuit, its transpile onto the device,
+    the pick of its ideal-output tier and the executor; ``evaluate_s``
+    covers everything after that: the noisy-program compile, the engine run,
+    the ideal distribution and the scores against it.  Neither covers
+    building the device or assembling this record.
     """
 
     device: str
@@ -141,43 +137,28 @@ def hardware_scaling_point(
     metrics — including the exact flip-free probability — uniform across the
     device axis), while everything else is a measurement context and stays
     on ``"auto_dense"`` (where the executor's memory budget steers large
-    active spaces to the trajectory engine).
+    active spaces to the trajectory engine).  The point compiles, runs and
+    scores through the service's
+    :class:`~repro.service.requests.ExecutionContext`, as a ``benchmark_run``
+    request does.
     """
-    from ..hardware.execution import NoisyExecutor
+    from ..service.requests import ExecutionContext
 
     benchmark = device_proportional_benchmark(str(benchmark), backend)
-    spec = get_benchmark(benchmark)
-    if engine is None:
-        engine = spec.default_engine
-
-    calibration = backend.calibration
-
     start = time.perf_counter()
-    compiled = transpile(spec.build(), backend)
+    context = ExecutionContext(backend, benchmark, trajectories)
     transpile_s = time.perf_counter() - start
 
+    spec, compiled = context.spec, context.compiled
+    if engine is None:
+        engine = spec.default_engine
     start = time.perf_counter()
-    executor = NoisyExecutor(backend, seed=seed, trajectories=trajectories)
-    # Picking the tier first fails a circuit no tier covers before any
-    # engine runs; the tableau tier's support is read after the run, which
-    # has computed it if a Clifford engine ran.
-    tableau = tier_method(compiled.physical_circuit, PROGRAM_TIERS) == "tableau"
-    result = executor.run(
-        compiled.physical_circuit,
-        shots=shots,
-        output_qubits=compiled.output_qubits,
-        gst=compiled.gst,
-        engine=engine,
-        seed=seed,
-    )
-    ideal = (
-        _tableau_ideal(executor, compiled) if tableau else compiled_ideal_distribution(compiled)
-    )
+    (result,) = context.run([(shots, seed, engine)])
+    scores = context.scores(result.probabilities)
     evaluate_s = time.perf_counter() - start
 
-    target, verified = spec.verify(ideal)
+    calibration = backend.calibration
     flip_free = result.metadata.get("flip_free_probability")
-
     return HardwareScalingRecord(
         device=backend.name,
         num_qubits=backend.num_qubits,
@@ -195,25 +176,11 @@ def hardware_scaling_point(
         latency_us=compiled.latency_us(),
         num_active_qubits=result.num_active_qubits,
         engine=result.engine,
-        fidelity=fidelity(ideal, result.probabilities),
-        success_probability=success_probability(ideal, result.probabilities),
         transpile_s=transpile_s,
         evaluate_s=evaluate_s,
-        mirror_target=target,
-        mirror_verified=verified,
         flip_free_probability=None if flip_free is None else float(flip_free),
+        **scores,
     )
-
-
-def _tableau_ideal(executor, compiled) -> Dict[str, float]:
-    """The point's tableau-tier ideal from its noisy program's memoized support.
-
-    The program's active qubits are the circuit's but for any that only a
-    barrier touches, and those read 0 on both paths.
-    """
-    program = executor.compile(compiled.physical_circuit, compiled.gst)
-    base, basis = program.ideal_support()
-    return support_distribution(base, basis, program.active, compiled.output_qubits)
 
 
 def hardware_scaling_study(

@@ -23,8 +23,9 @@ A circuit no tier covers raises a :class:`ValueError` naming its width.
 
 :func:`tier_method` names the tier a circuit would take, and
 :func:`support_distribution` is the tableau tier's last step on its own, for
-a caller that already holds the support: the hardware-scaling study reads it
-from the compiled noisy program the Clifford engines have just used.
+a caller that already holds the support: an execution context
+(:class:`repro.service.requests.ExecutionContext`) reads it from the compiled
+noisy program the Clifford engines have just used.
 """
 
 from __future__ import annotations

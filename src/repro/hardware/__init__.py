@@ -10,7 +10,6 @@ from .devices import (
 )
 from .calibration import (
     Calibration,
-    CrosstalkEntry,
     LinkCalibration,
     QubitCalibration,
     calibration_seed,
@@ -40,7 +39,6 @@ __all__ = [
     "BatchJob",
     "Calibration",
     "CompiledNoisyProgram",
-    "CrosstalkEntry",
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "DEVICES",
     "DeviceSpec",

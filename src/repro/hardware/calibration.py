@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .devices import DeviceSpec
 __all__ = [
     "QubitCalibration",
     "LinkCalibration",
-    "CrosstalkEntry",
     "Calibration",
     "calibration_seed",
     "generate_calibration",
@@ -86,19 +85,6 @@ class LinkCalibration:
     duration_ns: float
 
 
-@dataclass(frozen=True)
-class CrosstalkEntry:
-    """Effect of CNOT activity on one link on one spectator qubit."""
-
-    dephasing_multiplier: float   # multiplies the quasi-static dephasing rate
-    zz_shift_rate: float          # signed coherent phase accumulation, rad/ns
-
-
-#: The crosstalk of a (qubit, link) pair without a draw: a qubit on the
-#: link, a link the device lacks or a qubit outside the register.
-_NEUTRAL_CROSSTALK = CrosstalkEntry(dephasing_multiplier=1.0, zz_shift_rate=0.0)
-
-
 @dataclass(eq=False)  # a generated __eq__ would compare arrays and raise
 class Calibration:
     """A full calibration snapshot of a device."""
@@ -126,16 +112,6 @@ class Calibration:
     def link(self, link: Edge) -> LinkCalibration:
         return self.links[_canonical_link(link)]
 
-    def crosstalk_on(self, qubit: int, link: Edge) -> CrosstalkEntry:
-        """Crosstalk felt by ``qubit`` while a CNOT runs on ``link``."""
-        column = self._columns.get(_canonical_link(link))
-        if column is None or not 0 <= qubit < self.device.num_qubits:
-            return _NEUTRAL_CROSSTALK
-        return CrosstalkEntry(
-            dephasing_multiplier=float(self.dephasing_multipliers[qubit, column]),
-            zz_shift_rate=float(self.zz_shift_rates[qubit, column]),
-        )
-
     def crosstalk_columns(self, links: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray]:
         """Every qubit's crosstalk over ``links``, as two ``(qubits, links)`` arrays.
 
@@ -144,29 +120,14 @@ class Calibration:
         multiplies a concurrent CNOT's overlap by.  A link the device lacks
         reads the neutral 0.0 and 0.0.
         """
-        known, columns = self._known_columns(links)
-        excess = np.zeros((self.device.num_qubits, len(links)))
-        zz_rates = np.zeros_like(excess)
-        excess[:, known] = self.dephasing_multipliers[:, columns] - 1.0
-        zz_rates[:, known] = self.zz_shift_rates[:, columns]
-        return excess, zz_rates
-
-    def crosstalk_rows(
-        self, qubit: int, links: Sequence[Edge]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``qubit``'s row of :meth:`crosstalk_columns`, neutral outside the register."""
-        excess, zz_rates = np.zeros(len(links)), np.zeros(len(links))
-        if 0 <= qubit < self.device.num_qubits:
-            known, columns = self._known_columns(links)
-            excess[known] = self.dephasing_multipliers[qubit, columns] - 1.0
-            zz_rates[known] = self.zz_shift_rates[qubit, columns]
-        return excess, zz_rates
-
-    def _known_columns(self, links: Sequence[Edge]) -> Tuple[List[int], List[int]]:
-        """The positions in ``links`` of the device's links, and their columns."""
         columns = [self._columns.get(_canonical_link(link)) for link in links]
         known = [i for i, column in enumerate(columns) if column is not None]
-        return known, [columns[i] for i in known]
+        drawn = [columns[i] for i in known]
+        excess = np.zeros((self.device.num_qubits, len(links)))
+        zz_rates = np.zeros_like(excess)
+        excess[:, known] = self.dephasing_multipliers[:, drawn] - 1.0
+        zz_rates[:, known] = self.zz_shift_rates[:, drawn]
+        return excess, zz_rates
 
     def cnot_duration(self, a: int, b: int) -> float:
         return self.link((a, b)).duration_ns

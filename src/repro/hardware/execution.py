@@ -341,11 +341,12 @@ class NoisyExecutor:
     """Simulates scheduled circuits under the backend's noise model.
 
     Every execution goes through :meth:`run_batch`: the circuit is compiled
-    once (with a per-executor compile cache keyed by the circuit and
-    schedule, so repeated runs stop rebuilding the GST events) and all jobs
-    run against the shared compiled program.  Cache efficacy is observable
-    end to end: compile-cache hit/miss counters live on :attr:`stats`, and
-    :meth:`cache_stats` folds in the process-level gate/operator caches.
+    once (with a per-executor :class:`ProgramCache` of its default capacity,
+    keyed by the circuit and schedule, so repeated runs stop rebuilding the
+    GST events) and all jobs run against the shared compiled program.  Cache
+    efficacy is observable end to end: compile-cache hit/miss counters live
+    on :attr:`stats`, and :meth:`cache_stats` folds in the process-level
+    gate/operator caches.
 
     Args:
         backend: device model + calibration.
@@ -353,7 +354,6 @@ class NoisyExecutor:
             :meth:`draw_job_seed`).
         trajectories: Monte-Carlo trajectories per job for the trajectory
             engine.
-        max_cached_programs: capacity of the compile cache.
         memory_budget_bytes: cap on the stacked batch state; larger batches
             are transparently split into sub-batches, and the budget also
             steers auto engine selection (an active space whose preferred
@@ -365,7 +365,6 @@ class NoisyExecutor:
         backend: Backend,
         seed: Optional[int] = None,
         trajectories: int = 120,
-        max_cached_programs: int = 16,
         memory_budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self.backend = backend
@@ -374,7 +373,7 @@ class NoisyExecutor:
             None if memory_budget_bytes is None else int(memory_budget_bytes)
         )
         self._rng = np.random.default_rng(seed)
-        self._program_cache = ProgramCache(backend, max_entries=max_cached_programs)
+        self._program_cache = ProgramCache(backend)
         self.stats = Counters("program_compiles", "program_hits", "jobs_run")
 
     # -- compile cache -------------------------------------------------

@@ -118,9 +118,10 @@ class IdleNoiseModel:
             crosstalk: the CNOT activity overlapping the window, as three
                 aligned arrays over its links in ascending link order: the
                 ``dephasing_multiplier - 1.0`` and ``zz_shift_rate`` that
-                ``qubit`` feels from each link (a gather of
-                :meth:`Calibration.crosstalk_rows`) and each link's overlap
-                in ns (from :meth:`GateSequenceTable.concurrent_cnots`).
+                ``qubit`` feels from each link (``qubit``'s row of
+                :meth:`Calibration.crosstalk_columns`, gathered at the
+                window's links) and each link's overlap in ns (from
+                :meth:`GateSequenceTable.concurrent_cnots`).
             dd_train: the DD pulse train protecting this window, or ``None``.
         """
         if duration_ns < 0:

@@ -18,10 +18,11 @@ a pure function of the request, the merged record is bit-identical no matter
 which entry point ran it, how many other requests shared its batches, or how
 many chunks landed in which batch.
 
-Execution contexts (backend, transpiled program, ideal distribution,
-executor) are cached in a :class:`ContextCache`: a long-lived server keeps
-them warm across jobs, which — together with the process-level caches the
-executors already share — is where the daemon's throughput over
+Execution contexts (:class:`ExecutionContext`: the transpiled program, its
+executor and its ideal distribution; the scaling study's points run through
+the same class) are cached in a :class:`ContextCache`: a long-lived server
+keeps them warm across jobs, which — together with the process-level caches
+the executors already share — is where the daemon's throughput over
 one-process-per-request CLI invocations comes from.
 """
 
@@ -29,13 +30,15 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Counters
 from ..store.keys import fingerprint
-from .scheduler import ShotChunk, chunk_request, pack_chunks
+from .scheduler import chunk_request, pack_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hardware.backend import Backend
     from ..hardware.execution import ExecutionResult
     from ..store.store import ExperimentStore
 
@@ -61,6 +64,9 @@ DEFAULT_MAX_SHOTS = 8192
 #: The task kind every run request resolves through (registered in
 #: :mod:`repro.runtime.tasks`).
 RUN_KIND = "benchmark_run"
+
+#: The execution contexts a :class:`ContextCache` keeps warm.
+MAX_CONTEXTS = 8
 
 
 @dataclass(frozen=True)
@@ -174,46 +180,81 @@ class RunRequest:
 
 
 class ExecutionContext:
-    """Everything one compile context shares: backend, program, executor.
+    """One (device, workload) execution point: compile, run and score.
 
-    Built once per (device, cycle, benchmark, trajectories) and reused for
-    every chunk the packer routes at it — the compiled program, its GST, the
-    exact ideal distribution and the executor's program/variant caches all
-    stay warm for the daemon's lifetime (bounded by :class:`ContextCache`).
+    The scaling study's :func:`~repro.analysis.scaling.hardware_scaling_point`
+    and every served or CLI request run through it.  It is built once per
+    (backend, benchmark, trajectories) and holds the transpiled program and
+    an executor whose program and variant caches stay warm for every batch
+    run against it (for a daemon's lifetime, bounded by
+    :class:`ContextCache`).
+
+    Building it picks the program's :data:`~repro.core.ideal.PROGRAM_TIERS`
+    tier, so a circuit no tier covers fails before any engine runs.  The
+    ideal distribution is computed once, on first use: on the tableau tier
+    from the noisy program's memoized
+    :meth:`~repro.hardware.program.CompiledNoisyProgram.ideal_support` (the
+    support the Clifford engines read, so a point runs the tableau once), and
+    from :func:`~repro.core.evaluation.compiled_ideal_distribution` otherwise.
     """
 
-    def __init__(self, request: RunRequest) -> None:
-        from ..core.evaluation import compiled_ideal_distribution
-        from ..hardware.backend import Backend
+    def __init__(self, backend: "Backend", benchmark: str, trajectories: int) -> None:
+        from ..core.ideal import PROGRAM_TIERS, tier_method
         from ..hardware.execution import NoisyExecutor
         from ..transpiler.transpile import transpile
         from ..workloads.suite import get_benchmark
 
-        self.context_key = request.context_key
-        self.backend = Backend.from_name(str(request.device), cycle=int(request.cycle))
-        self.spec = get_benchmark(request.benchmark)
-        self.compiled = transpile(self.spec.build(), self.backend)
-        self.ideal = compiled_ideal_distribution(self.compiled)
-        self.executor = NoisyExecutor(
-            self.backend, trajectories=int(request.trajectories)
+        self.spec = get_benchmark(str(benchmark))
+        self.compiled = transpile(self.spec.build(), backend)
+        self._tableau = (
+            tier_method(self.compiled.physical_circuit, PROGRAM_TIERS) == "tableau"
+        )
+        self.executor = NoisyExecutor(backend, trajectories=int(trajectories))
+
+    @cached_property
+    def ideal(self) -> Dict[str, float]:
+        """The compiled program's noise-free output distribution."""
+        from ..core.evaluation import compiled_ideal_distribution
+        from ..core.ideal import support_distribution
+
+        compiled = self.compiled
+        if not self._tableau:
+            return compiled_ideal_distribution(compiled)
+        program = self.executor.compile(compiled.physical_circuit, compiled.gst)
+        return support_distribution(
+            *program.ideal_support(), program.active, compiled.output_qubits
         )
 
-    def run_chunks(self, chunks: Sequence[ShotChunk]) -> List["ExecutionResult"]:
-        """Execute one packed batch against the shared compiled program."""
+    def run(self, jobs: Sequence[Tuple[int, int, str]]) -> List["ExecutionResult"]:
+        """Execute seeded ``(shots, seed, engine)`` jobs as one batch."""
         from ..hardware.execution import BatchJob
 
-        jobs = [
+        batch = [
             BatchJob(
-                shots=int(chunk.shots),
-                seed=int(chunk.seed),
+                shots=int(shots),
+                seed=int(seed),
                 output_qubits=self.compiled.output_qubits,
-                engine=chunk.request.resolved_engine,
+                engine=engine,
             )
-            for chunk in chunks
+            for shots, seed, engine in jobs
         ]
         return self.executor.run_batch(
-            self.compiled.physical_circuit, jobs, gst=self.compiled.gst
+            self.compiled.physical_circuit, batch, gst=self.compiled.gst
         )
+
+    def scores(self, probabilities: Dict[str, float]) -> Dict[str, object]:
+        """An output distribution's fidelity and success probability against
+        the ideal, and the workload's mirror target and verification."""
+        from ..metrics.fidelity import fidelity, success_probability
+
+        ideal = self.ideal
+        target, verified = self.spec.verify(ideal)
+        return {
+            "fidelity": float(fidelity(ideal, probabilities)),
+            "success_probability": float(success_probability(ideal, probabilities)),
+            "mirror_target": target,
+            "mirror_verified": bool(verified),
+        }
 
 
 class ContextCache:
@@ -221,8 +262,7 @@ class ContextCache:
     its build/hit ``stats`` and the ``packing`` totals of the rounds that
     :func:`execute_run_requests` ran through it."""
 
-    def __init__(self, max_contexts: int = 8) -> None:
-        self.max_contexts = max(1, int(max_contexts))
+    def __init__(self) -> None:
         self._contexts: Dict[str, ExecutionContext] = {}
         self.stats = Counters("builds", "hits")
         self.packing = Counters(
@@ -230,6 +270,8 @@ class ContextCache:
         )
 
     def get(self, request: RunRequest) -> ExecutionContext:
+        from ..hardware.backend import Backend
+
         context = self._contexts.get(request.context_key)
         if context is not None:
             self._contexts[request.context_key] = self._contexts.pop(
@@ -237,10 +279,14 @@ class ContextCache:
             )  # LRU refresh
             self.stats.add("hits")
             return context
-        context = ExecutionContext(request)
+        context = ExecutionContext(
+            Backend.from_name(str(request.device), cycle=int(request.cycle)),
+            request.benchmark,
+            request.trajectories,
+        )
         self.stats.add("builds")
         self._contexts[request.context_key] = context
-        while len(self._contexts) > self.max_contexts:
+        while len(self._contexts) > MAX_CONTEXTS:
             self._contexts.pop(next(iter(self._contexts)))
         return context
 
@@ -258,8 +304,6 @@ def merge_chunk_results(
     wall-clock enters the record, so independent executions of one request
     produce byte-identical payloads.
     """
-    from ..metrics.fidelity import fidelity, success_probability
-
     ordered = sorted(results, key=lambda item: item[0])
     indices = [index for index, _ in ordered]
     if indices != list(range(len(indices))):
@@ -283,7 +327,6 @@ def merge_chunk_results(
                 probabilities.get(bits, 0.0) + weight * float(result.probabilities[bits])
             )
     first = ordered[0][1]
-    target, verified = context.spec.verify(context.ideal)
     flip_free = first.metadata.get("flip_free_probability")
     meta = {
         "kind": "benchmark_run",
@@ -296,12 +339,7 @@ def merge_chunk_results(
         "num_active_qubits": int(first.num_active_qubits),
         "total_duration_ns": float(first.total_duration_ns),
         "dd_pulse_count": int(first.dd_pulse_count),
-        "fidelity": float(fidelity(context.ideal, probabilities)),
-        "success_probability": float(
-            success_probability(context.ideal, probabilities)
-        ),
-        "mirror_target": target,
-        "mirror_verified": bool(verified),
+        **context.scores(probabilities),
         "flip_free_probability": None if flip_free is None else float(flip_free),
     }
     return meta, {}
@@ -359,7 +397,8 @@ def execute_run_requests(
     }
     for batch in batches:
         context = contexts.get(batch.chunks[0].request)
-        for chunk, result in zip(batch.chunks, context.run_chunks(batch.chunks)):
+        jobs = [(c.shots, c.seed, c.request.resolved_engine) for c in batch.chunks]
+        for chunk, result in zip(batch.chunks, context.run(jobs)):
             per_request[chunk.request_id].append((chunk.chunk_index, result))
     for request in to_run:
         context = contexts.get(request)

@@ -2,12 +2,13 @@
 
 Production draws every (spectator qubit, link) crosstalk value into two
 ``(qubits, links)`` float arrays.  This is the form it replaced: the same
-draws stored as one :class:`~repro.hardware.calibration.CrosstalkEntry` per
-pair in a dict keyed by ``(qubit, canonical link)``, read back by dict
-lookups, and fingerprinted by sorting that dict's items.  The differential
-suite (``tests/test_calibration_differential.py``) compares production with
-it bit for bit: every drawn float, the ``crosstalk_rows`` bytes, the
-calibration fingerprint and the generator state left behind.
+draws stored as one :class:`CrosstalkEntry` per pair in a dict keyed by
+``(qubit, canonical link)``, read back by dict lookups, and fingerprinted by
+sorting that dict's items.  The differential suite
+(``tests/test_calibration_differential.py``) compares production with it bit
+for bit: every drawn float, the ``crosstalk_columns`` rows against
+:meth:`ReferenceCalibration.crosstalk_rows`, the calibration fingerprint and
+the generator state left behind.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from repro.hardware import topologies
 from repro.hardware.calibration import (
-    CrosstalkEntry,
     LinkCalibration,
     QubitCalibration,
     calibration_seed,
@@ -30,6 +30,17 @@ from repro.store.keys import device_fingerprint, fingerprint
 
 Edge = Tuple[int, int]
 
+
+@dataclass(frozen=True)
+class CrosstalkEntry:
+    """Effect of CNOT activity on one link on one spectator qubit."""
+
+    dephasing_multiplier: float   # multiplies the quasi-static dephasing rate
+    zz_shift_rate: float          # signed coherent phase accumulation, rad/ns
+
+
+#: The crosstalk of a (qubit, link) pair without a draw: a qubit on the
+#: link, a link the device lacks or a qubit outside the register.
 _NEUTRAL_CROSSTALK = CrosstalkEntry(dephasing_multiplier=1.0, zz_shift_rate=0.0)
 
 

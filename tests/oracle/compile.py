@@ -14,8 +14,8 @@ suite compares against bit for bit:
 * :func:`concurrent_cnots` scans the schedule's CNOTs into a dict of running
   sums and returns sorted ``(link, overlap_ns)`` tuples;
 * :func:`window_effect` folds those tuples into one idle window's noise,
-  with one :meth:`~repro.hardware.calibration.Calibration.crosstalk_on`
-  lookup per tuple;
+  reading the calibration's two crosstalk arrays at one (qubit, link) pair
+  per tuple;
 * :func:`variant_mask_events` twirls one (window, variant)'s ops one at a
   time (``ResolvedOp.twirl``) and XORs each branch's packed end mask out of
   the suffix-map rows (:func:`end_masks`); :func:`assemble_window_events`
@@ -239,9 +239,10 @@ def window_effect(
     effective_time = duration
     coherent_phase = cal.background_zz_rate * duration
     for link, overlap in concurrent:
-        entry = calibration.crosstalk_on(qubit, link)
-        effective_time += (entry.dephasing_multiplier - 1.0) * overlap
-        coherent_phase += entry.zz_shift_rate * overlap
+        column = calibration.crosstalk_links.index(tuple(sorted(link)))
+        multiplier = float(calibration.dephasing_multipliers[qubit, column])
+        effective_time += (multiplier - 1.0) * overlap
+        coherent_phase += float(calibration.zz_shift_rates[qubit, column]) * overlap
     static_std = cal.static_dephasing_rate * effective_time
 
     suppression = 1.0

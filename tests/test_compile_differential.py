@@ -7,7 +7,7 @@ masks and the window variants in array passes, and a program resolves gate
 noise once per distinct gate.  The ``oracle.compile`` references route with
 SABRE rebuilding every round and re-summing every pair per candidate,
 accumulate concurrency in a dict of ``(link, overlap)`` tuples and fold it
-with one ``crosstalk_on`` lookup per tuple, twirl and mask one window op or
+with one read of the crosstalk arrays per tuple, twirl and mask one window op or
 gate-noise event at a time, and resolve noise per scheduled gate.  Every
 rewrite claims the same bits, so every comparison here is exact: equal
 SWAPs, equal routed circuits, equal bytes, float hex for the rest.
@@ -306,6 +306,7 @@ class TestArrayConcurrency:
         calibration = idle_noise.calibration
         cnots = [s for s in gst.scheduled_gates if s.is_cnot]
         intervals = [(0.0, gst.total_duration)]
+        excess, zz_rates = calibration.crosstalk_columns(gst.cnot_links)
         for s in cnots:
             width = data.draw(st.floats(1.0, 2000.0))
             # Windows that end where a CNOT starts, or start where one ends,
@@ -318,10 +319,9 @@ class TestArrayConcurrency:
             reference = concurrent_cnots(gst, start, end, exclude)
             links, overlaps = gst.concurrent_cnots(start, end, exclude_qubit=exclude)
             assert _pairs(gst, (links, overlaps)) == _reference_pairs(reference)
-            excess, zz_rates = calibration.crosstalk_rows(qubit, gst.cnot_links)
             duration = max(0.0, end - start)
             effect = idle_noise.window_effect(
-                qubit, duration, (excess[links], zz_rates[links], overlaps)
+                qubit, duration, (excess[qubit, links], zz_rates[qubit, links], overlaps)
             )
             expected = window_effect(idle_noise, qubit, duration, reference)
             assert _hex(effect) == _hex(expected)

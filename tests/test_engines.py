@@ -18,7 +18,7 @@ from oracle import DensityMatrixSimulator
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_matrix, rx_matrix, rz_matrix
 from repro.dd import DDAssignment
-from repro.hardware import BatchJob, NoisyExecutor
+from repro.hardware import BatchJob, NoisyExecutor, ProgramCache
 from repro.hardware.program import mixed_unitary_form
 from repro.metrics import fidelity
 from repro.noise import NoiseOp
@@ -393,11 +393,12 @@ class TestCompileCache:
         assert result.most_probable() == "01"
 
     def test_cache_eviction_respects_capacity(self, london_backend):
-        executor = NoisyExecutor(london_backend, seed=0, max_cached_programs=2)
+        cache = ProgramCache(london_backend, max_entries=2)
         circuits = [QuantumCircuit(5).x(q).measure(q) for q in range(3)]
         for circuit in circuits:
-            executor.run(circuit, shots=32)
-        assert len(executor._program_cache.entries) == 2
+            cache.get(circuit)
+        assert len(cache.entries) == 2
+        assert cache.get(circuits[2])[1] and not cache.get(circuits[0])[1]
 
     def test_batch_executor_shares_the_same_cache_machinery(self, london_backend):
         batch = NoisyExecutor(london_backend)

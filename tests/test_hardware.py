@@ -138,9 +138,12 @@ class TestCalibration:
 
     def test_crosstalk_defaults_to_neutral(self):
         calibration = generate_calibration(get_device("ibmq_rome"), cycle=0)
-        entry = calibration.crosstalk_on(0, (0, 1))  # qubit on the link itself
-        assert entry.dephasing_multiplier == 1.0
-        assert entry.zz_shift_rate == 0.0
+        column = calibration.crosstalk_links.index((0, 1))
+        # Qubit 0 sits on the link itself.
+        assert calibration.dephasing_multipliers[0, column] == 1.0
+        assert calibration.zz_shift_rates[0, column] == 0.0
+        excess, zz_rates = calibration.crosstalk_columns([(1, 0)])
+        assert excess[0, 0] == 0.0 and zz_rates[0, 0] == 0.0
 
     def test_adjacent_crosstalk_stronger_than_distant_on_average(self):
         device = get_device("ibmq_toronto")

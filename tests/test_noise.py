@@ -84,8 +84,8 @@ class TestGateNoise:
 
 def crosstalk_terms(idle_noise, qubit, link, overlap):
     """``window_effect``'s crosstalk terms for one CNOT link's overlap."""
-    excess, zz_rates = idle_noise.calibration.crosstalk_rows(qubit, [link])
-    return excess, zz_rates, np.array([overlap])
+    excess, zz_rates = idle_noise.calibration.crosstalk_columns([link])
+    return excess[qubit], zz_rates[qubit], np.array([overlap])
 
 
 class TestIdleWindowEffect:

@@ -1,11 +1,13 @@
 """One scaling point, one tableau pass, and a clock that covers the ideal.
 
-Where :data:`~repro.core.ideal.PROGRAM_TIERS` computes a point's ideal on the
-tableau, :func:`~repro.analysis.scaling.hardware_scaling_point` reads the
-support its noisy program memoized for the Clifford engines instead of
-running the tableau over the circuit a second time.  The ``oracle`` package
-counts tableau constructions; the records must equal the plain run's in
-every field but the wall-clock ones.  ``evaluate_s`` must cover the ideal.
+:func:`~repro.analysis.scaling.hardware_scaling_point` runs through an
+:class:`~repro.service.requests.ExecutionContext`.  Where
+:data:`~repro.core.ideal.PROGRAM_TIERS` computes the context's ideal on the
+tableau, it reads the support its noisy program memoized for the Clifford
+engines instead of running the tableau over the circuit a second time.  The
+``oracle`` package counts tableau constructions; the records must equal the
+plain run's in every field but the wall-clock ones.  ``evaluate_s`` must
+cover the ideal.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import installed
 
-from repro.analysis import scaling
+import repro.core.evaluation as core_evaluation
+import repro.core.ideal as core_ideal
 from repro.analysis.scaling import hardware_scaling_point
 from repro.circuits import QuantumCircuit
 from repro.core.evaluation import compiled_ideal_distribution
@@ -30,6 +33,8 @@ from repro.core.ideal import (
 from repro.hardware import Backend, NoisyExecutor, topologies
 from repro.hardware.devices import synthetic_device
 from repro.hardware.program import CompiledNoisyProgram
+from repro.runtime.tasks import run_task
+from repro.service.requests import ContextCache, RunRequest, execute_run_requests
 from repro.simulators import StabilizerSimulator
 from repro.transpiler.transpile import transpile
 from repro.workloads.suite import get_benchmark
@@ -54,17 +59,19 @@ def _point(backend, **options):
 
 
 def _wrapped(monkeypatch, before):
-    """Run ``before(name)`` ahead of each ideal path the scaling point can take."""
-    for name, original in (
-        ("compiled_ideal_distribution", compiled_ideal_distribution),
-        ("support_distribution", support_distribution),
+    """Run ``before(name)`` ahead of each ideal path an execution context can
+    take, where the context looks them up: in their defining modules."""
+    for module, name in (
+        (core_evaluation, "compiled_ideal_distribution"),
+        (core_ideal, "support_distribution"),
     ):
+        original = getattr(module, name)
 
         def wrapper(*args, _original=original, _name=name, **kwargs):
             before(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scaling, name, wrapper, raising=False)
+        monkeypatch.setattr(module, name, wrapper)
 
 
 def _spied(monkeypatch, calls):
@@ -125,6 +132,55 @@ class TestOneTableauPass:
 
 def _items(distribution):
     return [(bits, repr(probability)) for bits, probability in distribution.items()]
+
+
+class TestOneExecutionPoint:
+    """The scaling study and the ``benchmark_run`` path share one context."""
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_served_tableau_tier_request_runs_the_tableau_once(self, point):
+        request = RunRequest(device="ibmq_toronto", seed=7, **POINTS[point])
+        with installed() as calls:
+            (outcome,) = execute_run_requests([request], contexts=ContextCache()).values()
+        assert calls["tableau"] == 1, calls
+        assert outcome.meta["num_active_qubits"] > 16
+
+    #: (workload, engine): the two tableau-tier points, then statevector-tier
+    #: points on the stabilizer engine and on the dense engine.
+    CONTRACT_POINTS = [
+        ("MIRROR:20@7", None),
+        ("GHZ:20", "stabilizer_frames"),
+        ("GHZ:12", "stabilizer"),
+        ("GHZ:5", "density_matrix"),
+        ("QFT-5", "density_matrix"),
+        ("BV-7", "density_matrix"),
+    ]
+    CONTRACT_FIELDS = (
+        "engine",
+        "num_active_qubits",
+        "fidelity",
+        "success_probability",
+        "mirror_target",
+        "mirror_verified",
+        "flip_free_probability",
+    )
+
+    @pytest.mark.parametrize("workload,engine", CONTRACT_POINTS)
+    def test_scaling_point_equals_a_single_chunk_benchmark_run(
+        self, toronto_backend, workload, engine
+    ):
+        options = dict(benchmark=workload, shots=1024, trajectories=40, seed=11, engine=engine)
+        record = hardware_scaling_point(toronto_backend, **options)
+        meta, _ = run_task("benchmark_run", dict(device="ibmq_toronto", **options))
+        assert meta["chunks"] == 1
+        fields = self.CONTRACT_FIELDS
+        assert [_hexed(getattr(record, name)) for name in fields] == [
+            _hexed(meta[name]) for name in fields
+        ]
+
+
+def _hexed(value):
+    return value.hex() if isinstance(value, float) else value
 
 
 @st.composite
