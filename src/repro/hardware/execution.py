@@ -62,6 +62,7 @@ from .program import CompiledNoisyProgram, ProgramCache, process_cache_stats
 __all__ = [
     "BatchJob",
     "DEFAULT_MEMORY_BUDGET_BYTES",
+    "RESULT_MEMO_BYTES",
     "ExecutionResult",
     "NoisyExecutor",
     "execute_program_jobs",
@@ -75,6 +76,11 @@ __all__ = [
 #: result-determining: task keys do not name it, and changing it must bump
 #: :data:`repro.store.keys.SCHEMA_VERSION`.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
+
+#: What one compiled program's result memo keeps (4 MiB): a 10-qubit vector
+#: is 8 KiB, so an exhaustive 2^8 DD sweep fits; a vector that would pass
+#: the bound is used and not kept.
+RESULT_MEMO_BYTES = 4 * 1024 * 1024
 
 
 def job_streams(
@@ -247,6 +253,25 @@ def _finalize(
     )
 
 
+#: A result memo key: ``(engine name, tuple(variants))``.
+_MemoKey = Tuple[str, Tuple[Optional[str], ...]]
+
+
+class _ResultMemo:
+    """One compiled program's stream-free engine vectors, by :data:`_MemoKey`
+    and bounded by :data:`RESULT_MEMO_BYTES`."""
+
+    def __init__(self) -> None:
+        self.vectors: Dict[_MemoKey, np.ndarray] = {}
+        self.nbytes = 0
+
+    def keep(self, key: _MemoKey, vector: np.ndarray) -> None:
+        vector.flags.writeable = False
+        if self.nbytes + vector.nbytes <= RESULT_MEMO_BYTES:
+            self.vectors[key] = vector
+            self.nbytes += vector.nbytes
+
+
 def execute_program_jobs(
     backend: Backend,
     program: CompiledNoisyProgram,
@@ -262,6 +287,13 @@ def execute_program_jobs(
     run, and finalized (marginalize -> readout error -> sample counts).
     Every job must carry its seed (:meth:`NoisyExecutor.run_batch` draws the
     missing ones).  Results are returned in job order.
+
+    A stream-free engine's vector depends only on the program and the job's
+    variants (:attr:`~repro.simulators.engines.ExecutionEngine.needs_streams`),
+    so the program memoizes it in ``engine_cache["results"]``: the engine
+    runs once per distinct variant vector the program has not produced yet
+    (in first-occurrence order; the memory budget splits only those), and
+    every job, hit or miss, samples its counts from its own seed's stream.
     """
     if not jobs:
         return []
@@ -293,6 +325,16 @@ def execute_program_jobs(
         groups.setdefault(name, []).append(j)
 
     results: List[Optional[ExecutionResult]] = [None] * len(jobs)
+
+    def finish(name: str, members: List[int], vector: np.ndarray) -> None:
+        # Stream-free engines never touch the per-trajectory streams;
+        # materialize only the sampling stream (same child either way).
+        for j in members:
+            sample_rng = job_sample_rng(jobs[j].seed, trajectories)
+            results[j] = _finalize(
+                backend, program, jobs[j], variants[j], vector, name, sample_rng
+            )
+
     for name, indices in groups.items():
         engine = get_engine(name)
         if not engine.supports(program):
@@ -301,34 +343,49 @@ def execute_program_jobs(
                 f" (Clifford-only: {program.is_clifford});"
                 " choose another engine or 'auto'"
             )
-        chunk = len(indices)
+        if engine.needs_streams:
+            todo = indices
+        else:
+            memo = program.engine_cache.setdefault("results", _ResultMemo())
+            # Jobs by memo key, in first-occurrence order.
+            sharing: Dict[_MemoKey, List[int]] = {}
+            for j in indices:
+                sharing.setdefault((name, tuple(variants[j])), []).append(j)
+            todo = []
+            for key, members in sharing.items():
+                vector = memo.vectors.get(key)
+                if vector is None:
+                    todo.append(members[0])
+                else:
+                    finish(name, members, vector)
+        chunk = max(1, len(todo))
         if memory_budget_bytes is not None:
             state_bytes = engine.state_bytes(n, trajectories)
             chunk = max(1, memory_budget_bytes // max(1, state_bytes))
-        for start in range(0, len(indices), chunk):
-            subset = indices[start : start + chunk]
+        for start in range(0, len(todo), chunk):
+            subset = todo[start : start + chunk]
             if engine.needs_streams:
                 pairs = [job_streams(jobs[j].seed, trajectories) for j in subset]
-                sample_rngs = [pair[1] for pair in pairs]
                 engine_jobs = [
                     EngineJob(
                         variants=variants[j], streams=pair[0], outputs=output_positions[j]
                     )
                     for j, pair in zip(subset, pairs)
                 ]
+                probs = engine.run(program, engine_jobs, trajectories)
+                for j, job_probs, pair in zip(subset, probs, pairs):
+                    results[j] = _finalize(
+                        backend, program, jobs[j], variants[j], job_probs, name, pair[1]
+                    )
             else:
-                # Stream-free engines never touch the per-trajectory streams;
-                # materialize only the sampling stream (same child either way).
-                sample_rngs = [job_sample_rng(jobs[j].seed, trajectories) for j in subset]
                 engine_jobs = [
                     EngineJob(variants=variants[j], outputs=output_positions[j])
                     for j in subset
                 ]
-            probs = engine.run(program, engine_jobs, trajectories)
-            for j, job_probs, sample_rng in zip(subset, probs, sample_rngs):
-                results[j] = _finalize(
-                    backend, program, jobs[j], variants[j], job_probs, name, sample_rng
-                )
+                for j, vector in zip(subset, engine.run(program, engine_jobs, trajectories)):
+                    key = (name, tuple(variants[j]))
+                    memo.keep(key, vector)
+                    finish(name, sharing[key], vector)
     return results  # type: ignore[return-value]
 
 

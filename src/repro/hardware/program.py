@@ -337,7 +337,8 @@ class CompiledNoisyProgram:
         self._crosstalk: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._ideal_support: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Scratch space for engines to memoize program-derived state
-        #: (e.g. the stabilizer engine's ideal spectrum and noise masks).
+        #: (e.g. the stabilizer engine's ideal spectrum and noise masks), and
+        #: the execution pipeline's result memo (``"results"``).
         self.engine_cache: Dict[str, object] = {}
 
     @property

@@ -185,7 +185,14 @@ class ExecutionEngine:
 
     name: str = "base"
     #: True if the engine consumes per-trajectory seeded streams; executors
-    #: only materialize the streams when an engine asks for them.
+    #: only materialize the streams when an engine asks for them.  A
+    #: stream-free engine (``False``) promises that a job's active-space
+    #: vector depends only on the program and ``job.variants``, never on
+    #: ``outputs``, ``trajectories``, the seed or the other jobs of its
+    #: batch (``density_matrix`` and ``stabilizer`` hold to it): the
+    #: execution pipeline runs it once per distinct variant vector and
+    #: memoizes the vector on the program.  Stream engines
+    #: (``trajectories``, ``stabilizer_frames``) run on every call.
     needs_streams: bool = False
 
     def supports(self, program) -> bool:

@@ -58,13 +58,14 @@ class TestSeededEquivalence:
     @pytest.mark.parametrize("engine", ["density_matrix", "trajectories"])
     def test_batch_matches_sequential_seeded_run(self, london_backend, engine):
         circuit = probe_circuit(5, 0, math.pi / 2, (1, 3), 12)
-        sequential = NoisyExecutor(london_backend, trajectories=40)
         batch = NoisyExecutor(london_backend, trajectories=40)
         batched = batch.run_assignments(
             circuit, ASSIGNMENTS, shots=500, seeds=SEEDS, engine=engine
         )
         for assignment, seed, result in zip(ASSIGNMENTS, SEEDS, batched):
-            reference = sequential.run(
+            # One executor per single run: on a shared one, a run whose variants
+            # repeat an earlier run's would read that run's memoized vector.
+            reference = NoisyExecutor(london_backend, trajectories=40).run(
                 circuit,
                 dd_assignment=assignment,
                 shots=500,
@@ -179,7 +180,9 @@ class TestAdaptBatched:
         decoy_ideal = result.decoy.ideal_distribution(compiled.output_qubits)
         assert result.search.evaluations
         for i, scored in enumerate(result.search.evaluations):
-            single = executor.run(
+            # Its own executor, so the single run reaches the engine instead of
+            # reading a vector an earlier single run memoized.
+            single = NoisyExecutor(backend, trajectories=40).run(
                 result.decoy.circuit,
                 dd_assignment=scored.assignment,
                 shots=config.decoy_shots,

@@ -170,7 +170,6 @@ class TestEngineMatrix:
         """NoisyExecutor.run == one batch == any memory-budget sub-batching."""
         backend = request.getfixturevalue(backend_fixture)
         circuit = build()
-        sequential = NoisyExecutor(backend, trajectories=40)
         batch = NoisyExecutor(backend, trajectories=40)
         # A budget of one byte forces a sub-batch split into batches of one.
         split = NoisyExecutor(backend, trajectories=40, memory_budget_bytes=1)
@@ -183,7 +182,9 @@ class TestEngineMatrix:
         for assignment, seed, from_batch, from_split in zip(
             ASSIGNMENTS, SEEDS, batched, splitted
         ):
-            reference = sequential.run(
+            # One executor per single run: on a shared one, a run whose variants
+            # repeat an earlier run's would read that run's memoized vector.
+            reference = NoisyExecutor(backend, trajectories=40).run(
                 circuit, dd_assignment=assignment, shots=500, seed=seed, engine=engine
             )
             expected = [(k, v.hex()) for k, v in reference.probabilities.items()]
@@ -321,9 +322,10 @@ class TestStabilizerEngine:
 
     def test_stabilizer_is_deterministic_given_seed(self, london_backend):
         circuit = clifford_probe()
-        executor = NoisyExecutor(london_backend)
-        first = executor.run(circuit, shots=300, seed=9, engine="stabilizer")
-        second = executor.run(circuit, shots=300, seed=9, engine="stabilizer")
+        # Two executors, so both runs reach the engine: on one, the second
+        # run would read the first's memoized vector.
+        first = NoisyExecutor(london_backend).run(circuit, shots=300, seed=9, engine="stabilizer")
+        second = NoisyExecutor(london_backend).run(circuit, shots=300, seed=9, engine="stabilizer")
         assert first.counts == second.counts
         assert first.probabilities == second.probabilities
 

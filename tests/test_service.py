@@ -288,6 +288,30 @@ class TestBitIdentity:
         assert again.meta["counts"] == first.meta["counts"]
 
 
+class TestRoundContexts:
+    """A round looks each context up once, and a context verifies once."""
+
+    def test_each_context_is_built_once_per_round(self):
+        # Nine contexts: one more than a ContextCache keeps warm.
+        requests = [_request(trajectories=t, shots=64) for t in range(10, 19)]
+        contexts = ContextCache()
+        outcomes = execute_run_requests(requests, contexts=contexts)
+        assert contexts.stats.snapshot() == {"builds": 9, "hits": 0}
+        assert {outcome.status for outcome in outcomes.values()} == {"executed"}
+
+    def test_a_mirror_context_verifies_once(self):
+        from oracle import installed
+
+        requests = [_request(benchmark="MIRROR:4@1", seed=seed) for seed in (1, 2, 3)]
+        contexts = ContextCache()
+        contexts.get(requests[0])  # building the workload draws its target too
+        with installed() as calls:
+            outcomes = execute_run_requests(requests, contexts=contexts)
+        assert calls["mirror_target"] == 1
+        assert len(outcomes) == 3
+        assert all(outcome.meta["mirror_verified"] for outcome in outcomes.values())
+
+
 # ---------------------------------------------------------------------------
 # The daemon (in-process)
 # ---------------------------------------------------------------------------
@@ -515,7 +539,7 @@ class TestDaemon:
         assert stats["uptime_s"] >= 0.0
         assert (stats["packing"]["rounds"], stats["packing"]["requests"]) == (2, 1)
         assert {"batches", "chunks"} <= set(stats["packing"])
-        assert stats["contexts"] == {"builds": 1, "hits": 1}
+        assert stats["contexts"] == {"builds": 1, "hits": 0}
         assert {
             "memory_hits",
             "disk_hits",
