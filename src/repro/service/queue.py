@@ -18,6 +18,11 @@ Dispatch order: higher ``priority`` first, and *round-robin across tenants*
 within a priority band (FIFO within one tenant), so a tenant that enqueued a
 hundred jobs does not starve the tenant that enqueued one.  The rotation
 cursor remembers the last tenant served per band and resumes after it.
+
+The queue keeps every job it has seen (``status``, ``result`` and ``jobs``
+read them), but admission, dispatch and the counts read only an index of the
+live (queued and running) jobs and the per-status totals, so their cost does
+not grow with the number of settled jobs.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ class Job:
         return payload
 
 
-@guarded_by("_lock", "_jobs", "_order", "_last_served")
+@guarded_by("_lock", "_jobs", "_order", "_last_served", "_live", "_counts")
 class JobQueue:
     """Thread-safe bounded queue with per-tenant quotas and fair dispatch.
 
@@ -124,25 +129,29 @@ class JobQueue:
         self._lock = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         self._order: Dict[str, int] = {}  # job_id -> submission sequence
+        #: the queued and running jobs, in submission order
+        self._live: Dict[str, Job] = {}
+        #: number of jobs per status, settled ones included
+        self._counts: Dict[str, int] = {}
         self._seq = itertools.count()
         #: last tenant served per priority band (round-robin cursor)
         self._last_served: Dict[int, str] = {}
-        self.stats = Counters("submitted", "rejected_full", "rejected_quota", "cancelled")
+        self.stats = Counters(
+            "submitted", "replayed", "rejected_full", "rejected_quota", "cancelled"
+        )
 
     # -- admission ------------------------------------------------------
 
     def submit(self, job: Job) -> Job:
         """Admit a job or raise a structured rejection (see module docs)."""
         with self._lock:
-            queued = [j for j in self._jobs.values() if j.status == "queued"]
-            active = [j for j in self._jobs.values() if j.status in ("queued", "running")]
-            if len(queued) >= self.depth:
+            if self._counts.get("queued", 0) >= self.depth:
                 self.stats.add("rejected_full")
                 raise QueueFull(
                     f"queue is full ({self.depth} jobs queued); retry shortly",
                     retry_after_s=self._retry_hint(),
                 )
-            tenant_active = sum(1 for j in active if j.tenant == job.tenant)
+            tenant_active = sum(1 for j in self._live.values() if j.tenant == job.tenant)
             if tenant_active >= self.tenant_quota:
                 self.stats.add("rejected_quota")
                 raise QuotaExceeded(
@@ -150,24 +159,50 @@ class JobQueue:
                     f" job(s) (quota {self.tenant_quota}); retry when they settle",
                     retry_after_s=self._retry_hint(),
                 )
-            self._jobs[job.job_id] = job
-            self._order[job.job_id] = next(self._seq)
+            self._admit(job)
             self.stats.add("submitted")
-            self._lock.notify_all()
             return job
+
+    def readmit(self, job: Job) -> Job:
+        """Admit a job a restarted daemon replays from its journal.
+
+        The depth and quota checks are skipped: the job was admitted once
+        already, and its client holds its id.
+        """
+        with self._lock:
+            self._admit(job)
+            self.stats.add("replayed")
+            return job
+
+    @holds_lock("_lock")
+    def _admit(self, job: Job) -> None:
+        self._jobs[job.job_id] = job
+        self._order[job.job_id] = next(self._seq)
+        self._counts[job.status] = self._counts.get(job.status, 0) + 1
+        if job.status not in TERMINAL_STATES:
+            self._live[job.job_id] = job
+        self._lock.notify_all()
+
+    @holds_lock("_lock")
+    def _set_status(self, job: Job, status: str) -> None:
+        """Move a job to ``status``, keeping the live index and counts."""
+        self._counts[job.status] -= 1
+        job.status = status
+        self._counts[status] = self._counts.get(status, 0) + 1
+        if status in TERMINAL_STATES:
+            self._live.pop(job.job_id, None)
 
     @holds_lock("_lock")
     def _retry_hint(self) -> float:
         """A coarse back-off hint: half a second per queued job, floored."""
-        queued = sum(1 for j in self._jobs.values() if j.status == "queued")
-        return max(0.5, 0.5 * queued)
+        return max(0.5, 0.5 * self._counts.get("queued", 0))
 
     # -- dispatch -------------------------------------------------------
 
     @holds_lock("_lock")
     def _fair_queued(self) -> List[Job]:
         """Every queued job, in dispatch order (see module docs)."""
-        queued = [j for j in self._jobs.values() if j.status == "queued"]
+        queued = [j for j in self._live.values() if j.status == "queued"]
         if not queued:
             return []
         ordered: List[Job] = []
@@ -197,7 +232,7 @@ class JobQueue:
         """Claim the single next job (marks it running); ``None`` on timeout."""
         with self._lock:
             if timeout is not None and not self._lock.wait_for(
-                lambda: bool(self._fair_queued()), timeout=timeout
+                lambda: self._counts.get("queued", 0) > 0, timeout=timeout
             ):
                 return None
             queued = self._fair_queued()
@@ -227,7 +262,7 @@ class JobQueue:
 
     @holds_lock("_lock")
     def _mark_running(self, job: Job) -> None:
-        job.status = "running"
+        self._set_status(job, "running")
         job.started_at = time.time()
         self._last_served[job.priority] = job.tenant
 
@@ -238,7 +273,7 @@ class JobQueue:
             raise ValueError(f"settle needs a terminal status, got {status!r}")
         with self._lock:
             job = self._jobs[job_id]
-            job.status = status
+            self._set_status(job, status)
             job.finished_at = time.time()
             if result is not None:
                 job.result = dict(result)
@@ -255,7 +290,7 @@ class JobQueue:
             if job is None:
                 return None
             if job.status == "queued":
-                job.status = "cancelled"
+                self._set_status(job, "cancelled")
                 job.finished_at = time.time()
                 self.stats.add("cancelled")
             elif job.status == "running":
@@ -275,15 +310,11 @@ class JobQueue:
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.status] = counts.get(job.status, 0) + 1
-            return counts
+            return {status: count for status, count in self._counts.items() if count}
 
     def wait_for_work(self, timeout: float) -> bool:
         """Block until a job is queued (or ``timeout`` elapses)."""
         with self._lock:
             return self._lock.wait_for(
-                lambda: any(j.status == "queued" for j in self._jobs.values()),
-                timeout=timeout,
+                lambda: self._counts.get("queued", 0) > 0, timeout=timeout
             )

@@ -171,9 +171,10 @@ class RunRequest:
             "max_shots": int(self.max_shots),
         }
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """The content-addressed store key (same as ``repro run`` resolves)."""
+        """The content-addressed store key (same as ``repro run`` resolves),
+        resolved once per request."""
         from ..runtime.tasks import resolve_task_key
 
         return resolve_task_key(RUN_KIND, self.params())

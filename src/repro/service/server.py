@@ -23,13 +23,17 @@ one-process-per-invocation CLI pays per request.
 Durability: all results land in the experiment store under the same
 content-addressed keys the CLI resolves, so a served result is
 indistinguishable from (and bit-identical to) a serially computed one, and
-an identical resubmission is a pure store read.  Every job's lifecycle is
-journaled under ``<store>/jobs/<job_id>.json``; clients read result payloads
-through the store by key (the socket only ever carries keys, headlines and
-status — never arrays).
+an identical resubmission is a pure store read.  Clients read result
+payloads through the store by key (the socket only ever carries keys,
+headlines and status — never arrays).  Jobs are journaled in one
+append-only segment per daemon under ``<store>/jobs/``
+(:mod:`repro.service.journal`), committed once per acknowledged submit
+(before the reply) and once per scheduler round.  On start the daemon
+replays the segments of dead daemons, so a job acknowledged before a crash
+runs after the restart under its original id.
 
 Shutdown: ``SIGTERM``/``SIGINT`` (or the ``shutdown`` op) stop admission,
-let the in-flight job settle, journal everything and exit 0.
+let the in-flight round settle and commit, and exit 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ import uuid
 from typing import List, Optional
 
 from ..store.store import ExperimentStore
-from .queue import Job, JobQueue, ServiceRejection
+from .journal import JobJournal, accept_line, cancel_line, settle_line, unsettled_jobs
+from .queue import TERMINAL_STATES, Job, JobQueue, ServiceRejection
 from .requests import (
     DEFAULT_MAX_EXPERIMENTS,
     DEFAULT_MAX_SHOTS,
@@ -175,14 +180,22 @@ class SweepService:
         self._idle = threading.Event()
         self._idle.set()
         self._server: Optional[_Server] = None
+        self._journal: Optional[JobJournal] = None
         self._threads: List[threading.Thread] = []
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket and start the listener + scheduler threads."""
+        """Replay the journal, bind the socket and start the listener +
+        scheduler threads."""
         self._claim_socket_path()
-        self._server = _Server(self.socket_path, _Handler)
+        self._journal = JobJournal(self.store.jobs_dir)
+        try:
+            self._replay()
+            self._server = _Server(self.socket_path, _Handler)
+        except BaseException:
+            self._journal.close()
+            raise
         self._server.service = self  # type: ignore[attr-defined]
         listener = threading.Thread(
             target=self._server.serve_forever,
@@ -197,6 +210,22 @@ class SweepService:
         for thread in self._threads:
             thread.start()
         self._progress(f"serving on {self.socket_path} (store: {self.store.spec_string()})")
+
+    def _replay(self) -> None:
+        """Re-admit every job a dead daemon acknowledged and never settled,
+        under its original id (see :mod:`repro.service.journal`)."""
+        with self._journal.dead_segments() as lines:
+            replayed = unsettled_jobs(lines)
+            committed = []
+            for job, cancel_requested in replayed:
+                self.queue.readmit(job)
+                committed.append(accept_line(job))
+                if cancel_requested:
+                    self.queue.settle(job.job_id, "cancelled")
+                    committed.append(settle_line(job))
+            self._journal.commit(committed)
+        if replayed:
+            self._progress(f"replayed {len(replayed)} unsettled job(s) from the journal")
 
     def _claim_socket_path(self) -> None:
         """Take over the socket path, refusing to evict a live daemon."""
@@ -217,7 +246,7 @@ class SweepService:
         """Run until SIGTERM/SIGINT or a ``shutdown`` op; returns exit code.
 
         Installs signal handlers (main thread only) so ``kill -TERM`` drains
-        gracefully: stop admission, finish the in-flight job, journal, exit.
+        gracefully: stop admission, finish and commit the in-flight round, exit.
         """
         import signal
 
@@ -236,7 +265,8 @@ class SweepService:
         return 0
 
     def close(self) -> None:
-        """Stop accepting, let the in-flight job settle, release the socket."""
+        """Stop accepting, let the in-flight round settle, release the
+        journal and the socket."""
         self._stop.set()
         if self._server is not None:
             self._server.shutdown()
@@ -247,6 +277,8 @@ class SweepService:
             if thread is not threading.current_thread():
                 thread.join(timeout=30.0)
         self._threads = []
+        if self._journal is not None:
+            self._journal.close()
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -320,7 +352,7 @@ class SweepService:
             payload=normalized,
         )
         self.queue.submit(job)  # ServiceRejection propagates to handle()
-        self._journal(job)
+        self._journal.commit([accept_line(job)])  # durable before the reply
         return {"ok": True, "job_id": job.job_id}
 
     def _normalize_job(self, job_payload: dict) -> dict:
@@ -409,7 +441,10 @@ class SweepService:
         job = self.queue.cancel(str(payload.get("job_id", "")))
         if job is None:
             return {"ok": False, "error": "unknown_job", "message": "no such job"}
-        self._journal(job)
+        if job.status == "running":
+            self._journal.commit([cancel_line(job)])
+        elif job.status == "cancelled":
+            self._journal.commit([settle_line(job)])
         return {"ok": True, "job": job.to_payload(include_result=False)}
 
     def _op_stats(self, payload: dict) -> dict:
@@ -466,7 +501,7 @@ class SweepService:
                 try:
                     self._execute_run_jobs(batch)
                 finally:
-                    self._idle.set()
+                    self._commit_round(batch)
                 continue
             job = self.queue.claim_next()
             if job is None:
@@ -484,7 +519,15 @@ class SweepService:
                 else:
                     self._execute_task_job(job)
             finally:
-                self._idle.set()
+                self._commit_round([job])
+
+    def _commit_round(self, jobs: List[Job]) -> None:
+        """Commit the settle lines of a round's jobs as one group, then
+        mark the scheduler idle."""
+        self._journal.commit(
+            [settle_line(job) for job in jobs if job.status in TERMINAL_STATES]
+        )
+        self._idle.set()
 
     def _execute_run_jobs(self, jobs: List[Job]) -> None:
         """One packed round: every concurrently claimed run request together."""
@@ -493,16 +536,18 @@ class SweepService:
         for job in jobs:
             if job.cancel_requested:
                 self.queue.settle(job.job_id, "cancelled")
-                self._journal(job)
                 continue
-            live.append(job)
-            requests.append(
-                RunRequest.from_params(
+            try:
+                request = RunRequest.from_params(
                     dict(job.payload.get("params") or {}),
                     tenant=job.tenant,
                     request_id=job.job_id,
                 )
-            )
+            except (KeyError, ValueError) as exc:  # a replayed job skipped admission
+                self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
+                continue
+            live.append(job)
+            requests.append(request)
         if not live:
             return
         try:
@@ -517,7 +562,6 @@ class SweepService:
                 self.queue.settle(
                     job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"}
                 )
-                self._journal(job)
             return
         for job in live:
             outcome = outcomes[job.job_id]
@@ -531,7 +575,6 @@ class SweepService:
                 },
             )
             self._progress(f"[{outcome.status:>8}] job {job.job_id} ({job.tenant})")
-            self._journal(job)
 
     def _execute_task_job(self, job: Job) -> None:
         """A non-packable task kind: the ``repro run`` path, warm-process."""
@@ -539,7 +582,6 @@ class SweepService:
 
         if job.cancel_requested:
             self.queue.settle(job.job_id, "cancelled")
-            self._journal(job)
             return
         kind = str(job.payload["kind"])
         params = dict(job.payload.get("params") or {})
@@ -553,11 +595,9 @@ class SweepService:
                 status = "executed"
         except Exception as exc:  # noqa: BLE001
             self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
-            self._journal(job)
             return
         self.queue.settle(job.job_id, "done", {"status": status, "key": key})
         self._progress(f"[{status:>8}] job {job.job_id} ({kind})")
-        self._journal(job)
 
     def _execute_sweep_job(self, job: Job) -> None:
         """A declarative sweep through the shared orchestrator."""
@@ -566,10 +606,14 @@ class SweepService:
 
         if job.cancel_requested:
             self.queue.settle(job.job_id, "cancelled")
-            self._journal(job)
             return
-        specs = [SweepSpec.from_dict(dict(entry)) for entry in job.payload["sweeps"]]
-        tasks = expand_sweep(specs)
+        try:
+            tasks = expand_sweep(
+                [SweepSpec.from_dict(dict(entry)) for entry in job.payload["sweeps"]]
+            )
+        except (KeyError, ValueError) as exc:  # a replayed job skipped admission
+            self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
+            return
         # Publish the task map up front: `partial` aggregates whatever leaf
         # records exist from the first settle on, streaming mid-sweep results.
         job.result["tasks"] = {t.task_id: {"kind": t.kind, "key": t.key} for t in tasks}
@@ -592,7 +636,6 @@ class SweepService:
             report = orchestrator.run(tasks, name=str(job.payload["name"]))
         except Exception as exc:  # noqa: BLE001
             self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
-            self._journal(job)
             return
         result = {
             "tasks": job.result["tasks"],
@@ -613,21 +656,3 @@ class SweepService:
         else:
             self.queue.settle(job.job_id, "done", result)
         self._progress(f"[{self.queue.get(job.job_id).status:>8}] job {job.job_id} (sweep)")
-        self._journal(job)
-
-    # -- the job journal ------------------------------------------------
-
-    def _journal(self, job: Job) -> None:
-        """Checkpoint one job's lifecycle under ``<store>/jobs/``.
-
-        Pure bookkeeping (audit + post-mortem): results are addressed by
-        store key, never read back from the journal — a lost journal costs
-        nothing but history.
-        """
-        path = self.store.jobs_dir / f"{job.job_id}.json"
-        self.store._atomic_write(
-            path,
-            json.dumps(job.to_payload(include_result=True), sort_keys=True, indent=1).encode(
-                "utf-8"
-            ),
-        )

@@ -3,10 +3,11 @@
 On-disk layout (all paths under one *store root*)::
 
     <root>/
-      objects/<kk>/<key>.json    -- JSON manifest (schema, kind, meta, array names)
+      objects/<kk>/<key>.json    -- compact JSON manifest (schema, kind, meta, array names)
       objects/<kk>/<key>.npz     -- numpy arrays (only when the record has any)
       sweeps/<name>.json         -- sweep checkpoint journals (repro.runtime)
       leases/<sweep>/<key>.lease -- work-stealing task leases (repro.runtime.leases)
+      jobs/journal-*.jsonl       -- ``repro serve`` job journal, one segment per daemon
       stats.json                 -- cumulative hit/miss counters across sessions
 
 Federation: a store can be opened over *ordered read-through roots*
@@ -34,11 +35,13 @@ any undecodable manifest or unloadable ``.npz`` as a cache miss, quarantine
 the files (delete them) and recompute — a crash mid-write can never poison
 the store.
 
-The in-memory tier is a per-process LRU over decoded records: sweeps that
-revisit a key (ADAPT re-scoring, report generation after a run) skip the
-JSON/npz decode entirely.  It sits behind one lock, because ``repro serve``
-reads a handle from its handler threads while its scheduler thread writes
-it; disk reads and writes stay outside that lock.
+The in-memory tier is a per-process LRU over each record's manifest bytes
+and frozen arrays: sweeps that revisit a key (ADAPT re-scoring, report
+generation after a run) skip the disk and the npz decode, and a hit decodes
+its meta from the same bytes a disk hit reads, so both return equal records.
+It sits behind one lock, because ``repro serve`` reads a handle from its
+handler threads while its scheduler thread writes it; disk reads and writes
+stay outside that lock.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +84,17 @@ class StoreRecord:
         return str(self.meta.get("kind", "unknown"))
 
 
+def _record(key: str, manifest: dict, arrays: Dict[str, np.ndarray]) -> StoreRecord:
+    """The record a decoded manifest describes."""
+    return StoreRecord(
+        key=key,
+        meta=manifest["meta"],
+        arrays=arrays,
+        schema=int(manifest.get("schema", -1)),
+        created_at=float(manifest.get("created_at", 0.0)),
+    )
+
+
 @guarded_by("_memory_lock", "_memory")
 class ExperimentStore:
     """Content-addressed result store: in-memory LRU over on-disk artifacts.
@@ -103,7 +117,8 @@ class ExperimentStore:
         self.root = Path(root if root is not None else default_store_root())
         self.max_memory_entries = max(0, int(max_memory_entries))
         self._memory_lock = threading.Lock()
-        self._memory: Dict[str, StoreRecord] = {}
+        #: key -> (manifest bytes, frozen arrays), least recently used first
+        self._memory: Dict[str, Tuple[bytes, Dict[str, np.ndarray]]] = {}
         self._readonly = False
         self._read_stores: List["ExperimentStore"] = []
         for extra in read_roots:
@@ -164,7 +179,7 @@ class ExperimentStore:
 
     @property
     def jobs_dir(self) -> Path:
-        """Service job journal (``repro serve`` checkpoints job lifecycles)."""
+        """The ``repro serve`` job journal's segments (:mod:`repro.service.journal`)."""
         path = self.root / "jobs"
         path.mkdir(parents=True, exist_ok=True)
         return path
@@ -230,12 +245,11 @@ class ExperimentStore:
             "arrays": sorted(arrays),
             "meta": record.meta,
         }
-        self._atomic_write(
-            self._manifest_path(key),
-            json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
-        )
+        # Compact: without ``indent`` json runs its C encoder.
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        self._atomic_write(self._manifest_path(key), manifest_bytes)
         self.stats.add("writes")
-        self._remember(record)
+        self._remember(key, manifest_bytes, arrays)
         return record
 
     def get(self, key: str) -> Optional[StoreRecord]:
@@ -252,28 +266,32 @@ class ExperimentStore:
                 self._memory[key] = cached  # LRU refresh
         if cached is not None:
             self.stats.add("memory_hits")
-            return self._checkout(cached)
-        record = self._read_disk(key)
-        if record is None:
+            manifest_bytes, arrays = cached
+            return _record(key, json.loads(manifest_bytes), dict(arrays))
+        found = self._read_disk(key)
+        if found is None:
             for child in self._read_stores:
-                record = child._read_disk(key)
-                if record is not None:
+                found = child._read_disk(key)
+                if found is not None:
                     self.stats.add("federated_hits")
                     break
-        if record is None:
+        if found is None:
             self.stats.add("misses")
             return None
         self.stats.add("disk_hits")
-        self._remember(record)
+        record, manifest_bytes = found
+        self._remember(key, manifest_bytes, record.arrays)
         return record
 
-    def _read_disk(self, key: str) -> Optional[StoreRecord]:
+    def _read_disk(self, key: str) -> Optional[Tuple[StoreRecord, bytes]]:
         """Decode one record from this root's disk (no memory tier, no
-        federation, no stats beyond quarantine accounting)."""
+        federation, no stats beyond quarantine accounting); returns it with
+        the manifest bytes it was decoded from."""
         manifest_path = self._manifest_path(key)
         try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
+            with open(manifest_path, "rb") as handle:
+                manifest_bytes = handle.read()
+            manifest = json.loads(manifest_bytes)
             if manifest.get("key") != key or "meta" not in manifest:
                 raise ValueError("manifest does not describe this key")
         except FileNotFoundError:
@@ -296,18 +314,12 @@ class ExperimentStore:
                 # later crashed arrays rewrite, or filesystem damage).
                 self._quarantine(key)
                 return None
-        record = StoreRecord(
-            key=key,
-            meta=manifest["meta"],
-            arrays=arrays,
-            schema=int(manifest.get("schema", -1)),
-            created_at=float(manifest.get("created_at", 0.0)),
-        )
+        record = _record(key, manifest, arrays)
         if record.schema != SCHEMA_VERSION:
             # Readable but written by another schema: treat as a miss, leave
             # the files for `gc` to reclaim (so downgrades don't destroy data).
             return None
-        return record
+        return record, manifest_bytes
 
     def contains(self, key: str) -> bool:
         """Existence probe (manifest validated, arrays not decoded).
@@ -354,48 +366,28 @@ class ExperimentStore:
 
     # -- internals ------------------------------------------------------
 
-    def _remember(self, record: StoreRecord) -> None:
+    def _remember(
+        self, key: str, manifest_bytes: bytes, arrays: Dict[str, np.ndarray]
+    ) -> None:
         if self.max_memory_entries <= 0:
             return
-        # The tier keeps its own deep copy of the metadata and its own frozen
-        # array copies, and hands fresh meta back on every hit (see
-        # _checkout): a caller mutating a result it got from the store must
-        # never poison later reads of the key, and the tier never touches
-        # buffers the caller still owns (a put() must not freeze the caller's
-        # own array as a side effect).
-        arrays = {}
-        for name, array in record.arrays.items():
+        # The tier keeps the record's manifest bytes and its own frozen array
+        # copies, and decodes fresh meta on every hit: a caller mutating a
+        # result it got from the store must never poison later reads of the
+        # key, a memory hit returns exactly what a disk hit returns, and the
+        # tier never touches buffers the caller still owns (a put() must not
+        # freeze the caller's own array as a side effect).
+        frozen = {}
+        for name, array in arrays.items():
             if array.flags.writeable:
                 array = array.copy()
                 array.setflags(write=False)
-            arrays[name] = array
-        kept = self._checkout(
-            StoreRecord(
-                key=record.key,
-                meta=record.meta,
-                arrays=arrays,
-                schema=record.schema,
-                created_at=record.created_at,
-            )
-        )
+            frozen[name] = array
         with self._memory_lock:
-            self._memory.pop(record.key, None)
-            self._memory[record.key] = kept
+            self._memory.pop(key, None)
+            self._memory[key] = (manifest_bytes, frozen)
             while len(self._memory) > self.max_memory_entries:
                 self._memory.pop(next(iter(self._memory)))
-
-    @staticmethod
-    def _checkout(record: StoreRecord) -> StoreRecord:
-        """A hand-out copy: deep-copied meta, shared *frozen* arrays."""
-        import copy
-
-        return StoreRecord(
-            key=record.key,
-            meta=copy.deepcopy(record.meta),
-            arrays=dict(record.arrays),
-            schema=record.schema,
-            created_at=record.created_at,
-        )
 
     def _quarantine(self, key: str) -> None:
         """Drop the artifacts of an unreadable record so it gets recomputed.

@@ -221,6 +221,39 @@ class TestQueue:
             JobQueue(**kwargs)
 
 
+class TestQueueLiveIndex:
+    """Admission and dispatch read only the live jobs, however many settled."""
+
+    def test_submit_and_claim_read_no_settled_job(self):
+        queue = JobQueue(depth=8, tenant_quota=2)
+        for i in range(3000):
+            queue.submit(_job(f"old{i}", tenant=f"t{i % 3}"))
+            (job,) = queue.claim_run_batch()
+            queue.settle(job.job_id, "done" if i % 2 else "failed")
+        queue.submit(_job("cancelled"))
+        queue.cancel("cancelled")
+        reads = []
+
+        class Spy(Job):
+            def __getattribute__(self, name):
+                reads.append(name)
+                return super().__getattribute__(name)
+
+        for job in queue.jobs():
+            job.__class__ = Spy
+        reads.clear()
+        queue.submit(_job("a", tenant="t0"))
+        queue.submit(_job("b", tenant="t0"))
+        with pytest.raises(QuotaExceeded):
+            queue.submit(_job("c", tenant="t0"))
+        assert [job.job_id for job in queue.claim_run_batch()] == ["a", "b"]
+        queue.settle("a", "done")
+        assert queue.claim_next() is None
+        assert queue.counts() == {"done": 1501, "failed": 1500, "cancelled": 1, "running": 1}
+        assert reads == []
+        assert queue.get("old0").status == "failed" and reads  # the spy works
+
+
 # ---------------------------------------------------------------------------
 # The shared Request → Schedule → BatchJob path
 # ---------------------------------------------------------------------------
@@ -498,9 +531,15 @@ class TestDaemon:
         assert job["result"]["counts"]["failed"] == 0
         summary = client.partial(job_id)
         assert summary["coverage"]["stored"] == summary["coverage"]["total"] == 2
-        # The journal checkpoints the settled job.
-        journal = service.store.jobs_dir / f"{job_id}.json"
-        assert json.loads(journal.read_text())["status"] == "done"
+        # The journal checkpoints the settled job: once its round commits,
+        # the daemon's segment holds the job's terminal line.
+        assert service.wait_idle()
+        (segment,) = service.store.jobs_dir.glob("journal-*.jsonl")
+        lines = [json.loads(line) for line in segment.read_text().splitlines()]
+        (terminal,) = [
+            line for line in lines if line["job_id"] == job_id and line["event"] == "settle"
+        ]
+        assert terminal["status"] == "done"
 
     def test_stats_op_keeps_every_store_write(self, service):
         """A run job, a 3-task sweep, a figure1 task and a cached resubmission:

@@ -682,6 +682,24 @@ class TestTaskStoreIntegration:
         assert calls["n"] > 0
         assert _payloads(healer, healed.tasks) == cold_payloads
 
+    def test_memory_and_disk_hits_return_the_same_meta(self, tmp_path):
+        store = ExperimentStore(tmp_path / "store")
+        key = "9" * 64
+        meta = {"pair": (1, 2), "nested": {"b": {"c": [1, (2, 3)]}, "a": 0.1}}
+        store.put(key, meta, {"x": np.arange(3)})
+        from_memory = store.get(key)
+        from_disk = ExperimentStore(tmp_path / "store").get(key)
+        assert store.stats["memory_hits"] == 1
+        expected = {"pair": [1, 2], "nested": {"b": {"c": [1, [2, 3]]}, "a": 0.1}}
+        assert from_memory.meta == from_disk.meta == expected
+        assert (from_memory.schema, from_memory.created_at) == (
+            from_disk.schema,
+            from_disk.created_at,
+        )
+        assert list(from_memory.arrays["x"]) == list(from_disk.arrays["x"]) == [0, 1, 2]
+        # The manifest is one unindented line of JSON.
+        assert b"\n" not in store._manifest_path(key).read_bytes()
+
     def test_memory_tier_hits_are_isolated_from_caller_mutation(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         key = "8" * 64
