@@ -53,13 +53,16 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..store.keys import fingerprint
 from ..store.store import ExperimentStore
 from .leases import LeaseManager, worker_identity
 from .spec import SweepSpec, TaskSpec, expand_sweep
 from .tasks import merged_params, run_task
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.requests import ContextCache
 
 __all__ = ["TaskResult", "SweepReport", "SweepOrchestrator", "partial_summary"]
 
@@ -147,7 +150,8 @@ def _execute_remote(payload):
     """Worker-side task execution (top-level for pickling under fork).
 
     The worker opens its own (possibly federated) store handle, runs the
-    task, **checkpoints the record itself** and returns only
+    task with a fresh :class:`~repro.service.requests.ContextCache`,
+    **checkpoints the record itself** and returns only
     ``(status, key, seconds, error)`` — the parent never decodes, re-encodes
     or re-writes result arrays, and a slow sibling in the same batch cannot
     delay this record becoming durable.
@@ -222,6 +226,10 @@ class SweepOrchestrator:
             leased to another worker.
         journal_min_interval_s: minimum seconds between journal rewrites
             (the final write is always unconditional).
+        contexts: the :class:`~repro.service.requests.ContextCache` every
+            inline task runs in (a daemon passes its warm one); by default
+            the orchestrator builds one on its first inline task.  Pooled
+            tasks get a fresh one each.
     """
 
     def __init__(
@@ -235,6 +243,7 @@ class SweepOrchestrator:
         poll_interval_s: float = 0.1,
         journal_min_interval_s: float = 0.5,
         worker_id: Optional[str] = None,
+        contexts: Optional["ContextCache"] = None,
     ) -> None:
         self.store = store
         self.n_workers = max(1, int(n_workers))
@@ -245,6 +254,7 @@ class SweepOrchestrator:
         self.poll_interval_s = max(0.01, float(poll_interval_s))
         self.journal_min_interval_s = max(0.0, float(journal_min_interval_s))
         self.worker_id = worker_id or worker_identity()
+        self.contexts = contexts
 
     # ------------------------------------------------------------------
 
@@ -486,9 +496,15 @@ class SweepOrchestrator:
         return spec
 
     def _execute_inline(self, task: TaskSpec, settle) -> None:
+        if self.contexts is None:
+            # Built here, not in __init__: importing the service package is
+            # not part of setting a sweep up.
+            from ..service.requests import ContextCache
+
+            self.contexts = ContextCache()
         start = time.perf_counter()
         try:
-            meta, arrays = run_task(task.kind, task.params, self.store)
+            meta, arrays = run_task(task.kind, task.params, self.store, self.contexts)
         except KeyboardInterrupt:
             raise
         except Exception as exc:  # noqa: BLE001 - a task failure must not kill the sweep

@@ -7,42 +7,61 @@ Each registered kind binds three things:
 * ``defaults`` — the kind's budget knobs.  Defaults are merged into the
   parameters *before* key resolution, so an explicit ``shots=4096`` and a
   defaulted one produce the same key;
-* ``execute`` — the driver call, a pure function of the merged parameters.
-  Only ``sweep_summary`` reads the store it is handed: a result is stored
-  once, under its task key, by whoever runs the task.
+* ``execute`` — the driver call, a pure function of the merged parameters
+  and the :class:`TaskScope` it runs in.  Only ``sweep_summary`` reads the
+  scope's store (a result is stored once, under its task key, by whoever
+  runs the task), and only ``benchmark_run`` its execution contexts.
 
 Task keys are :func:`repro.store.keys.task_key` over the merged parameters
 plus the **calibration content fingerprint** of every ``(device, cycle)``
 the task touches — the store invalidates itself when the calibration model
-changes.  Fingerprints are memoized per process; resolving keys for a
-thousand-task sweep costs milliseconds, which is what makes warm re-runs of
-whole sweeps near-free.
+changes.  A process keeps one backend per ``(device, cycle)``
+(:func:`task_backend`): keys fingerprint its calibration, and tasks and
+execution contexts run on it, so a sweep generates each calibration once.
+Resolving keys for a thousand-task sweep costs milliseconds, which is what
+makes warm re-runs of whole sweeps near-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.backend import Backend
-from ..hardware.calibration import generate_calibration
-from ..hardware.devices import get_device
 from ..store.keys import calibration_fingerprint, task_key
 from ..workloads.suite import get_benchmark
 from .spec import TaskSpec
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.requests import ContextCache
+    from ..store.store import ExperimentStore
+
 __all__ = [
     "TaskKind",
+    "TaskScope",
     "available_task_kinds",
     "axes_of",
     "register_task_kind",
     "resolve_task_key",
     "run_task",
     "summary_task",
+    "task_backend",
 ]
 
 Arrays = Dict[str, object]
-ExecuteFn = Callable[[Dict[str, object], Optional[object]], Tuple[dict, Arrays]]
+
+
+@dataclass(frozen=True)
+class TaskScope:
+    """What a task runs in: the store (read by ``sweep_summary``) and the
+    execution contexts (used by ``benchmark_run``)."""
+
+    store: Optional["ExperimentStore"]
+    contexts: "ContextCache"
+
+
+ExecuteFn = Callable[[Dict[str, object], TaskScope], Tuple[dict, Arrays]]
 
 
 @dataclass(frozen=True)
@@ -136,31 +155,58 @@ def resolve_task_key(kind: str, params: Dict[str, object]) -> str:
     return task_key(kind, keyed)
 
 
-def run_task(kind: str, params: Dict[str, object], store=None) -> Tuple[dict, Arrays]:
-    """Execute one task and return its ``(meta, arrays)`` record payload."""
+def run_task(
+    kind: str,
+    params: Dict[str, object],
+    store: Optional["ExperimentStore"] = None,
+    contexts: Optional["ContextCache"] = None,
+) -> Tuple[dict, Arrays]:
+    """Execute one task and return its ``(meta, arrays)`` record payload.
+
+    ``contexts`` is the caller's :class:`~repro.service.requests.ContextCache`
+    (an orchestrator's or a daemon's); without one the task gets a fresh
+    cache, so a direct call computes everything itself.
+    """
+    from ..service.requests import ContextCache
+
     spec = _get_kind(kind)
-    return spec.execute(merged_params(kind, params), store)
+    scope = TaskScope(store, ContextCache() if contexts is None else contexts)
+    return spec.execute(merged_params(kind, params), scope)
 
 
 # ---------------------------------------------------------------------------
-# Calibration fingerprint memo
+# One backend per (device, cycle)
 # ---------------------------------------------------------------------------
 
-_FP_CACHE: Dict[Tuple[str, int], str] = {}
+#: Backends a process keeps; more than any sweep or daemon here touches
+#: (a paper sweep uses one (device, cycle), serve-burst and the smoke sweep
+#: four).
+MAX_TASK_BACKENDS = 16
 
 
-def _calibration_fp(device_name: str, cycle: int) -> str:
-    key = (str(device_name), int(cycle))
-    if key not in _FP_CACHE:
-        device = get_device(key[0])
-        _FP_CACHE[key] = calibration_fingerprint(
-            generate_calibration(device, cycle=key[1])
-        )
-    return _FP_CACHE[key]
+# A process-level memo may hold inputs only: devices, calibrations, backends
+# and fingerprints.  Compiled programs and exact vectors live on execution
+# contexts and executors, which a caller (and a test) can leave out; a
+# process-level memo of results would make every fresh-executor reference
+# compare a memo hit with itself.  Call both memos positionally as
+# ``(str, int)``: lru_cache keys ``cycle=0`` and ``0`` apart.
+@lru_cache(maxsize=MAX_TASK_BACKENDS)
+def task_backend(device: str, cycle: int) -> Backend:
+    """The process's backend for a named device and calibration cycle.
+
+    Task keys fingerprint its calibration, and tasks and execution contexts
+    run on it.  Safe from any thread: a race builds an equal backend twice.
+    """
+    return Backend.from_name(device, cycle=cycle)
+
+
+@lru_cache(maxsize=None)
+def _calibration_fp(device: str, cycle: int) -> str:
+    return calibration_fingerprint(task_backend(device, cycle).calibration)
 
 
 def _backend(params: Dict[str, object]) -> Backend:
-    return Backend.from_name(str(params["device"]), cycle=int(params.get("cycle", 0)))
+    return task_backend(str(params["device"]), int(params.get("cycle", 0)))
 
 
 def _cal_extras(params: Dict[str, object]) -> Dict[str, object]:
@@ -176,7 +222,7 @@ def _cal_extras(params: Dict[str, object]) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _execute_figure1(params, store):
+def _execute_figure1(params, scope):
     from ..analysis.motivation import figure1_motivation_study
 
     values = figure1_motivation_study(
@@ -198,7 +244,7 @@ _register(
 )
 
 
-def _execute_table1(params, store):
+def _execute_table1(params, scope):
     from ..analysis.motivation import table1_idle_fractions
     from ..store.records import encode_rows
 
@@ -222,7 +268,7 @@ _register(
 )
 
 
-def _execute_swap_idle(params, store):
+def _execute_swap_idle(params, scope):
     from dataclasses import asdict
 
     from ..analysis.motivation import figure3_swap_idle_study
@@ -246,7 +292,7 @@ _register(
 )
 
 
-def _execute_idling_study(params, store):
+def _execute_idling_study(params, scope):
     from ..analysis.characterization import DEFAULT_THETAS, single_qubit_idling_study
     from ..store.records import encode_rows
 
@@ -283,7 +329,7 @@ _register(
 )
 
 
-def _execute_characterization(params, store):
+def _execute_characterization(params, scope):
     from dataclasses import asdict
 
     from ..analysis.characterization import DEFAULT_THETAS, full_device_characterization
@@ -319,7 +365,7 @@ _register(
 )
 
 
-def _execute_drift(params, store):
+def _execute_drift(params, scope):
     from ..analysis.characterization import DEFAULT_THETAS, calibration_drift_study
     from ..store.records import jsonable
 
@@ -364,7 +410,7 @@ _register(
 )
 
 
-def _execute_pulse_type(params, store):
+def _execute_pulse_type(params, scope):
     from ..analysis.characterization import pulse_type_study
     from ..store.records import encode_rows
 
@@ -401,7 +447,7 @@ _register(
 )
 
 
-def _execute_policy_comparison(params, store):
+def _execute_policy_comparison(params, scope):
     from ..analysis.evaluation_runs import EvaluationConfig, run_policy_comparison
     from ..store.records import encode_evaluation
 
@@ -454,7 +500,7 @@ _register(
 )
 
 
-def _execute_hardware_scaling(params, store):
+def _execute_hardware_scaling(params, scope):
     from dataclasses import asdict
 
     from ..analysis.scaling import hardware_scaling_point
@@ -491,16 +537,11 @@ _register(
 )
 
 
-def _execute_benchmark_run(params, store):
+def _execute_benchmark_run(params, scope):
     from ..service.requests import RunRequest, execute_run_requests
 
-    # Pure compute through the shared Request → Schedule → BatchJob path (the
-    # same packer `repro serve` drives for many concurrent requests).  No
-    # store is passed: the task-level caller owns the write for this key, and
-    # execute_run_requests' own probe/put is the *server's* caching layer —
-    # involving both here would double-put every record.
     request = RunRequest.from_params(params)
-    (outcome,) = execute_run_requests([request]).values()
+    (outcome,) = execute_run_requests([request], contexts=scope.contexts).values()
     return outcome.meta, {}
 
 
@@ -525,7 +566,7 @@ _register(
 )
 
 
-def _execute_decoy_correlation(params, store):
+def _execute_decoy_correlation(params, scope):
     from ..analysis.decoy_quality import decoy_correlation_study
     from ..store.records import encode_decoy_correlation
 
@@ -612,7 +653,8 @@ def _headline(meta: dict):
     return {}
 
 
-def _execute_summary(params, store):
+def _execute_summary(params, scope):
+    store = scope.store
     if store is None:
         raise ValueError("sweep_summary needs the store to read its inputs")
     tasks: Dict[str, str] = dict(params["tasks"])

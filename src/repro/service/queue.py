@@ -31,10 +31,13 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..lint.annotations import guarded_by, holds_lock
 from ..obs import Counters
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .requests import RunRequest
 
 __all__ = ["Job", "JobQueue", "QueueFull", "QuotaExceeded", "ServiceRejection"]
 
@@ -85,6 +88,9 @@ class Job:
     #: terminal payload: result keys + headlines, or the error
     result: Dict[str, object] = field(default_factory=dict)
     cancel_requested: bool = False
+    #: a run job's request, built once at admission and carried to its round
+    #: in memory (never journaled); dropped when the job settles
+    request: Optional["RunRequest"] = field(default=None, repr=False, compare=False)
 
     @property
     def job_type(self) -> str:
@@ -191,6 +197,7 @@ class JobQueue:
         self._counts[status] = self._counts.get(status, 0) + 1
         if status in TERMINAL_STATES:
             self._live.pop(job.job_id, None)
+            job.request = None
 
     @holds_lock("_lock")
     def _retry_hint(self) -> float:

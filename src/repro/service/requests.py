@@ -21,9 +21,9 @@ many chunks landed in which batch.
 Execution contexts (:class:`ExecutionContext`: the transpiled program, its
 executor and its ideal distribution; the scaling study's points run through
 the same class) are cached in a :class:`ContextCache`: a long-lived server
-keeps them warm across jobs, which — together with the process-level caches
-the executors already share — is where the daemon's throughput over
-one-process-per-request CLI invocations comes from.
+keeps them warm across jobs, and a sweep across its tasks, which is where
+the daemon's throughput over one-process-per-request CLI invocations comes
+from.
 """
 
 from __future__ import annotations
@@ -271,7 +271,13 @@ class ExecutionContext:
 class ContextCache:
     """A bounded LRU of :class:`ExecutionContext` keyed by context key, with
     its build/hit ``stats`` and the ``packing`` totals of the rounds that
-    :func:`execute_run_requests` ran through it."""
+    :func:`execute_run_requests` ran through it.
+
+    Contexts run on the process's backend for their (device, cycle)
+    (:func:`repro.runtime.tasks.task_backend`), so contexts on one device
+    share it.  An orchestrator or a daemon owns one cache and hands it to
+    every task it runs in-process.
+    """
 
     def __init__(self) -> None:
         self._contexts: Dict[str, ExecutionContext] = {}
@@ -281,7 +287,7 @@ class ContextCache:
         )
 
     def get(self, request: RunRequest) -> ExecutionContext:
-        from ..hardware.backend import Backend
+        from ..runtime.tasks import task_backend
 
         context = self._contexts.get(request.context_key)
         if context is not None:
@@ -291,7 +297,7 @@ class ContextCache:
             self.stats.add("hits")
             return context
         context = ExecutionContext(
-            Backend.from_name(str(request.device), cycle=int(request.cycle)),
+            task_backend(str(request.device), int(request.cycle)),
             request.benchmark,
             request.trajectories,
         )

@@ -14,11 +14,15 @@ One long-lived process hosts:
   (:mod:`repro.service.requests`); sweep jobs and non-packable task kinds
   run through the same orchestrator/driver code the CLI uses.
 
-Because the process never dies between jobs, every process-level cache —
-compiled programs, distance matrices, noise-mask tables, execution contexts
-(:class:`~repro.service.requests.ContextCache`) and the store's memory tier —
-amortizes across *all* clients and tenants, which is precisely the cost the
-one-process-per-invocation CLI pays per request.
+Because the process never dies between jobs, what it keeps warm amortizes
+across *all* clients and tenants, which is precisely the cost the
+one-process-per-invocation CLI pays per request: one backend per (device,
+cycle) (:func:`~repro.runtime.tasks.task_backend`), distance matrices, the
+store's memory tier, and the daemon's one
+:class:`~repro.service.requests.ContextCache`, whose contexts hold the
+compiled programs with their noise-mask tables and exact vectors.  Run jobs,
+task jobs and every inline leaf of a sweep job run in that cache, so the
+``stats`` op counts every context they build or reuse.
 
 Durability: all results land in the experiment store under the same
 content-addressed keys the CLI resolves, so a served result is
@@ -45,7 +49,7 @@ import socketserver
 import threading
 import time
 import uuid
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..store.store import ExperimentStore
 from .journal import JobJournal, accept_line, cancel_line, settle_line, unsettled_jobs
@@ -344,25 +348,30 @@ class SweepService:
         priority = int(payload.get("priority", 0))
         if self._stop.is_set():
             return {"ok": False, "error": "shutting_down", "message": "daemon is draining"}
-        normalized = self._normalize_job(job_payload)
+        job_id = uuid.uuid4().hex[:12]
+        normalized, request = self._normalize_job(job_payload, tenant, job_id)
         job = Job(
-            job_id=uuid.uuid4().hex[:12],
+            job_id=job_id,
             tenant=tenant,
             priority=priority,
             payload=normalized,
+            request=request,
         )
         self.queue.submit(job)  # ServiceRejection propagates to handle()
         self._journal.commit([accept_line(job)])  # durable before the reply
         return {"ok": True, "job_id": job.job_id}
 
-    def _normalize_job(self, job_payload: dict) -> dict:
+    def _normalize_job(
+        self, job_payload: dict, tenant: str, job_id: str
+    ) -> Tuple[dict, Optional[RunRequest]]:
         """Validate a submission and classify it for the dispatcher.
 
-        ``run`` jobs carry one packable request; any other registered task
-        kind becomes a ``task`` job (executed unpacked); ``sweep`` jobs carry
-        declarative sweep specs.  Validation errors raise ``ValueError`` and
-        surface as structured ``bad_request`` responses *at submit time* —
-        a malformed job never enters the queue.
+        Returns the job's payload and, for a ``run`` job, its one packable
+        request; any other registered task kind becomes a ``task`` job
+        (executed unpacked); ``sweep`` jobs carry declarative sweep specs.
+        Validation errors raise ``ValueError`` and surface as structured
+        ``bad_request`` responses *at submit time* — a malformed job never
+        enters the queue.
         """
         from ..runtime.spec import SweepSpec
         from ..runtime.tasks import available_task_kinds, required_params
@@ -377,7 +386,7 @@ class SweepService:
                 "type": "sweep",
                 "name": str(job_payload.get("name") or specs[0].name),
                 "sweeps": [spec.to_dict() for spec in specs],
-            }
+            }, None
         if job_type != "run":
             raise ValueError(f"unknown job type {job_type!r} (expected 'run' or 'sweep')")
         kind = str(job_payload.get("kind", _PACKABLE_KIND))
@@ -393,8 +402,10 @@ class SweepService:
             # The daemon's device-shaped default; explicit values win.  This
             # is result-determining, hence folded in *before* key resolution.
             params.setdefault("max_shots", self.max_shots)
-            request = RunRequest.from_params(params)  # validates device/benchmark
-            return {"type": "run", "kind": kind, "params": dict(params), "key": request.key}
+            # Validates device/benchmark and resolves the key, once per job.
+            request = RunRequest.from_params(params, tenant=tenant, request_id=job_id)
+            payload = {"type": "run", "kind": kind, "params": dict(params), "key": request.key}
+            return payload, request
         from ..runtime.tasks import resolve_task_key
 
         return {
@@ -402,7 +413,7 @@ class SweepService:
             "kind": kind,
             "params": params,
             "key": resolve_task_key(kind, params),
-        }
+        }, None
 
     def _op_status(self, payload: dict) -> dict:
         job = self._job_or_error(payload)
@@ -537,15 +548,19 @@ class SweepService:
             if job.cancel_requested:
                 self.queue.settle(job.job_id, "cancelled")
                 continue
-            try:
-                request = RunRequest.from_params(
-                    dict(job.payload.get("params") or {}),
-                    tenant=job.tenant,
-                    request_id=job.job_id,
-                )
-            except (KeyError, ValueError) as exc:  # a replayed job skipped admission
-                self.queue.settle(job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"})
-                continue
+            request = job.request
+            if request is None:  # a replayed job: only its payload was journaled
+                try:
+                    request = RunRequest.from_params(
+                        dict(job.payload.get("params") or {}),
+                        tenant=job.tenant,
+                        request_id=job.job_id,
+                    )
+                except (KeyError, ValueError) as exc:  # it skipped admission
+                    self.queue.settle(
+                        job.job_id, "failed", {"error": f"{type(exc).__name__}: {exc}"}
+                    )
+                    continue
             live.append(job)
             requests.append(request)
         if not live:
@@ -590,7 +605,7 @@ class SweepService:
             if self.store.contains(key):
                 status = "cached"
             else:
-                meta, arrays = run_task(kind, params, self.store)
+                meta, arrays = run_task(kind, params, self.store, self.contexts)
                 self.store.put(key, meta, arrays)
                 status = "executed"
         except Exception as exc:  # noqa: BLE001
@@ -630,7 +645,10 @@ class SweepService:
             job.progress.update({"settled": settled[0], "last": line.strip()})
 
         orchestrator = SweepOrchestrator(
-            self.store, n_workers=self.sweep_workers, progress=progress
+            self.store,
+            n_workers=self.sweep_workers,
+            progress=progress,
+            contexts=self.contexts,
         )
         try:
             report = orchestrator.run(tasks, name=str(job.payload["name"]))

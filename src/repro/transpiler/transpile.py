@@ -93,10 +93,11 @@ def transpile(
     circuit: QuantumCircuit,
     backend: Backend,
     layout: Optional[Layout] = None,
-    optimize: bool = True,
     use_noise_adaptive_layout: bool = True,
 ) -> CompiledProgram:
     """Compile a logical circuit for a backend.
+
+    Redundant-gate elimination runs after lowering and again after routing.
 
     Args:
         circuit: logical program (measurements included).
@@ -104,11 +105,8 @@ def transpile(
         layout: optional explicit initial layout; by default the
             noise-adaptive placement is used (or the trivial layout when
             ``use_noise_adaptive_layout`` is disabled).
-        optimize: run redundant-gate elimination after lowering.
     """
-    lowered = decompose_to_basis(circuit)
-    if optimize:
-        lowered = optimize_circuit(lowered)
+    lowered = optimize_circuit(decompose_to_basis(circuit))
 
     if layout is None:
         if use_noise_adaptive_layout:
@@ -117,9 +115,7 @@ def transpile(
             layout = trivial_layout(circuit.num_qubits)
 
     routed: RoutedCircuit = sabre_route(lowered, backend, layout)
-    physical = _expand_routing_swaps(routed.circuit)
-    if optimize:
-        physical = optimize_circuit(physical)
+    physical = optimize_circuit(_expand_routing_swaps(routed.circuit))
     physical.name = circuit.name
 
     return CompiledProgram(

@@ -576,9 +576,9 @@ class TestDaemon:
         assert stats["queue"]["submitted"] == 4
         # Every key perfbench/run.py reads from the stats op.
         assert stats["uptime_s"] >= 0.0
-        assert (stats["packing"]["rounds"], stats["packing"]["requests"]) == (2, 1)
+        assert (stats["packing"]["rounds"], stats["packing"]["requests"]) == (4, 3)
         assert {"batches", "chunks"} <= set(stats["packing"])
-        assert stats["contexts"] == {"builds": 1, "hits": 0}
+        assert stats["contexts"] == {"builds": 1, "hits": 2}
         assert {
             "memory_hits",
             "disk_hits",
@@ -771,3 +771,5 @@ class TestServeSubprocess:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait(timeout=30)
+            daemon.stdout.close()
+            daemon.stderr.close()
